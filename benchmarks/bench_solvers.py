@@ -4,7 +4,7 @@ Measures the mapping solvers on the default 8x8 four-application
 instance (C1) across the kernel backends of
 `repro.core.permkernels` — the untouched per-window ``reference``
 path, the always-available batched ``numpy`` fallback, and the best
-compiled backend (numba or the self-compiled C kernels) — plus the
+compiled backend (the self-compiled C kernels, where they load) — plus the
 end-to-end effect on the serve daemon: cache-miss request latency and
 solves/sec with every request a distinct problem.
 
@@ -44,13 +44,8 @@ MISS_REQUESTS = 12  # unique problems in the serve cache-miss probe
 
 
 def _compiled_backend() -> str | None:
-    """The best compiled backend available here, or None."""
-    info = permkernels.backend_info()
-    if info["numba"]:
-        return "numba"
-    if info["cc"]:
-        return "cc"
-    return None
+    """The compiled backend available here, or None."""
+    return "cc" if permkernels.backend_info()["cc"] else None
 
 
 def measure_solvers(rounds: int = 3) -> dict:
@@ -156,7 +151,6 @@ def run_benchmark(rounds: int = 3) -> dict:
         ),
         "backend": {
             "default": info["backend"],
-            "numba": info["numba"],
             "cc": info["cc"],
         },
         **measure_solvers(rounds),

@@ -28,7 +28,6 @@ from conftest import _record_timing
 
 from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance
-from repro.noc.jit_kernels import HAVE_NUMBA
 from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import MappedWorkloadTraffic
 from repro.noc.vector_engine import VectorEngine, run_batch
@@ -37,11 +36,6 @@ WARMUP, MEASURE = 500, 4_000
 SINGLE_ROUNDS = 3
 BATCH_SIZES = (8, 32)
 BATCH_ROUNDS = 2
-#: Batch backends swept by test_vector_batch_throughput: the pure-NumPy
-#: SoA path always, the numba-compiled kernel only where numba exists
-#: (it is an optional dependency; the engine falls back with a logged
-#: reason otherwise, so timing the fallback would just re-time "soa").
-BACKENDS = (("soa", None),) + ((("jit", True),) if HAVE_NUMBA else ())
 
 
 def _scenario():
@@ -107,10 +101,8 @@ def test_vector_single_sim_speedup():
 def test_vector_batch_throughput():
     """Per-simulation wall-clock of batched runs vs the fast path.
 
-    Sweeps every backend in ``BACKENDS`` at every batch size, rounds
-    interleaved with fastpath singles.  The compiled backend gets one
-    warm call before any timed round so numba compilation (a one-off
-    per process) is never inside a measurement.
+    Times the SoA batch path at every batch size, rounds interleaved
+    with fastpath singles.
     """
     mesh, make = _scenario()
 
@@ -119,42 +111,35 @@ def test_vector_batch_throughput():
             warmup=WARMUP, measure=MEASURE
         )
 
-    def batch(n, jit=None):
+    def batch(n):
         return run_batch(
             mesh,
             [make(13 + i) for i in range(n)],
             warmup=WARMUP,
             measure=MEASURE,
-            jit=jit,
         )
 
     ref = fast_one()  # warm
-    for _, jit in BACKENDS:
-        batch(2, jit=jit)
-    rows = {name: [] for name, _ in BACKENDS}
+    batch(2)
+    rows = []
     t_fast = []
     for size in BATCH_SIZES:
-        tb = {name: [] for name, _ in BACKENDS}
+        tb = []
         for _ in range(BATCH_ROUNDS):
             tf, rf = _timed(fast_one)
             t_fast.append(tf)
-            for name, jit in BACKENDS:
-                t, results = _timed(lambda: batch(size, jit=jit))
-                tb[name].append(t / size)
-                assert _signature(results[0]) == _signature(rf)
-        for name, _ in BACKENDS:
-            rows[name].append((size, min(tb[name])))
+            t, results = _timed(lambda: batch(size))
+            tb.append(t / size)
+            assert _signature(results[0]) == _signature(rf)
+        rows.append((size, min(tb)))
     best_fast = min(t_fast)
     print(f"\nbatch throughput, per-sim seconds (fastpath single {best_fast:.3f}s):")
-    for name, _ in BACKENDS:
-        for size, per_sim in rows[name]:
-            _record_timing(f"test_vector_batch_{name}_{size}", per_sim)
-            print(
-                f"  {name:<4s} batch={size:<3d} {per_sim:.3f}s/sim "
-                f"({best_fast / per_sim:.2f}x per-sim throughput)"
-            )
-    if not HAVE_NUMBA:
-        print("  jit  skipped: numba not installed (pure-NumPy fallback == soa)")
+    for size, per_sim in rows:
+        _record_timing(f"test_vector_batch_soa_{size}", per_sim)
+        print(
+            f"  soa  batch={size:<3d} {per_sim:.3f}s/sim "
+            f"({best_fast / per_sim:.2f}x per-sim throughput)"
+        )
     assert ref.packets_delivered > 0
     # Largest batch must amortize meaningfully over the fast path.
-    assert best_fast / rows["soa"][-1][1] > 1.5
+    assert best_fast / rows[-1][1] > 1.5

@@ -10,10 +10,6 @@ Guarded quantities and directions:
 * ``vector_engine.single_sim.speedup``   -- must not DROP >30%
 * ``vector_engine.soa_batch.per_sim_speedup.batch_32``
                                          -- must not DROP >30%
-* ``vector_engine.jit.per_sim_speedup.batch_32``
-                                         -- must not DROP >30% (checked
-  only where numba is importable; otherwise reported as a skip -- the
-  fallback is the already-guarded pure-NumPy path)
 * ``obs_overhead...overhead_ratio``      -- must not RISE >30%
 * ``service.obs_overhead.overhead_ratio``-- must not RISE >30% (the serve
   daemon's request-span tracing, measured by bench_serve's interleaved
@@ -29,8 +25,8 @@ Guarded quantities and directions:
   batched NumPy sweep vs the per-window reference on C1; also the guard
   behind the re-baselined ``benchmarks.test_scaling`` entry)
 * ``solvers.sss_compiled_speedup``       -- must not DROP >30% (checked
-  only where a compiled backend -- numba or the self-built C kernels --
-  is available; otherwise reported as a skip)
+  only where the self-built C kernels load; otherwise reported as a
+  skip)
 * ``engine...fastpath_seconds``          -- must not RISE >60% (seconds
   get a wider default tolerance than ratios: absolute wall-clock varies
   with host and machine load phase, while ratios taken from interleaved
@@ -101,13 +97,12 @@ def _signature(res):
     )
 
 
-#: Batch size of the guarded SoA/JIT throughput quantity.
+#: Batch size of the guarded SoA throughput quantity.
 BATCH = 32
 
 
 def measure(rounds: int) -> dict:
     """Interleaved best-of-N timings for all guarded quantities."""
-    from repro.noc.jit_kernels import HAVE_NUMBA
     from repro.noc.simulator import NoCSimulator
     from repro.noc.vector_engine import VectorEngine, run_batch
     from repro.obs import Observability, ObservabilityConfig, SamplerConfig, TraceConfig
@@ -129,21 +124,17 @@ def measure(rounds: int) -> dict:
             )
         )
 
-    def batch(jit=None):
+    def batch():
         return run_batch(
             mesh,
             [make(13 + i) for i in range(BATCH)],
             warmup=500,
             measure=4_000,
-            jit=jit,
         )[0]
 
     fast()  # warm imports/allocator outside the timed rounds
     vec()
     timed = [("fast", fast), ("vec", vec), ("trace", traced), ("batch", batch)]
-    if HAVE_NUMBA:
-        batch(jit=True)  # compile the kernel outside the timed rounds
-        timed.append(("jbatch", lambda: batch(jit=True)))
     t = {key: [] for key, _ in timed}
     for _ in range(rounds):
         for key, fn in timed:
@@ -167,11 +158,6 @@ def measure(rounds: int) -> dict:
         "obs_tracing_seconds": round(best["trace"], 3),
         "obs_overhead_ratio": round(best["trace"] / best["fast"], 2),
     }
-    if HAVE_NUMBA:
-        measured["jit_batch_per_sim_seconds"] = round(best["jbatch"] / BATCH, 4)
-        measured["jit_batch_speedup"] = round(
-            best["fast"] / (best["jbatch"] / BATCH), 2
-        )
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from bench_serve import measure_overload, measure_tracing_overhead
     from bench_solvers import measure_solvers
@@ -256,7 +242,6 @@ def check(measured: dict, baseline: dict, tol: float, tol_seconds: float) -> lis
     engine = _section(baseline, "engine", "raw_simulator_c1_4000_cycles")
     vector = _section(baseline, "vector_engine", "single_sim")
     soa = _section(baseline, "vector_engine", "soa_batch", "per_sim_speedup")
-    jit = _section(baseline, "vector_engine", "jit", "per_sim_speedup")
     obs = _section(baseline, "obs_overhead", "raw_simulator_c1_4000_cycles")
     print("benchmark-regression guard (C1 raw-sim, 500+4000 cycles):")
     guard(
@@ -280,19 +265,6 @@ def check(measured: dict, baseline: dict, tol: float, tol_seconds: float) -> lis
         worse_is_higher=False,
         tolerance=tol,
     )
-    if "jit_batch_speedup" in measured:
-        guard(
-            "vector_engine.jit.speedup.batch_32",
-            measured["jit_batch_speedup"],
-            jit.get("batch_32"),
-            worse_is_higher=False,
-            tolerance=tol,
-        )
-    else:
-        print(
-            "  vector_engine.jit.speedup.batch_32          ------- "
-            "(numba not installed; fallback is the guarded soa path) skip"
-        )
     guard(
         "obs_overhead.overhead_ratio",
         measured["obs_overhead_ratio"],
@@ -386,17 +358,6 @@ def update(measured: dict, baseline: dict) -> dict:
         "soa_batch_per_sim_seconds"
     ]
     soa.setdefault("per_sim_speedup", {})["batch_32"] = measured["soa_batch_speedup"]
-    jit = baseline.setdefault("vector_engine", {}).setdefault("jit", {})
-    if "jit_batch_speedup" in measured:
-        jit["numba_available_at_update"] = True
-        jit.setdefault("per_sim_seconds", {})["batch_32"] = measured[
-            "jit_batch_per_sim_seconds"
-        ]
-        jit.setdefault("per_sim_speedup", {})["batch_32"] = measured[
-            "jit_batch_speedup"
-        ]
-    else:
-        jit["numba_available_at_update"] = False
     obs = baseline.setdefault("obs_overhead", {}).setdefault(
         "raw_simulator_c1_4000_cycles", {}
     )

@@ -484,13 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", type=int, default=5_000)
     p_sim.add_argument("--seed", type=int, default=0, help="traffic seed")
     p_sim.add_argument(
-        "--engine", choices=["fastpath", "vector", "vector-jit"],
+        "--engine", choices=["fastpath", "vector"],
         default="fastpath",
         help="simulation backend; 'vector' is the SoA engine and falls "
         "back to 'fastpath' (with a printed reason) when faults, "
-        "invariants or observability are attached; 'vector-jit' adds "
-        "numba-compiled router kernels and reports a fallback reason "
-        "when numba is missing",
+        "invariants or observability are attached",
     )
     p_sim.add_argument(
         "--invariants", action="store_true",

@@ -1,19 +1,21 @@
 """Self-compiled C backend for the solver kernels (no dependencies).
 
-numba is the preferred compiled backend for the solver kernels
-(`repro.core.jit_solvers`), but plenty of deployment machines have a C
-compiler and no numba.  This module carries the same two kernels as C
-source, builds them once per machine with the system compiler
-(``cc -O2 -fPIC -shared``), and binds them through ``ctypes`` — which
-releases the GIL for the duration of every call, so the serve worker
-pool's threads scale solves across cores exactly like ``nogil`` numba
-kernels do.
+The SSS swap sweep and the Hungarian assignment solve are the two solver
+hot loops whose per-iteration work is too small for NumPy dispatch to
+amortise.  This module carries both as C source, builds them once per
+machine with the system compiler (``cc -O2 -fPIC -shared``), and binds
+them through ``ctypes`` — which releases the GIL for the duration of
+every call, so the serve worker pool's threads scale solves across
+cores.  Without a compiler the solvers run the batched NumPy fallback
+in `repro.core.permkernels`.
 
-Bit-identity: the C loops are transliterations of the nopython kernels
-(same expressions, same accumulation order, same strict-``<``
-first-minimum tie-breaks), compiled with ``-ffp-contract=off`` so no
-fused multiply-adds change IEEE rounding.  The golden and hypothesis
-suites exercise this backend directly whenever a compiler is present.
+Bit-identity: the C loops are transliterations of the per-window SSS
+reference (`repro.core.sss._SwapState.try_window` in sweep order) and of
+`repro.core.hungarian._solve_reference` — same expressions, same
+accumulation order, same strict-``<`` first-minimum tie-breaks —
+compiled with ``-ffp-contract=off`` so no fused multiply-adds change
+IEEE rounding.  The golden and hypothesis suites exercise this backend
+directly whenever a compiler is present.
 
 Environment knobs:
 
@@ -332,7 +334,12 @@ def cc_sweep_pass(
     active,
     counts,
 ):
-    """Call the C ``sweep_pass``; same contract as `jit_solvers.sweep_pass`."""
+    """Call the C ``sweep_pass``: one full ``(step, start)`` SSS sweep.
+
+    ``perm`` / ``tile_thread`` / ``numerators`` are mutated in place
+    exactly like the per-window reference; window counters land in
+    ``counts`` as ``[tried, accepted]``.
+    """
     lib.sweep_pass(
         _ptr(sorted_tiles), ctypes.c_int64(sorted_tiles.shape[0]),
         ctypes.c_int64(w), ctypes.c_int64(max_step),

@@ -12,9 +12,8 @@ The implementation is validated against SciPy on thousands of random
 instances in the test suite, including degenerate (tied) costs.
 
 The solve dispatches through the solver-kernel backends of
-`repro.core.permkernels`: a numba/``interp`` kernel
-(`repro.core.jit_solvers.hungarian_kernel`), the self-compiled C kernel
-(`repro.core.cc_solvers`), or the vectorised NumPy form — all
+`repro.core.permkernels`: the self-compiled C kernel
+(`repro.core.cc_solvers`) or the vectorised NumPy form — both
 transliterations of :func:`_solve_reference` with the identical reduced
 cost expression and ascending-column first-minimum tie-break, so
 degenerate instances pick the same assignment on every backend (pinned
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import cc_solvers, jit_solvers
+from repro.core import cc_solvers
 from repro.obs import reqtrace
 
 __all__ = ["AssignmentResult", "solve_assignment"]
@@ -87,45 +86,16 @@ def _solve(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
     from repro.core.permkernels import resolve_backend
 
     backend = resolve_backend()
-    col_of_row: np.ndarray | None = None
-    if backend in ("numba", "interp"):
-        if backend == "interp":
-            kernel = jit_solvers.hungarian_kernel  # uncompiled backdoor
-        else:
-            kernel, _ = jit_solvers.load_hungarian_kernel()
-        if kernel is None:
-            backend = "cc"
-        else:
-            col_of_row = _solve_kernel(kernel, cost, n, m)
-    if col_of_row is None and backend == "cc":
-        lib, _ = cc_solvers.load_library()
-        if lib is not None:
-            col_of_row = _solve_cc(lib, cost, n, m)
-    if col_of_row is None and backend == "reference":
+    if backend == "reference":
         return _solve_reference(cost, n, m)
-    if col_of_row is None:
+    lib = cc_solvers.load_library()[0] if backend == "cc" else None
+    if lib is not None:
+        col_of_row = _solve_cc(lib, cost, n, m)
+    else:
         col_of_row = _solve_numpy(cost, n, m)
     total = float(cost[np.arange(n), col_of_row].sum())
     col_of_row.setflags(write=False)
     return AssignmentResult(col_of_row=col_of_row, total_cost=total)
-
-
-def _solve_kernel(kernel, cost: np.ndarray, n: int, m: int) -> np.ndarray:
-    col_of_row = np.empty(n, dtype=np.int64)
-    status = kernel(
-        np.ascontiguousarray(cost),
-        col_of_row,
-        np.empty(m, dtype=np.int64),
-        np.empty(n),
-        np.empty(m),
-        np.empty(m),
-        np.empty(m, dtype=np.int64),
-        np.empty(n, dtype=np.bool_),
-        np.empty(m, dtype=np.bool_),
-    )
-    if status != 0:  # pragma: no cover - finite input is validated above
-        raise ValueError("assignment problem is infeasible")
-    return col_of_row
 
 
 def _solve_cc(lib, cost: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -15,33 +15,31 @@ Two things live here:
 * The solver kernel **backend dispatch**.  The SSS swap sweep (and the
   Hungarian solve in `repro.core.hungarian`) run through one of:
 
-  - ``numba`` — ``@njit(nogil=True)`` kernels (`repro.core.jit_solvers`)
-    when numba is importable,
   - ``cc`` — the self-compiled ctypes C kernels
     (`repro.core.cc_solvers`) when a C compiler is present,
-  - ``interp`` — the nopython kernels run uncompiled
-    (``REPRO_JIT=interp``; the exactness-testing backdoor),
   - ``numpy`` — a batched multi-window NumPy fallback, always available,
   - ``reference`` — the original per-window / per-column pure-Python
     paths, selectable only via :func:`force_backend` (tests and the
     regression benchmarks use it as the measurement baseline).
 
-  Resolution order is ``numba > cc > numpy`` and can be pinned with
-  ``REPRO_JIT`` (``interp``, ``0``/``off`` → numpy, ``numba``, ``cc``)
-  or programmatically with :func:`force_backend`.  All compiled
-  backends release the GIL, so the serve worker pool's threads scale
-  solves across cores.
+  Resolution is ``cc`` when its library loads, else ``numpy``;
+  ``REPRO_CC=0`` disables the C build and so forces ``numpy``.
+  :func:`force_backend` overrides the choice for one context — a
+  ``with`` block in one thread or task — so callers that share a process
+  (two serve daemons, a test next to a daemon) never see each other's
+  choice.  The C kernels release the GIL, so the serve worker pool's
+  threads scale solves across cores.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
-from repro.core import cc_solvers, jit_solvers
+from repro.core import cc_solvers
 from repro.core.metrics import MappingEvaluation
 from repro.core.workload import Workload
 
@@ -49,15 +47,13 @@ __all__ = [
     "PermutationBatchEvaluator",
     "resolve_backend",
     "force_backend",
-    "pin_backend",
     "backend_info",
     "warmup",
     "sweep_pass_inplace",
 ]
 
-_FORCED: str | None = None
-_PINNED: str | None = None
-_VALID_BACKENDS = ("numba", "cc", "interp", "numpy", "reference")
+_FORCED: ContextVar[str | None] = ContextVar("repro_forced_backend", default=None)
+_VALID_BACKENDS = ("cc", "numpy", "reference")
 
 
 def _cc_available() -> bool:
@@ -67,66 +63,30 @@ def _cc_available() -> bool:
 
 def resolve_backend() -> str:
     """The solver-kernel backend the dispatchers will use right now."""
-    if _FORCED is not None:
-        return _FORCED
-    if _PINNED is not None:
-        return _PINNED
-    env = os.environ.get("REPRO_JIT", "").strip().lower()
-    if env == "interp":
-        return "interp"
-    if env in ("0", "off", "none", "false"):
-        return "numpy"
-    if env == "numba":
-        return "numba" if jit_solvers.HAVE_NUMBA else "numpy"
-    if env == "cc":
-        return "cc" if _cc_available() else "numpy"
-    # auto (unset / "1" / anything else): best available compiled backend.
-    if jit_solvers.HAVE_NUMBA:
-        return "numba"
-    if _cc_available():
-        return "cc"
-    return "numpy"
+    forced = _FORCED.get()
+    if forced is not None:
+        return forced
+    return "cc" if _cc_available() else "numpy"
 
 
 @contextmanager
 def force_backend(name: str):
     """Pin the kernel backend for the duration of the ``with`` block.
 
-    Accepts any of ``numba | cc | interp | numpy | reference``; tests and
-    benchmarks use it to compare backends on one process without touching
-    the environment.  Not thread-safe by design — it exists for
-    single-threaded measurement/verification code.
+    Accepts any of ``cc | numpy | reference``.  The pin lives in a
+    context variable, so it covers only the current thread or task:
+    tests and benchmarks compare backends in one process with it, and
+    the serve daemon enters ``numpy`` inside a solve while that
+    service's ``cc`` breaker is open.  All backends are bit-identical,
+    so a pin changes cost, never bytes.
     """
-    global _FORCED
     if name not in _VALID_BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {_VALID_BACKENDS}")
-    previous = _FORCED
-    _FORCED = name
+    token = _FORCED.set(name)
     try:
         yield
     finally:
-        _FORCED = previous
-
-
-def pin_backend(name: str | None) -> None:
-    """Stickily pin (or with ``None`` unpin) the kernel backend.
-
-    Unlike :func:`force_backend` this is not scoped to a block: the serve
-    daemon's circuit breakers pin ``numpy`` when a compiled backend trips
-    and unpin once the breaker's cooldown admits a probe.  A scoped
-    ``force_backend`` (tests) still wins over a pin.  All backends are
-    bit-identical, so a pin changes cost, never bytes.
-
-    The pin is process-global while breakers are per-``MappingService``:
-    the supported contract is one serve daemon per process.  Embedding
-    several services in one process is safe for correctness (bytes never
-    change) but their breakers will overwrite each other's pin, so the
-    backend choice follows whichever breaker changed state last.
-    """
-    global _PINNED
-    if name is not None and name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {_VALID_BACKENDS}")
-    _PINNED = name
+        _FORCED.reset(token)
 
 
 def backend_info() -> dict:
@@ -134,11 +94,9 @@ def backend_info() -> dict:
     cc_lib, cc_reason = cc_solvers.load_library()
     return {
         "backend": resolve_backend(),
-        "numba": jit_solvers.HAVE_NUMBA,
         "cc": cc_lib is not None,
         "cc_compiler": cc_solvers.compiler_path(),
         "cc_reason": cc_reason,
-        "numba_reason": jit_solvers.UNAVAILABLE_REASON,
     }
 
 
@@ -150,8 +108,8 @@ def warmup() -> dict:
     """Compile/build the selected backend eagerly; returns backend_info().
 
     The serve daemon calls this at startup so the first cache-miss request
-    never pays numba compilation or the one-off C build.  Idempotent and
-    cheap after the first call.
+    never pays the one-off C build.  Idempotent and cheap after the first
+    call.
     """
     global _warmed
     with _warm_lock:
@@ -208,20 +166,6 @@ def sweep_pass_inplace(
     ``(windows_tried, windows_accepted)``.
     """
     backend = backend or resolve_backend()
-    if backend in ("numba", "interp"):
-        if backend == "interp":
-            kernel = jit_solvers.sweep_pass  # uncompiled: the exactness backdoor
-        else:
-            kernel, _ = jit_solvers.load_sweep_kernel()
-        if kernel is not None:
-            counts = np.zeros(2, dtype=np.int64)
-            kernel(
-                sorted_tiles, w, max_step, perms, perm, tile_thread,
-                numerators, c, m, tc, tm, app_of_thread, safe_volumes,
-                active, counts,
-            )
-            return int(counts[0]), int(counts[1])
-        backend = "cc"  # numba requested but absent
     if backend == "cc" and (
         numerators.shape[0] <= cc_solvers.CC_MAX_APPS
         and w <= cc_solvers.CC_MAX_WINDOW

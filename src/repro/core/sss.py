@@ -252,8 +252,8 @@ def _swap_phase(
     """Step 3's sliding-window sweep over the sorted tile list.
 
     The whole ``(pass, step, start)`` sweep runs as one fused kernel call
-    per pass (`repro.core.permkernels.sweep_pass_inplace` — numba, the
-    self-compiled C backend, or the batched NumPy fallback), bit-identical
+    per pass (`repro.core.permkernels.sweep_pass_inplace` — the
+    self-compiled C backend or the batched NumPy fallback), bit-identical
     to the per-window reference loop, which ``backend="reference"`` keeps
     selectable for tests and the regression benchmarks.  ``recompute()``
     still runs between passes so float drift clears on the same cadence.

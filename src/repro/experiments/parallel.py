@@ -49,7 +49,7 @@ import os
 import time
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.experiments.resilience import (
@@ -375,11 +375,22 @@ def parallel_map(
             run_serial(i)
         return finish()
 
+    def submit(index: int) -> Future:
+        # A worker can die while cells are still being submitted; the
+        # pool then refuses further work.  Hand back a future that already
+        # holds that crash so collection replaces the pool as usual.
+        try:
+            return executor.submit(pooled_fn, cells[index])
+        except BrokenProcessPool as exc:
+            crashed: Future = Future()
+            crashed.set_exception(exc)
+            return crashed
+
     replacements = 0
     degraded = False
     executor = ProcessPoolExecutor(max_workers=min(workers, len(run_idx)))
     try:
-        futures = {i: executor.submit(pooled_fn, cells[i]) for i in run_idx}
+        futures = {i: submit(i) for i in run_idx}
         while not degraded:
             pending = [i for i in run_idx if not done[i]]
             if not pending:
@@ -416,7 +427,7 @@ def parallel_map(
                     done[i] = True
                     report_ready()
                 elif not replace_pool:
-                    futures[i] = executor.submit(pooled_fn, cells[i])
+                    futures[i] = submit(i)
                 if replace_pool:
                     executor.shutdown(wait=False, cancel_futures=True)
                     replacements += 1
@@ -430,11 +441,7 @@ def parallel_map(
                     executor = ProcessPoolExecutor(
                         max_workers=min(workers, len(run_idx))
                     )
-                    futures = {
-                        j: executor.submit(pooled_fn, cells[j])
-                        for j in run_idx
-                        if not done[j]
-                    }
+                    futures = {j: submit(j) for j in run_idx if not done[j]}
                     break  # restart collection over the new futures
         if degraded:
             for i in run_idx:

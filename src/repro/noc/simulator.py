@@ -24,7 +24,7 @@ __all__ = ["SimulationResult", "NoCSimulator"]
 logger = logging.getLogger("repro.noc")
 
 #: Engine backends accepted by :class:`NoCSimulator`.
-ENGINES = ("fastpath", "vector", "vector-jit")
+ENGINES = ("fastpath", "vector")
 
 
 @dataclass
@@ -93,7 +93,7 @@ class NoCSimulator:
         self.obs = Observability.coerce(obs)
         self.engine_requested = engine
         self.engine_fallback = None
-        if engine in ("vector", "vector-jit"):
+        if engine == "vector":
             # The vector engine has no per-event hooks: anything that must
             # observe or perturb individual flits forces the fast path.
             if self.obs is not None:
@@ -149,7 +149,7 @@ class NoCSimulator:
         """Run ``warmup`` cycles, then measure for ``measure`` cycles."""
         if warmup < 0 or measure <= 0:
             raise ValueError("warmup must be >= 0 and measure > 0")
-        if self.engine in ("vector", "vector-jit"):
+        if self.engine == "vector":
             from repro.noc.vector_engine import VectorEngine
 
             vec = VectorEngine(
@@ -158,7 +158,6 @@ class NoCSimulator:
                 self.network_config,
                 self.power_params,
                 self.include_local,
-                jit=True if self.engine == "vector-jit" else None,
             )
             result = vec.run(warmup=warmup, measure=measure)[0]
             result.engine_requested = self.engine_requested

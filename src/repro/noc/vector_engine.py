@@ -72,16 +72,6 @@ work anywhere on the batch path.  Generators that are not plain
 :meth:`VectorEngine.submit`, which copies each object into the table and
 drops it.
 
-Compiled kernels
-----------------
-The dense router phases can optionally run as one numba-compiled
-sequential sweep (:mod:`repro.noc.jit_kernels`), selected with
-``engine="vector-jit"`` / ``jit=True`` / ``REPRO_JIT=1``.  The sweep is
-the always-exact sequential form (same as :meth:`_switch_scalar` with
-``fused_alloc``), so the credit-hazard fallback disappears entirely.
-When numba is missing the engine logs the reason, reports it through
-``SimulationResult.engine_fallback`` and runs the pure-NumPy kernels.
-
 Faults, invariants and observability hooks are *not* supported here;
 :class:`~repro.noc.simulator.NoCSimulator` falls back to the fast path
 (with a logged reason) when any of them is attached.
@@ -89,13 +79,9 @@ Faults, invariants and observability hooks are *not* supported here;
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
 from repro.core.latency import Mesh
-from repro.noc import jit_kernels
 from repro.noc.network import NetworkConfig
 from repro.noc.packet import PacketTable
 from repro.noc.power import ActivityCounts, PowerModel, PowerParams
@@ -104,8 +90,6 @@ from repro.noc.simulator import SimulationResult
 from repro.noc.stats import LatencyStats
 from repro.noc.traffic import MappedWorkloadTraffic, TrafficGenerator
 from repro.utils import profiling
-
-logger = logging.getLogger("repro.noc")
 
 __all__ = ["VectorEngine", "run_batch", "simulate_batch"]
 
@@ -136,7 +120,6 @@ class VectorEngine:
         include_local: bool = True,
         *,
         mode: str = "auto",
-        jit: bool | None = None,
         table_capacity: int = 4096,
     ) -> None:
         if mode not in ("auto", "scalar", "dense"):
@@ -149,33 +132,6 @@ class VectorEngine:
         rc = self.config.router
         self.include_local = include_local
         self.power_model = PowerModel(mesh, power_params)
-        # Compiled-kernel resolution (before mode selection: an active
-        # kernel forces dense mode, where it applies).  ``jit=None``
-        # defers to the REPRO_JIT environment switch.
-        if jit is None:
-            jit = os.environ.get("REPRO_JIT", "").strip().lower() in (
-                "1", "true", "yes", "interp",
-            )
-        self.jit_requested = bool(jit)
-        self._jit_kernel = None
-        self.jit_fallback: str | None = None
-        if jit:
-            kernel, reason = jit_kernels.load_kernel()
-            if kernel is None:
-                self.jit_fallback = reason
-                logger.warning(
-                    "vector-jit kernel unavailable: %s; falling back to "
-                    "pure-NumPy dense kernels", reason,
-                )
-            elif mode == "scalar":
-                self.jit_fallback = (
-                    "scalar mode requested; the compiled kernel only "
-                    "drives the dense path"
-                )
-                logger.warning("vector-jit: %s", self.jit_fallback)
-            else:
-                self._jit_kernel = kernel
-                mode = "dense"  # the kernel replaces the dense router phases
         # Single-instance runs default to the scalar microkernel binding
         # (python-list state): at B == 1 the per-cycle arrays hold only
         # tens of events, where per-kernel dispatch costs more than the
@@ -270,15 +226,6 @@ class VectorEngine:
         # synced by one pt.flush() per cycle.  No Packet objects survive
         # past submit().
         self.pt = PacketTable(table_capacity)
-
-        # Compiled-kernel out-buffers: at most one link send per router
-        # output port and one tail ejection per router per cycle.
-        if self._jit_kernel is not None:
-            self._k_send_ch = np.zeros(NT * 4, dtype=np.int64)
-            self._k_send_pid = np.zeros(NT * 4, dtype=np.int64)
-            self._k_send_fi = np.zeros(NT * 4, dtype=np.int64)
-            self._k_eject_pid = np.zeros(NT, dtype=np.int64)
-            self._k_eject_g = np.zeros(NT, dtype=np.int64)
 
         if self._scalar:
             # Rebind the hot mutable state (and the lookup tables the
@@ -990,16 +937,13 @@ class VectorEngine:
         if self._ni_npkts and self._ni_tiles:
             moved += self._inject_dense(now)
 
-        # 3. Router phases: one compiled sequential sweep when the JIT
-        # kernel is active (always exact, no hazard detection), else the
-        # stage-major NumPy kernels (see module docstring for the
-        # equivalence argument against the object engine's router-major
-        # order).  ``stb`` is the pre-route state snapshot: routed
-        # channels join VC allocation via the ``!= 3`` mask, activated
-        # channels join the switch via _vc_alloc's return value.
-        if self._tot_buf and self._jit_kernel is not None:
-            moved += self._step_routers_kernel(now)
-        elif self._tot_buf:
+        # 3. Router phases: the stage-major NumPy kernels (see module
+        # docstring for the equivalence argument against the object
+        # engine's router-major order).  ``stb`` is the pre-route state
+        # snapshot: routed channels join VC allocation via the ``!= 3``
+        # mask, activated channels join the switch via _vc_alloc's
+        # return value.
+        if self._tot_buf:
             bz = self.busy.nonzero()[0]
             stb = st[bz]
             m3 = stb == 3
@@ -1040,48 +984,6 @@ class VectorEngine:
 
         self.now = now + 1
         self._moved = moved
-        return moved
-
-    def _step_routers_kernel(self, now: int) -> int:
-        """Router phases via the compiled sequential sweep.
-
-        One kernel call replaces route + VC-alloc + switch for the whole
-        batch; the Python side only books the per-cycle aggregates (one
-        arrival bucket, delivered pids).
-        """
-        bz = self.busy.nonzero()[0]
-        if bz.size == 0:
-            return 0
-        pt = self.pt
-        moved, n_s, n_e = self._jit_kernel(
-            bz, now, self.C, self.V, self.T, self.RING, self.RM, self._per,
-            self._oldest, self.st, self.occ, self.head, self.outp,
-            self.outv, self.credits, self.otaken, self.sa_ptr, self.s_pid,
-            self.s_fi, self.s_ready, self.ROUTE, self.VCLO, self.UPCV,
-            self.ARR_BASE, self.SA_NEXT, pt.dst_a, pt.cls_a, pt.len_a,
-            pt.created_a, self.busy, self._k_send_ch, self._k_send_pid,
-            self._k_send_fi, self._k_eject_pid, self._k_eject_g,
-            self.flits_routed, self.flits_ejected,
-        )
-        if n_s:
-            self._arr.setdefault(now + self.LAT, []).append(
-                (
-                    self._k_send_ch[:n_s].copy(),
-                    self._k_send_pid[:n_s].copy(),
-                    self._k_send_fi[:n_s].copy(),
-                )
-            )
-            self._tot_link += n_s
-        if n_e:
-            T = self.T
-            ej = pt.ej
-            delivered = self.delivered
-            ep, eg = self._k_eject_pid, self._k_eject_g
-            for i in range(n_e):
-                pid = int(ep[i])
-                ej[pid] = now
-                delivered[int(eg[i]) // T].append(pid)
-        self._tot_buf -= moved
         return moved
 
     def _step_scalar(self) -> int:
@@ -1370,8 +1272,6 @@ class VectorEngine:
         classes = pt.column("tclass")
         srcs = pt.column("src")
         dsts = pt.column("dst")
-        engine_name = "vector-jit" if self._jit_kernel is not None else "vector"
-        engine_requested = "vector-jit" if self.jit_requested else "vector"
         results = []
         for b in range(B):
             pids = np.array(self.delivered[b][delivered_before[b]:], dtype=np.int64)
@@ -1400,9 +1300,8 @@ class VectorEngine:
                     cycles=measure,
                     packets_offered=int(offered[b]),
                     packets_delivered=int(keep.size),
-                    engine=engine_name,
-                    engine_fallback=self.jit_fallback,
-                    engine_requested=engine_requested,
+                    engine="vector",
+                    engine_requested="vector",
                 )
             )
         return results
@@ -1431,12 +1330,9 @@ def run_batch(
     network_config: NetworkConfig | None = None,
     power_params: PowerParams | None = None,
     include_local: bool = True,
-    jit: bool | None = None,
 ) -> list[SimulationResult]:
     """Run B independent simulations batched in one array set."""
-    engine = VectorEngine(
-        mesh, traffics, network_config, power_params, include_local, jit=jit
-    )
+    engine = VectorEngine(mesh, traffics, network_config, power_params, include_local)
     return engine.run(warmup=warmup, measure=measure)
 
 
@@ -1451,7 +1347,6 @@ def simulate_batch(
     network_config: NetworkConfig | None = None,
     power_params: PowerParams | None = None,
     include_local: bool = True,
-    jit: bool | None = None,
 ) -> list[SimulationResult]:
     """Batch-simulate ``(OBMInstance, Mapping)`` pairs with mapped traffic.
 
@@ -1496,5 +1391,4 @@ def simulate_batch(
         network_config=network_config,
         power_params=power_params,
         include_local=include_local,
-        jit=jit,
     )

@@ -28,11 +28,10 @@ runs to completion even when the requester that started it timed out.
 **Circuit breakers** (:class:`CircuitBreaker`) — per-backend failure
 accounting with the PR 5 failure-budget semantics (count failures,
 trip at a budget) plus the classic closed → open → half-open cycle.  A
-wedged compiled backend (``vector-jit`` simulation kernels, ``numba``/
-``cc`` solver kernels) trips its breaker and traffic is routed to the
-bit-identical pure-NumPy fallback instead of 503ing the world; after
-``reset_after`` seconds the breaker goes half-open and lets probes
-through to the real backend again.
+wedged compiled backend (the ``cc`` solver kernels) trips its breaker
+and that service's solves run on the bit-identical pure-NumPy fallback
+instead of 503ing the world; after ``reset_after`` seconds the breaker
+goes half-open and lets probes through to the real backend again.
 """
 
 from __future__ import annotations
@@ -383,10 +382,6 @@ class CircuitBreaker:
     the fallback backend.  After ``reset_after`` seconds the breaker
     turns half-open: traffic is let through to probe the real backend —
     one success closes the breaker, one failure re-opens it.
-
-    The optional ``on_open`` / ``on_close`` hooks fire on state edges
-    (e.g. pinning the solver kernels to the NumPy fallback); half-open
-    runs ``on_close`` so probes exercise the real backend.
     """
 
     def __init__(
@@ -396,8 +391,6 @@ class CircuitBreaker:
         threshold: int = 3,
         reset_after: float = 30.0,
         registry=None,
-        on_open=None,
-        on_close=None,
         clock=time.monotonic,
     ) -> None:
         if threshold < 1:
@@ -412,8 +405,6 @@ class CircuitBreaker:
         self.state = STATE_CLOSED
         self._opened_at: float | None = None
         self._clock = clock
-        self._on_open = on_open
-        self._on_close = on_close
         self._lock = threading.Lock()
         self._registry = registry
         self._set_gauge()
@@ -431,11 +422,6 @@ class CircuitBreaker:
         self._set_gauge()
         if state == STATE_OPEN and previous != STATE_OPEN:
             self.trips += 1
-            if self._on_open is not None:
-                self._on_open()
-        elif previous == STATE_OPEN and state != STATE_OPEN:
-            if self._on_close is not None:
-                self._on_close()
 
     def blocked(self) -> bool:
         """True while traffic should route around this backend."""
@@ -487,23 +473,15 @@ class BreakerBoard:
         self._registry = registry
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._hooks: dict[str, tuple] = {}
-
-    def configure(self, name: str, *, on_open=None, on_close=None) -> None:
-        """Register state-edge hooks for a breaker before first use."""
-        self._hooks[name] = (on_open, on_close)
 
     def get(self, name: str) -> CircuitBreaker:
         breaker = self._breakers.get(name)
         if breaker is None:
-            on_open, on_close = self._hooks.get(name, (None, None))
             breaker = CircuitBreaker(
                 name,
                 threshold=self.threshold,
                 reset_after=self.reset_after,
                 registry=self._registry,
-                on_open=on_open,
-                on_close=on_close,
                 clock=self._clock,
             )
             self._breakers[name] = breaker

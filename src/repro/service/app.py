@@ -32,9 +32,9 @@ Admission control (:mod:`repro.service.admission`) bounds concurrency
 and queueing; excess work is shed with 429/503 + ``Retry-After``.  Under
 pressure or an infeasible deadline the degradation ladder
 (:mod:`repro.service.degrade`) trades fidelity for survival:
-full → bounds-only → cached-nearest → shed.  Per-backend circuit
-breakers route around wedged compiled kernels to the bit-identical
-NumPy fallbacks.
+full → bounds-only → cached-nearest → shed.  A per-service circuit
+breaker routes this service's solves around wedged C solver kernels to
+the bit-identical NumPy fallback.
 
 Caching semantics
 -----------------
@@ -223,16 +223,9 @@ class MappingService:
             reset_after=breaker_reset,
             registry=self.registry,
         )
-        # The backend the kernels *would* pick with no breaker pin active;
-        # resolved once so a tripped breaker (which pins numpy) does not
-        # hide which compiled backend we should probe when it cools down.
+        # The solver-kernel backend this service's "cc" breaker guards
+        # ("numpy" when the C kernels cannot load: nothing to guard).
         self._kernel_backend = permkernels.resolve_backend()
-        for backend in ("numba", "cc"):
-            self.breakers.configure(
-                backend,
-                on_open=lambda: permkernels.pin_backend("numpy"),
-                on_close=lambda: permkernels.pin_backend(None),
-            )
         #: EWMA of one full solve's wall cost, feeding degrade decisions.
         self.solve_cost = EwmaEstimate()
         self._m_latency = self.registry.histogram(
@@ -379,7 +372,7 @@ class MappingService:
         sim["seed"] = int(sim["seed"])
         sim["invariants"] = bool(sim["invariants"])
         sim["engine"] = str(sim["engine"])
-        if sim["engine"] not in ("fastpath", "vector", "vector-jit"):
+        if sim["engine"] not in ("fastpath", "vector"):
             raise RequestError(f"unknown sim engine {sim['engine']!r}")
         if sim["warmup"] < 0 or sim["measure"] <= 0:
             raise RequestError("sim.warmup must be >= 0 and sim.measure > 0")
@@ -473,24 +466,42 @@ class MappingService:
 
     # -- solve path --------------------------------------------------------
 
-    def _solve_breaker(self):
-        """The breaker guarding the compiled solver backend, if any.
+    def _run_solve(self, canon: CanonicalRequest, apps_doc, algorithm: str, want_bounds: bool):
+        """:meth:`_solve_sync` on a pool thread, guarded by the ``cc`` breaker.
 
         Calling :meth:`CircuitBreaker.blocked` here is what moves an open
-        breaker to half-open after its cooldown (unpinning the NumPy
-        fallback so probes hit the real backend again).  While open, the
-        pin routes solves to NumPy and those runs are *not* charged to
-        the compiled backend's breaker.
+        breaker to half-open after its cooldown, so probes hit the C
+        kernels again.  While it is open, this service's solves run on
+        the NumPy fallback and are *not* charged to the breaker; other
+        services in the process keep their own backend.
         """
-        if self._kernel_backend not in ("numba", "cc"):
-            return None
-        breaker = self.breakers.get(self._kernel_backend)
-        if breaker.blocked():
-            return None
-        return breaker
+        breaker = None
+        fallback = None
+        if self._kernel_backend == "cc":
+            breaker = self.breakers.get("cc")
+            if breaker.blocked():
+                breaker, fallback = None, "numpy"
+        return self.pool.run(
+            self._solve_sync, canon, apps_doc, algorithm, want_bounds, fallback,
+            breaker=breaker,
+        )
 
-    def _solve_sync(self, canon: CanonicalRequest, apps_doc, algorithm: str, want_bounds: bool) -> dict:
-        """Blocking solve in request labels; returns the canonical entry."""
+    def _solve_sync(
+        self,
+        canon: CanonicalRequest,
+        apps_doc,
+        algorithm: str,
+        want_bounds: bool,
+        backend: str | None = None,
+    ) -> dict:
+        """Blocking solve in request labels; returns the canonical entry.
+
+        ``backend`` forces the solver kernels for this call only (the
+        pin is a context variable, scoped to this worker thread).
+        """
+        if backend is not None:
+            with permkernels.force_backend(backend):
+                return self._solve_sync(canon, apps_doc, algorithm, want_bounds)
         t0 = time.perf_counter()
         with reqtrace.span("worker.solve", algorithm=algorithm) as solve_span:
             instance = self._request_instance(canon, apps_doc)
@@ -590,13 +601,8 @@ class MappingService:
                 instance.mesh, traffic, warmup=sim["warmup"], measure=sim["measure"]
             )
         else:
-            breaker = (
-                self.breakers.get("vector-jit")
-                if sim["engine"] == "vector-jit"
-                else None
-            )
             result = await self.pool.run(
-                self._simulate_single_sync, instance, mapping, sim, breaker=breaker
+                self._simulate_single_sync, instance, mapping, sim
             )
         payload = measured_payload(result)
         # Store per-app containers in canonical order so relabeled
@@ -629,10 +635,7 @@ class MappingService:
         )
         entry, solve_kind = await self._cached(
             solve_key,
-            lambda: self.pool.run(
-                self._solve_sync, canon, apps_doc, algorithm, want_bounds,
-                breaker=self._solve_breaker(),
-            ),
+            lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
         )
         # Any solved entry (fresh or cached) is a donor for stale serving
         # of same-shape problems under overload.
@@ -660,13 +663,6 @@ class MappingService:
         }
         reqtrace.annotate(cache=solve_kind)
         if simulate:
-            if sim["engine"] == "vector-jit" and self.breakers.get("vector-jit").blocked():
-                # Tripped compiled engine: route to the bit-identical
-                # interpreted vector engine *before* the cache key is
-                # computed, so rerouted responses stay deterministic.
-                sim = dict(sim, engine="vector")
-                meta["sim_rerouted"] = "vector"
-                reqtrace.annotate(sim_rerouted="vector")
             sim_key = config_fingerprint(
                 "serve.sim", problem=problem_fp, algorithm=algorithm, sim=sim
             )
@@ -774,10 +770,7 @@ class MappingService:
             try:
                 await self._cached(
                     solve_key,
-                    lambda: self.pool.run(
-                        self._solve_sync, canon, apps_doc, algorithm, want_bounds,
-                        breaker=self._solve_breaker(),
-                    ),
+                    lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
                 )
                 self.nearest.put(
                     NearestIndex.shape_key(canon.problem, algorithm, want_bounds),
@@ -929,9 +922,9 @@ class MappingService:
         """Pre-build the solver kernel backend on a pool thread.
 
         Called once at daemon startup so the first cache-miss request
-        never pays numba compilation or the one-off C kernel build.  A
-        failure is logged and swallowed — the solvers fall back to the
-        batched NumPy path on their own.
+        never pays the one-off C kernel build.  A failure is logged and
+        swallowed — the solvers fall back to the batched NumPy path on
+        their own.
         """
         try:
             info = await self.pool.warm(permkernels.warmup)

@@ -19,13 +19,14 @@ exhaustive search that ride on the batch evaluator.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import hungarian, permkernels
+from repro.core import cc_solvers, hungarian, permkernels
 from repro.core.baselines import _permutation_batch, monte_carlo
 from repro.core.exact import branch_and_bound, exhaustive_search
 from repro.core.latency import Mesh, MeshLatencyModel
@@ -35,13 +36,10 @@ from repro.core.sss import _SwapState, _window_perms
 from repro.core.workload import Application, Workload
 from repro.utils.rng import as_rng
 
-# Backends that can run in any environment.  numba/cc join when available;
-# their absence must not silently shrink coverage of the always-on pair.
-BACKENDS = ["numpy", "interp"]
+# NumPy runs everywhere; the C kernels join wherever they load.
+BACKENDS = ["numpy"]
 if permkernels.backend_info()["cc"]:
     BACKENDS.append("cc")
-if permkernels.backend_info()["numba"]:
-    BACKENDS.append("numba")
 
 
 def fuzz_instance(seed: int, side: int, n_apps: int, idle_apps: int) -> OBMInstance:
@@ -277,18 +275,32 @@ class TestBackendPlumbing:
         with permkernels.force_backend("reference"):
             assert permkernels.resolve_backend() == "reference"
 
+    def test_force_is_scoped_to_the_calling_thread(self):
+        natural = permkernels.resolve_backend()
+        seen = []
+        with permkernels.force_backend("reference"):
+            worker = threading.Thread(
+                target=lambda: seen.append(permkernels.resolve_backend())
+            )
+            worker.start()
+            worker.join()
+            assert permkernels.resolve_backend() == "reference"
+        assert seen == [natural]
+        assert permkernels.resolve_backend() == natural
+
     def test_env_off_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "off")
+        """``REPRO_CC=0`` is the one switch that forces the NumPy sweep."""
+        monkeypatch.setenv("REPRO_CC", "0")
+        monkeypatch.setattr(cc_solvers, "_loaded", False)
+        monkeypatch.setattr(cc_solvers, "_lib", None)
+        monkeypatch.setattr(cc_solvers, "_lib_error", None)
         assert permkernels.resolve_backend() == "numpy"
-        monkeypatch.setenv("REPRO_JIT", "interp")
-        assert permkernels.resolve_backend() == "interp"
+        assert permkernels.backend_info()["cc"] is False
 
     def test_backend_info_shape(self):
         info = permkernels.backend_info()
-        assert set(info) == {
-            "backend", "numba", "cc", "cc_compiler", "cc_reason", "numba_reason"
-        }
-        assert info["backend"] in ("numba", "cc", "interp", "numpy")
+        assert set(info) == {"backend", "cc", "cc_compiler", "cc_reason"}
+        assert info["backend"] in ("cc", "numpy")
 
     def test_warmup_idempotent(self):
         first = permkernels.warmup()

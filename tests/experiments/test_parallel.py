@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -318,6 +319,15 @@ def _crash_unless_parent(cell):
     return x * 3
 
 
+class _SerialisedPool(ProcessPoolExecutor):
+    # Lets each submitted cell finish before the next submission, so a
+    # worker crash always lands while cells are still being submitted.
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        wait([future], timeout=30)
+        return future
+
+
 class TestBackoff:
     def test_fake_clock_records_deterministic_delays(self):
         sleeps: list[float] = []
@@ -401,6 +411,19 @@ class TestSupervision:
         assert out == [i * 3 for i in range(6)]
         assert report.degraded_serial
         assert report.pool_replacements > MAX_POOL_REPLACEMENTS
+
+    def test_crash_during_submission_replaces_pool(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.parallel.ProcessPoolExecutor", _SerialisedPool
+        )
+        cells = [(i, os.getpid()) for i in range(4)]
+        report = RunReport()
+        out = parallel_map(
+            _crash_unless_parent, cells, workers=2, timeout=30,
+            retries=2 * MAX_POOL_REPLACEMENTS + 6, backoff=0, report=report,
+        )
+        assert out == [i * 3 for i in range(4)]
+        assert report.degraded_serial
 
     def test_report_accounts_cells(self):
         report = RunReport()

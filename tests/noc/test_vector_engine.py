@@ -12,7 +12,6 @@ NoCSimulator fallback matrix and the simulate_batch API surface.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import pytest
@@ -48,16 +47,9 @@ def _signature(res):
 
 
 def _assert_vector_engine(res):
-    """The result came from the vector engine family, with no fallback.
-
-    Runs with ``REPRO_JIT`` set report ``vector-jit`` (so the whole
-    golden suite doubles as the compiled-kernel bit-identity suite); in
-    that case a fallback reason is legitimate when numba is missing.
-    """
-    assert res.engine in ("vector", "vector-jit")
-    jit_env = os.environ.get("REPRO_JIT", "").strip().lower()
-    if jit_env not in ("1", "true", "yes", "interp"):
-        assert res.engine_fallback is None
+    """The result came from the vector engine, with no fallback."""
+    assert res.engine == "vector"
+    assert res.engine_fallback is None
 
 
 def _mapped_traffic_factory(name: str, seed: int = 13):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
-from repro.core import permkernels
+from repro.core import cc_solvers, permkernels
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     AdmissionController,
@@ -279,60 +280,62 @@ class TestCircuitBreaker:
         assert b.state == "closed"
         assert not b.blocked()
 
-    def test_hooks_fire_on_edges(self):
-        events = []
-        clock = {"t": 0.0}
-        b = CircuitBreaker(
-            "x", threshold=1, reset_after=1.0,
-            on_open=lambda: events.append("open"),
-            on_close=lambda: events.append("close"),
-            clock=lambda: clock["t"],
-        )
-        b.record_failure()
-        clock["t"] = 1.0
-        b.blocked()  # open -> half-open runs on_close (probe the backend)
-        b.record_success()
-        assert events == ["open", "close"]
-
     def test_state_gauge_exported(self):
         registry = MetricsRegistry()
-        b = CircuitBreaker("numba", threshold=1, registry=registry)
-        gauge = registry.gauge("serve_breaker_state", backend="numba")
+        b = CircuitBreaker("cc", threshold=1, registry=registry)
+        gauge = registry.gauge("serve_breaker_state", backend="cc")
         assert gauge.value == 0
         b.record_failure()
         assert gauge.value == 2
 
-    def test_board_configures_hooks_and_counts_trips(self):
+    def test_board_counts_trips(self):
         board = BreakerBoard(threshold=1, reset_after=1.0)
-        fired = []
-        board.configure("numba", on_open=lambda: fired.append("numba"))
-        board.get("numba").record_failure()
         board.get("cc").record_failure()
-        assert fired == ["numba"]
+        board.get("other").record_failure()
         assert board.trips == 2
         snap = board.snapshot()
-        assert snap["numba"]["state"] == "open"
+        assert snap["cc"]["state"] == "open"
 
 
-class TestBackendPin:
-    def test_pin_overrides_auto_and_unpins(self):
-        natural = permkernels.resolve_backend()
-        try:
-            permkernels.pin_backend("numpy")
-            assert permkernels.resolve_backend() == "numpy"
-        finally:
-            permkernels.pin_backend(None)
-        assert permkernels.resolve_backend() == natural
+@pytest.mark.skipif(
+    not permkernels.backend_info()["cc"], reason="C solver kernels unavailable"
+)
+class TestPerServiceBackend:
+    def test_tripped_breaker_moves_only_its_own_service_to_numpy(
+        self, make_service, monkeypatch
+    ):
+        """Two services in one process: A's open ``cc`` breaker sends A's
+        solves to NumPy while B keeps calling the C kernel, and both
+        return the same bytes."""
+        calls = []
+        real_sweep = cc_solvers.cc_sweep_pass
 
-    def test_force_wins_over_pin(self):
-        try:
-            permkernels.pin_backend("numpy")
-            with permkernels.force_backend("reference"):
-                assert permkernels.resolve_backend() == "reference"
-            assert permkernels.resolve_backend() == "numpy"
-        finally:
-            permkernels.pin_backend(None)
+        def counting_sweep(*args, **kwargs):
+            calls.append(1)
+            return real_sweep(*args, **kwargs)
 
-    def test_unknown_pin_rejected(self):
-        with pytest.raises(ValueError):
-            permkernels.pin_backend("fortran")
+        monkeypatch.setattr(cc_solvers, "cc_sweep_pass", counting_sweep)
+        a = make_service(breaker_threshold=1)
+        b = make_service(breaker_threshold=1)
+        a.service.breakers.get("cc").record_failure()
+        spec = {
+            "mesh": 8,
+            "algorithm": "sss",
+            "apps": [
+                {
+                    "name": f"app{k}",
+                    "cache_rates": [1.0 + k + 0.1 * t for t in range(16)],
+                    "mem_rates": [0.1 * (k + 1)] * 16,
+                }
+                for k in range(4)
+            ],
+        }
+
+        result_a = a.map(spec)["result"]
+        assert calls == []
+        result_b = b.map(spec)["result"]
+        assert calls
+        assert json.dumps(result_a, sort_keys=True) == json.dumps(result_b, sort_keys=True)
+        assert a.service.breakers.get("cc").state == "open"
+        assert b.service.breakers.get("cc").state == "closed"
+        assert permkernels.resolve_backend() == "cc"

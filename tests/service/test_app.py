@@ -92,6 +92,7 @@ class TestHTTPEndpoints:
             lambda s: {**s, "timeout": -1},
             lambda s: {**s, "apps": []},
             lambda s: {**s, "mesh": 1},  # 6 threads on 1 tile
+            lambda s: {**s, "sim": {"engine": "vector-jit"}},  # engine removed
         ],
     )
     def test_malformed_requests_are_400(self, client, spec2, mutate):

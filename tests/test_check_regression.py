@@ -92,23 +92,6 @@ class TestCheckLogic:
         assert out.count("baseline missing) skip") == 3  # fastpath + soa + obs
         assert "vector_engine.single_sim.speedup" in out
 
-    def test_jit_quantity_skips_without_numba_measurement(self, capsys):
-        """No jit_batch_speedup in measured (numba absent): the jit guard
-        must report a skip, not KeyError, even when a baseline exists."""
-        mod = _load_module()
-        baseline = {
-            "vector_engine": {
-                "soa_batch": {"per_sim_speedup": {"batch_32": 5.0}},
-                "jit": {"per_sim_speedup": {"batch_32": 7.0}},
-            }
-        }
-        failures = mod.check(self.MEASURED, baseline, tol=0.30, tol_seconds=0.60)
-        assert failures == []
-        out = capsys.readouterr().out
-        assert "vector_engine.jit.speedup.batch_32" in out
-        assert "numba not installed" in out
-        assert "vector_engine.soa_batch.speedup.batch_32" in out
-
     def test_regression_detected(self):
         mod = _load_module()
         baseline = {"vector_engine": {"single_sim": {"speedup": 10.0}}}
