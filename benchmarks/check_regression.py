@@ -9,7 +9,10 @@ Guarded quantities and directions:
 
 * ``vector_engine.single_sim.speedup``   -- must not DROP >30%
 * ``vector_engine.soa_batch.per_sim_speedup.batch_32``
-                                         -- must not DROP >30%
+                                         -- must not DROP >30% (read from
+  ``soa_batch.dense`` instead when the batch ran the NumPy dense path,
+  i.e. without a C compiler, so each ``run_batch`` path keeps its own
+  baseline)
 * ``obs_overhead...overhead_ratio``      -- must not RISE >30%
 * ``service.obs_overhead.overhead_ratio``-- must not RISE >30% (the serve
   daemon's request-span tracing, measured by bench_serve's interleaved
@@ -104,7 +107,7 @@ BATCH = 32
 def measure(rounds: int) -> dict:
     """Interleaved best-of-N timings for all guarded quantities."""
     from repro.noc.simulator import NoCSimulator
-    from repro.noc.vector_engine import VectorEngine, run_batch
+    from repro.noc.vector_engine import VectorEngine
     from repro.obs import Observability, ObservabilityConfig, SamplerConfig, TraceConfig
 
     mesh, make = _scenario()
@@ -124,13 +127,13 @@ def measure(rounds: int) -> dict:
             )
         )
 
+    batch_modes = set()
+
     def batch():
-        return run_batch(
-            mesh,
-            [make(13 + i) for i in range(BATCH)],
-            warmup=500,
-            measure=4_000,
-        )[0]
+        # run_batch's own body, keeping the engine to read which path ran.
+        engine = VectorEngine(mesh, [make(13 + i) for i in range(BATCH)])
+        batch_modes.add(engine.mode)
+        return engine.run(warmup=500, measure=4_000)[0]
 
     fast()  # warm imports/allocator outside the timed rounds
     vec()
@@ -154,6 +157,7 @@ def measure(rounds: int) -> dict:
         "vector_speedup": round(best["fast"] / best["vec"], 2),
         "soa_batch_per_sim_seconds": round(best["batch"] / BATCH, 4),
         "soa_batch_speedup": round(best["fast"] / (best["batch"] / BATCH), 2),
+        "soa_batch_mode": batch_modes.pop(),
         "obs_off_seconds": round(best["fast"], 3),
         "obs_tracing_seconds": round(best["trace"], 3),
         "obs_overhead_ratio": round(best["trace"] / best["fast"], 2),
@@ -211,6 +215,12 @@ def load_baseline(path: Path) -> dict:
     return baseline
 
 
+#: Where each ``run_batch`` path keeps its baseline under
+#: ``vector_engine.soa_batch``: the compiled kernel at the top level, the
+#: NumPy dense path (no C compiler) in a ``dense`` subsection.
+_SOA_BASELINE = {"cc": (), "dense": ("dense",)}
+
+
 def _section(baseline: dict, *keys: str) -> dict:
     """Drill into nested baseline dicts; non-dict levels read as empty."""
     node = baseline
@@ -241,7 +251,8 @@ def check(measured: dict, baseline: dict, tol: float, tol_seconds: float) -> lis
 
     engine = _section(baseline, "engine", "raw_simulator_c1_4000_cycles")
     vector = _section(baseline, "vector_engine", "single_sim")
-    soa = _section(baseline, "vector_engine", "soa_batch", "per_sim_speedup")
+    soa_path = _SOA_BASELINE[measured.get("soa_batch_mode", "cc")]
+    soa = _section(baseline, "vector_engine", "soa_batch", *soa_path, "per_sim_speedup")
     obs = _section(baseline, "obs_overhead", "raw_simulator_c1_4000_cycles")
     print("benchmark-regression guard (C1 raw-sim, 500+4000 cycles):")
     guard(
@@ -259,7 +270,7 @@ def check(measured: dict, baseline: dict, tol: float, tol_seconds: float) -> lis
         tolerance=tol,
     )
     guard(
-        "vector_engine.soa_batch.speedup.batch_32",
+        ".".join(("vector_engine.soa_batch", *soa_path, "speedup.batch_32")),
         measured["soa_batch_speedup"],
         soa.get("batch_32"),
         worse_is_higher=False,
@@ -353,6 +364,8 @@ def update(measured: dict, baseline: dict) -> dict:
         speedup=measured["vector_speedup"],
     )
     soa = baseline.setdefault("vector_engine", {}).setdefault("soa_batch", {})
+    for key in _SOA_BASELINE[measured.get("soa_batch_mode", "cc")]:
+        soa = soa.setdefault(key, {})
     soa["fastpath_single_seconds"] = measured["fastpath_seconds"]
     soa.setdefault("per_sim_seconds", {})["batch_32"] = measured[
         "soa_batch_per_sim_seconds"

@@ -108,8 +108,9 @@ def warmup() -> dict:
     """Compile/build the selected backend eagerly; returns backend_info().
 
     The serve daemon calls this at startup so the first cache-miss request
-    never pays the one-off C build.  Idempotent and cheap after the first
-    call.
+    never pays the one-off C build (the same shared object carries the
+    vector engine's cycle kernel, so simulations do not either).
+    Idempotent and cheap after the first call.
     """
     global _warmed
     with _warm_lock:

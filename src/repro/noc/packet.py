@@ -125,21 +125,23 @@ class PacketTable:
     """Structure-of-arrays packet records for the vector engine.
 
     One row per packet, identified by its row index (the *pid*).  The
-    append side and the random-write side (``inj``/``ej`` at
-    injection/ejection time) are plain Python lists — at the few-packets-
+    append side and the random-write side (``ej`` at ejection time) are
+    plain Python lists — at the few-packets-
     per-cycle granularity the engine appends at, list ops beat NumPy
-    scalar writes several-fold.  The four columns the dense per-cycle
-    kernels read with fancy indexing (``dst``/``length``/``tclass``/
-    ``created``) additionally carry NumPy mirrors, grown geometrically
-    and synced by :meth:`flush` once per simulated cycle, so no per-packet
-    NumPy write ever happens.
+    scalar writes several-fold.  The four columns the engine's kernels
+    index (``dst``/``length``/``tclass``/``created``) additionally carry
+    NumPy mirrors, grown geometrically and synced by :meth:`flush` (once
+    per simulated cycle in the dense mode, once per window in the
+    compiled one), so no per-packet NumPy write ever happens.
 
     The table holds no :class:`Packet` objects: a packet that enters
     through :meth:`append_packet` is copied field-by-field and dropped.
+    The vector engine's compiled mode leaves ``ej`` unset: its kernel
+    keeps the ejection stamps in an array of its own.
     """
 
     __slots__ = (
-        "src", "dst", "tclass", "length", "created", "app", "inj", "ej",
+        "src", "dst", "tclass", "length", "created", "app", "ej",
         "dst_a", "len_a", "cls_a", "created_a", "_cap", "_synced",
     )
 
@@ -156,7 +158,6 @@ class PacketTable:
         self.length: list[int] = []
         self.created: list[int] = []
         self.app: list[int] = []
-        self.inj: list[int] = []  #: injection cycle, -1 until injected
         self.ej: list[int] = []  #: ejection cycle, -1 until delivered
         self._cap = capacity
         self._synced = 0
@@ -177,7 +178,6 @@ class PacketTable:
         self.length.append(length)
         self.created.append(created)
         self.app.append(app)
-        self.inj.append(-1)
         self.ej.append(-1)
         return pid
 

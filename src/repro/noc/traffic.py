@@ -330,7 +330,7 @@ class MappedWorkloadTraffic(TrafficGenerator):
         rng = self._rng
         src_c, dst_c, cls_c = table.src, table.dst, table.tclass
         len_c, created_c, app_c = table.length, table.created, table.app
-        inj_c, ej_c = table.inj, table.ej
+        ej_c = table.ej
         start = len(src_c)
         if rows.size:
             tile = self._tile_l
@@ -351,7 +351,6 @@ class MappedWorkloadTraffic(TrafficGenerator):
                 len_c.append(1)  # requests are single-flit (Table 2)
                 created_c.append(now)
                 app_c.append(app[thread])
-                inj_c.append(-1)
                 ej_c.append(-1)
         if self.generate_replies:
             end = len(src_c)
@@ -381,5 +380,4 @@ class MappedWorkloadTraffic(TrafficGenerator):
                     len_c.append(5)  # replies carry a 64 B line + head
                     created_c.append(now)
                     app_c.append(app_id)
-                    inj_c.append(-1)
                     ej_c.append(-1)

@@ -3,34 +3,52 @@
 The object engine (:mod:`repro.noc.network`) dispatches per-``Router``
 Python objects every cycle.  This backend keeps *all* simulation state —
 VC buffers, credits, route/allocation state, switch pointers and link
-pipelines — in preallocated flat arrays, and runs in one of two modes
-(``mode="auto"`` picks by batch size):
+pipelines — in preallocated flat arrays.  A batch of B independent
+simulations shares the same arrays: instance ``b``'s tile ``t`` is
+global tile ``b * T + t`` of one big disconnected mesh.  The engine runs
+in one of three modes; ``mode="auto"`` picks the compiled one whenever
+it can:
 
-* **dense** (batches, B > 1): every router of every instance advances
-  through a fixed sequence of stage-major fused phase kernels per cycle
-  (link drain -> inject -> route -> VC-alloc -> switch -> link
-  send/eject).  A batch of B independent simulations shares the same
-  arrays: instance ``b``'s tile ``t`` is global tile ``b * T + t`` of
-  one big disconnected mesh, so per-cycle kernel launches amortize
+* **cc** (``auto`` whenever the solver-kernel backend resolves to
+  ``cc``, at every B): the cycle loop runs as one compiled C call per
+  window (warmup, measure, drain) — :mod:`repro.noc.cc_kernel`, built
+  into the same shared object as the solver kernels.  Generators are
+  open-loop (they never see network state), so a window first emits all
+  its packets into the packet table; the kernel then admits each cycle's
+  rows into array-backed NI queues and steps the network.  The C cycle
+  is a transliteration of the scalar mode's fused ascending sweep
+  below, so it needs neither the dense path's stage-major reorder nor
+  its credit-hazard fallback.  ``ctypes`` releases the GIL for the call.
+* **dense** (``auto`` without the kernel at B > 1): every router of every
+  instance advances through a fixed sequence of stage-major fused phase
+  kernels per cycle (link drain -> inject -> route -> VC-alloc ->
+  switch -> link send/eject), so per-cycle kernel launches amortize
   across the whole batch.  When every generator is a plain
   ``MappedWorkloadTraffic`` of one shape, the per-cycle injection draws
   are also fused: each instance's RNG fills its row of a stacked
   ``(B, 2, n)`` buffer (preserving per-instance stream order exactly),
   and one ``np.less`` + ``nonzero`` finds all emitting threads at once.
-* **scalar** (B == 1): the same flat state driven by a fused
-  router-major sweep over only the channels that can act — a busy-set
-  plus a wake wheel that parks channels whose head flit is still in the
-  input pipeline until its ready cycle.  Python-list-bound rather than
-  NumPy-bound: at single-sim occupancies (tens of active channels out of
-  hundreds) fancy-indexing per-element costs rival bytecode, so dense
-  kernels lose to a tight sweep.
+* **scalar** (``auto`` without the kernel at B == 1): the same flat state
+  driven by a fused router-major sweep over only the channels that can
+  act — a busy-set plus a wake wheel that parks channels whose head flit
+  is still in the input pipeline until its ready cycle.
+  Python-list-bound rather than NumPy-bound: at single-sim occupancies
+  (tens of active channels out of hundreds) fancy-indexing per-element
+  costs rival bytecode, so dense kernels lose to a tight sweep.
+
+``REPRO_CC=0``, ``permkernels.force_backend("numpy" | "reference")`` or
+a missing C compiler leave ``auto`` on the Python modes; ``mode="scalar"``
+or ``"dense"`` pins one of them.  :attr:`VectorEngine.mode` reports the
+mode that runs.
 
 Bit-exactness
 -------------
 Results are bit-identical to the object engine (and hence to the fast
 path, which is itself pinned bit-identical to the seed loops).  The
 object engine steps routers in ascending tile order with three logical
-stages fused per router; the phased kernels here reorder that into
+stages fused per router.  The scalar mode and the ``cc`` kernel keep that
+router-major order (see :meth:`VectorEngine._switch_scalar` for why the
+fused sweep is exact); the dense mode's phased kernels reorder it into
 "stage-major" order (all route computes, then all VC allocations, then
 all switch allocations).  The reorder is exact because:
 
@@ -68,9 +86,10 @@ draws cannot be prefetched across cycles), the engine tracks delivered
 :meth:`VectorEngine.run` via :meth:`LatencyStats.from_arrays` — same
 delivered order, same ``SimulationResult`` fields, no per-packet Python
 work anywhere on the batch path.  Generators that are not plain
-``MappedWorkloadTraffic`` still enter through ``packets_for_cycle`` +
-:meth:`VectorEngine.submit`, which copies each object into the table and
-drops it.
+``MappedWorkloadTraffic`` still enter through ``packets_for_cycle``;
+each object is copied into the table and dropped.  In ``cc`` mode the
+kernel keeps the ejection stamps itself, so the table's ``ej`` list
+stays unset.
 
 Faults, invariants and observability hooks are *not* supported here;
 :class:`~repro.noc.simulator.NoCSimulator` falls back to the fast path
@@ -79,9 +98,12 @@ Faults, invariants and observability hooks are *not* supported here;
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.core.latency import Mesh
+from repro.noc import cc_kernel
 from repro.noc.network import NetworkConfig
 from repro.noc.packet import PacketTable
 from repro.noc.power import ActivityCounts, PowerModel, PowerParams
@@ -108,7 +130,9 @@ class VectorEngine:
     Parameters mirror :class:`~repro.noc.simulator.NoCSimulator` except
     that ``traffics`` is a sequence: one independent traffic generator
     per batched simulation instance.  All instances share the mesh and
-    network configuration (the batch lives in one array set).
+    network configuration (the batch lives in one array set).  ``mode``
+    is ``auto`` (default), ``scalar`` or ``dense``; see the module
+    docstring.
     """
 
     def __init__(
@@ -132,13 +156,22 @@ class VectorEngine:
         rc = self.config.router
         self.include_local = include_local
         self.power_model = PowerModel(mesh, power_params)
-        # Single-instance runs default to the scalar microkernel binding
-        # (python-list state): at B == 1 the per-cycle arrays hold only
-        # tens of events, where per-kernel dispatch costs more than the
-        # work, so scalar indexing wins.  Batches amortize dispatch and
-        # run the dense numpy kernels.
-        self._scalar = mode == "scalar" or (mode == "auto" and len(self.traffics) == 1)
-        self.mode = "scalar" if self._scalar else "dense"
+        # "auto" runs the compiled cycle kernel whenever the solver backend
+        # resolves to cc.  Without it, single-instance runs take the scalar
+        # microkernel binding (python-list state): at B == 1 the per-cycle
+        # arrays hold only tens of events, where per-kernel dispatch costs
+        # more than the work, so scalar indexing wins.  Batches amortize
+        # dispatch and run the dense numpy kernels.
+        lib = None
+        if mode == "auto":
+            lib = cc_kernel.library()
+            if lib is not None:
+                mode = "cc"
+            else:
+                mode = "scalar" if len(self.traffics) == 1 else "dense"
+        #: the path that runs: "cc", "scalar" or "dense"
+        self.mode = mode
+        self._scalar = mode == "scalar"
 
         B = self.B = len(self.traffics)
         T = self.T = mesh.n_tiles
@@ -223,8 +256,8 @@ class VectorEngine:
 
         # Structure-of-arrays packet records.  Scalar mode reads the list
         # columns directly; dense mode fancy-indexes the NumPy mirrors,
-        # synced by one pt.flush() per cycle.  No Packet objects survive
-        # past submit().
+        # synced by one pt.flush() per cycle (per window in cc mode).  No
+        # Packet objects survive past emission.
         self.pt = PacketTable(table_capacity)
 
         if self._scalar:
@@ -275,38 +308,21 @@ class VectorEngine:
         self._tot_link = 0  # flits on wires, all instances
         self.now = 0
         self._moved = 0
+        self._kernel = cc_kernel.CycleKernel(self, lib) if mode == "cc" else None
 
     # ------------------------------------------------------------------
     # Packet entry
     # ------------------------------------------------------------------
 
-    def submit(self, b: int, packet) -> None:
-        """Copy ``packet`` into the table and queue it on instance ``b``.
-
-        The object is dropped after the copy; local (src == dst) packets
-        complete immediately, as in the object engine's NI.
-        """
-        pt = self.pt
-        pid = pt.append_packet(packet)
-        if packet.src == packet.dst:
-            pt.inj[pid] = pt.ej[pid] = self.now
-            self.delivered[b].append(pid)
-            return
-        g = b * self.T + packet.src
-        self._ni_q[g].append(pid)
-        self._ni_npkts += 1
-        self._ni_tiles.add(g)
-
     def _queue_range(self, b: int, start: int, end: int, now: int) -> None:
-        """Queue table rows ``[start, end)`` (fresh from ``_emit_soa``).
+        """Queue instance ``b``'s fresh table rows ``[start, end)``.
 
-        Same effects as submit() per row, without an object in sight:
-        local packets complete immediately, the rest enter their source
-        NI queues.
+        Local (src == dst) packets complete immediately, as in the object
+        engine's NI; the rest enter their source NI queues.
         """
         pt = self.pt
         src, dst = pt.src, pt.dst
-        inj, ej = pt.inj, pt.ej
+        ej = pt.ej
         base = b * self.T
         q = self._ni_q
         tiles = self._ni_tiles
@@ -315,7 +331,6 @@ class VectorEngine:
         for pid in range(start, end):
             s = src[pid]
             if s == dst[pid]:
-                inj[pid] = now
                 ej[pid] = now
                 delivered.append(pid)
             else:
@@ -358,7 +373,6 @@ class VectorEngine:
             if vc < 0:
                 return 0
             q.popleft()
-            pt.inj[pid] = now
             self._ni_cur[g] = cur = pid
             self._ni_fi[g] = 0
             self._ni_vc[g] = vc
@@ -443,7 +457,6 @@ class VectorEngine:
                     c0 = base + v
                     if st[c0] == 0 and occ[c0] == 0:
                         q.popleft()
-                        pt.inj[pid] = now
                         cur_a[g] = pid
                         fi_a[g] = 0
                         vc_a[g] = v
@@ -822,7 +835,7 @@ class VectorEngine:
                 f = c * RING + (head[c] & RM)
                 pid = s_pid[f]
                 if s == 1:
-                    outp[c] = ROUTE[(c // C) * T + pdst[pid]]
+                    outp[c] = ROUTE[(c // C) % T * T + pdst[pid]]
                     st[c] = 2
                 lo = vclo[pcls[pid]]
                 base = (c // C) * C + outp[c] * V + lo
@@ -1002,6 +1015,7 @@ class VectorEngine:
         st, occ, head = self.st, self.occ, self.head
         s_pid, s_fi, s_ready = self.s_pid, self.s_fi, self.s_ready
         busyset = self._busyset
+        writes, TC = self.buffer_writes, self.T * self.C
 
         # Wake parked channels whose front flits left the pipeline.  An
         # exact-match pop suffices even across _drain time jumps: every
@@ -1025,6 +1039,7 @@ class VectorEngine:
                     s_fi[slot] = afi
                     s_ready[slot] = t_rdy
                     occ[ch] = oc + 1
+                    writes[ch // TC] += 1
                     s = st[ch]
                     if s == 3:
                         # Mid-switch channel: a write behind an existing
@@ -1048,7 +1063,6 @@ class VectorEngine:
                 moved += n
                 self._tot_link -= n
                 self._tot_buf += n
-                self.buffer_writes[0] += n
 
         if self._ni_npkts and self._ni_tiles:
             for g in sorted(self._ni_tiles):
@@ -1112,6 +1126,9 @@ class VectorEngine:
         return best
 
     def _drain(self, max_cycles: int = 1_000_000) -> None:
+        if self._kernel is not None:
+            self._kernel.drain(self, max_cycles)
+            return
         start = self.now
         while self._pending():
             if self.now - start > max_cycles:
@@ -1125,52 +1142,83 @@ class VectorEngine:
                     self.now = nxt
 
     def _window(self, cycles: int, offered: np.ndarray | None) -> None:
-        traffics = self.traffics
+        if self._kernel is not None:
+            # Generators are open-loop (they never see network state), so
+            # the whole window's packets enter the table first; the kernel
+            # then admits each cycle's rows itself.
+            src_col = self.pt.src
+            first = len(src_col)
+            # Emission i gave instance instances[i] the rows up to ends[i]
+            # (int64 buffers: no per-row Python objects kept alive).
+            instances, ends = array("q"), array("q")
+
+            def on_rows(b: int, start: int, end: int, now: int) -> None:
+                instances.append(b)
+                ends.append(end)
+                if offered is not None:
+                    offered[b] += end - start
+
+            emit = self._emitter(on_rows)
+            bounds = array("q")
+            for now in range(self.now, self.now + cycles):
+                bounds.append(len(src_col))
+                emit(now)
+            bounds.append(len(src_col))
+            self._kernel.window(self, first, bounds, instances, ends)
+            return
+        queue = self._queue_range
+        if offered is None:
+            on_rows = queue
+        else:
+
+            def on_rows(b: int, start: int, end: int, now: int) -> None:
+                queue(b, start, end, now)
+                offered[b] += end - start
+
+        emit = self._emitter(on_rows)
         step = self._step
-        submit = self.submit
+        for _ in range(cycles):
+            emit(self.now)
+            step()
+
+    def _emitter(self, on_rows):
+        """Per-cycle packet emission of every instance.
+
+        Returns ``emit(now)``, which appends cycle ``now``'s packets of
+        each generator to the packet table, instance by instance, and
+        reports each instance's fresh rows as ``on_rows(b, start, end,
+        now)``.  Generators that are not plain ``MappedWorkloadTraffic``
+        go through ``packets_for_cycle``, each object copied into the
+        table and dropped.
+        """
+        traffics = self.traffics
         pt = self.pt
         src_col = pt.src
-        if self.B == 1:
+        if self.B == 1 and type(traffics[0]) is MappedWorkloadTraffic:
+            # SoA emission: identical draws to packets_for_cycle, but
+            # rows append straight into the packet table — no Packet
+            # objects on the single-instance path either.
             traffic = traffics[0]
-            if type(traffic) is MappedWorkloadTraffic:
-                # SoA emission: identical draws to packets_for_cycle, but
-                # rows append straight into the packet table — no Packet
-                # objects on the single-instance path either.
-                rng_fill = traffic._rng.random
-                db, pb, hb = traffic._draw_buf, traffic._p_both, traffic._hit_buf
-                emit = traffic._emit_soa
-                queue = self._queue_range
-                pend = traffic._soa_pending
-                for _ in range(cycles):
-                    now = self.now
-                    rng_fill(out=db)
-                    np.less(db, pb, out=hb)
-                    rows, threads = hb.nonzero()
-                    # No hits and no reply due now -> nothing to emit and
-                    # no RNG draws owed (destination draws follow hits).
-                    if rows.size or now in pend:
-                        start = len(src_col)
-                        emit(rows, threads, now, pt)
-                        end = len(src_col)
-                        if end > start:
-                            queue(0, start, end, now)
-                            if offered is not None:
-                                offered[0] += end - start
-                    step()
-                return
-            gen = traffic.packets_for_cycle
-            for _ in range(cycles):
-                packets = gen(self.now)
-                if packets:
-                    for packet in packets:
-                        submit(0, packet)
-                    if offered is not None:
-                        offered[0] += len(packets)
-                step()
-            return
-        batch = getattr(self, "_tg", False)
-        if batch is False:
-            batch = self._tg = self._traffic_batch()
+            rng_fill = traffic._rng.random
+            db, pb, hb = traffic._draw_buf, traffic._p_both, traffic._hit_buf
+            emit_soa = traffic._emit_soa
+            pend = traffic._soa_pending
+
+            def emit(now: int) -> None:
+                rng_fill(out=db)
+                np.less(db, pb, out=hb)
+                rows, threads = hb.nonzero()
+                # No hits and no reply due now -> nothing to emit and
+                # no RNG draws owed (destination draws follow hits).
+                if rows.size or now in pend:
+                    start = len(src_col)
+                    emit_soa(rows, threads, now, pt)
+                    end = len(src_col)
+                    if end > start:
+                        on_rows(0, start, end, now)
+
+            return emit
+        batch = self._traffic_batch() if self.B > 1 else None
         if batch is not None:
             # Fused draw: per-instance RNG fills (stream-identical to the
             # per-generator path), then ONE comparison + nonzero over the
@@ -1178,7 +1226,6 @@ class VectorEngine:
             # instance's hits then append straight into the shared packet
             # table via _emit_soa.
             tgp, tgd, tgh, tgb = batch
-            queue = self._queue_range
             # Hoisted per-instance bound methods/dicts: the inner loops
             # below run B times per cycle.
             fills = [(t._rng.random, row) for t, row in zip(traffics, tgd)]
@@ -1186,49 +1233,47 @@ class VectorEngine:
                 (b, t._emit_soa, t._soa_pending)
                 for b, t in enumerate(traffics)
             ]
-            for _ in range(cycles):
-                now = self.now
+
+            def emit(now: int) -> None:
                 for fill, row in fills:
                     fill(out=row)
                 np.less(tgd, tgp, out=tgh)
                 ii, rows, threads = tgh.nonzero()
                 bounds = np.searchsorted(ii, tgb).tolist()
-                for b, emit, pend in emits:
+                for b, emit_soa, pend in emits:
                     lo, hi = bounds[b], bounds[b + 1]
                     # Hitless instances with no reply due this cycle owe
                     # neither table rows nor RNG draws: skip the call.
                     if lo == hi and now not in pend:
                         continue
                     start = len(src_col)
-                    emit(rows[lo:hi], threads[lo:hi], now, pt)
+                    emit_soa(rows[lo:hi], threads[lo:hi], now, pt)
                     end = len(src_col)
                     if end > start:
-                        queue(b, start, end, now)
-                        if offered is not None:
-                            offered[b] += end - start
-                step()
-            return
-        for _ in range(cycles):
-            now = self.now
+                        on_rows(b, start, end, now)
+
+            return emit
+        append = pt.append_packet
+
+        def emit(now: int) -> None:
             for b, traffic in enumerate(traffics):
                 packets = traffic.packets_for_cycle(now)
                 if packets:
+                    start = len(src_col)
                     for packet in packets:
-                        submit(b, packet)
-                    if offered is not None:
-                        offered[b] += len(packets)
-            step()
+                        append(packet)
+                    on_rows(b, start, len(src_col), now)
+
+        return emit
 
     def _traffic_batch(self):
-        """One-time probe: can the per-cycle draws fuse across instances?
+        """Can the per-cycle draws fuse across instances?
 
         Requires every generator to be exactly MappedWorkloadTraffic (a
         subclass could override packet emission) with same-shaped rate
         tables.  Returns the stacked rate table plus reusable draw/hit
         buffers and the instance-boundary probe, or None.
         """
-        from repro.noc.traffic import MappedWorkloadTraffic
-
         gens = self.traffics
         if any(type(g) is not MappedWorkloadTraffic for g in gens):
             return None
@@ -1267,7 +1312,10 @@ class VectorEngine:
         # so from_arrays builds bit-identical LatencyStats state.
         pt = self.pt
         created = pt.column("created")
-        ej = pt.column("ej")
+        if self._kernel is not None:
+            ej = self._kernel.p_ej[: len(pt)]
+        else:
+            ej = pt.column("ej")
         apps = pt.column("app")
         classes = pt.column("tclass")
         srcs = pt.column("src")

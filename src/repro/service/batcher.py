@@ -1,11 +1,14 @@
 """Micro-batching of simulation-validation requests onto ``run_batch``.
 
 Concurrent ``simulate`` requests are the service's expensive tail.  The
-vector engine steps B independent simulations in lock-step for far less
-than B times the cost of one (PR 6: 5.7x per-sim at batch 32), and its
-batched results are bit-identical to single runs — so coalescing
-concurrent requests is pure throughput, with zero effect on response
-bytes.
+vector engine steps B independent simulations in lock-step for less than
+B times the cost of one (``BENCH_perf.json``'s ``vector_engine``
+section records the per-sim figures), and its batched results are
+bit-identical to single runs — so coalescing concurrent requests is pure
+throughput, with zero effect on response bytes.  With a C compiler the
+batch's cycle loop runs in the compiled kernel, whose ``ctypes`` call
+releases the GIL, so it no longer holds up solves on the other worker
+thread (packet emission still runs in Python).
 
 :class:`SimulationBatcher` keeps one pending queue per *batch group* —
 requests that may legally share a ``run_batch`` call: same mesh shape

@@ -24,6 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core import permkernels
 from repro.core.latency import Mesh
 from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance
@@ -47,6 +48,18 @@ def _signature(res):
         res.packets_offered,
         res.packets_delivered,
     )
+
+
+def _engine(mesh, traffics, **kwargs):
+    """A ``mode="auto"`` VectorEngine, checked to run the compiled kernel
+    wherever a C compiler exists (a failed build fails the test) and the
+    Python mode for the batch size otherwise."""
+    engine = VectorEngine(mesh, traffics, **kwargs)
+    if permkernels.backend_info()["cc_compiler"] is not None:
+        assert engine.mode == "cc"
+    else:
+        assert engine.mode == ("scalar" if len(traffics) == 1 else "dense")
+    return engine
 
 
 def _random_rows(rng, n, n_tiles=16, with_locals=True):
@@ -148,7 +161,6 @@ def test_packet_table_grows_geometrically():
         pt.length.append(1)
         pt.created.append(i)
         pt.app.append(0)
-        pt.inj.append(-1)
         pt.ej.append(-1)
         pt.flush()  # realloc forced repeatedly from capacity 1
         assert pt.dst_a[i] == i + 1
@@ -166,7 +178,7 @@ def test_tiny_table_capacity_reallocates_mid_run():
     flits are in flight; results must not move at all."""
     mesh, make = _c1_scenario()
     fast = NoCSimulator(mesh, make(), engine="fastpath").run(warmup=200, measure=800)
-    vec = VectorEngine(mesh, [make()], table_capacity=2).run(warmup=200, measure=800)[0]
+    vec = _engine(mesh, [make()], table_capacity=2).run(warmup=200, measure=800)[0]
     assert _signature(vec) == _signature(fast)
 
 
@@ -178,7 +190,7 @@ def test_zero_packet_windows():
     def silent():
         return UniformRandomTraffic(mesh.n_tiles, 0.0, seed=3)
 
-    res = VectorEngine(mesh, [silent()]).run(warmup=100, measure=500)[0]
+    res = _engine(mesh, [silent()]).run(warmup=100, measure=500)[0]
     assert res.packets_offered == 0
     assert res.packets_delivered == 0
     assert res.stats.n_packets == 0
@@ -197,7 +209,7 @@ def test_zero_packet_member_in_active_batch():
     def noisy():
         return UniformRandomTraffic(mesh.n_tiles, 0.08, length=3, seed=7)
 
-    batch = VectorEngine(mesh, [noisy(), silent(), noisy()]).run(
+    batch = _engine(mesh, [noisy(), silent(), noisy()]).run(
         warmup=200, measure=1000
     )
     fast_noisy = NoCSimulator(mesh, noisy(), engine="fastpath").run(
@@ -214,7 +226,7 @@ def test_ragged_drain_batch_members_finish_at_different_cycles():
     drain at different cycles; each must equal its own single run."""
     mesh, make = _c1_scenario()
     cpus = (500.0, 1000.0, 4000.0)
-    batch = VectorEngine(mesh, [make(13, c) for c in cpus]).run(
+    batch = _engine(mesh, [make(13, c) for c in cpus]).run(
         warmup=200, measure=800
     )
     for cpu, res in zip(cpus, batch):

@@ -5,9 +5,12 @@ latency histogram, per-app APLs, activity counts, power and delivery
 totals, for the same seeds.  These tests pin that across all C1-C8 paper
 configurations, router/network variants (arbitration, VC classes, link
 depth, routing function), saturation (which exercises the credit-hazard
-sequential sweep), both engine modes (scalar and dense), and batched
-execution (a batch entry must equal its own single run).  Also covers the
-NoCSimulator fallback matrix and the simulate_batch API surface.
+sequential sweep), every engine mode (the compiled ``cc`` kernel that
+``auto`` selects wherever a C compiler exists, and the Python ``scalar``
+and ``dense`` modes), and batched execution (a batch entry must equal its
+own single run).  With ``REPRO_CC=0`` the ``auto`` cases run the Python
+modes instead.  Also covers the NoCSimulator fallback matrix and the
+simulate_batch API surface.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import permkernels
 from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
 from repro.core.problem import OBMInstance
 from repro.core.sss import sort_select_swap
@@ -26,7 +30,7 @@ from repro.noc.router import RouterConfig
 from repro.noc.routing import Port
 from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import MappedWorkloadTraffic, UniformRandomTraffic
-from repro.noc.vector_engine import VectorEngine, run_batch, simulate_batch
+from repro.noc.vector_engine import VectorEngine, simulate_batch
 from repro.workloads.parsec import parsec_config
 
 
@@ -44,6 +48,25 @@ def _signature(res):
         res.packets_offered,
         res.packets_delivered,
     )
+
+
+def _auto_mode(batch: int) -> str:
+    """The mode ``auto`` must select for ``batch`` instances.
+
+    The compiled kernel wherever a C compiler exists (a failed build then
+    fails the test instead of quietly running Python); without one, the
+    Python mode for the batch size.
+    """
+    if permkernels.backend_info()["cc_compiler"] is not None:
+        return "cc"
+    return "scalar" if batch == 1 else "dense"
+
+
+def _engine(mesh, traffics, network_config=None, *, mode="auto", **kwargs):
+    """A VectorEngine, checked to run the mode ``mode`` stands for."""
+    engine = VectorEngine(mesh, traffics, network_config, mode=mode, **kwargs)
+    assert engine.mode == (_auto_mode(len(traffics)) if mode == "auto" else mode)
+    return engine
 
 
 def _assert_vector_engine(res):
@@ -74,6 +97,8 @@ def test_vector_matches_fastpath_on_paper_configs(name):
     assert _signature(vec) == _signature(fast)
     _assert_vector_engine(vec)
     assert fast.engine == "fastpath"
+    # NoCSimulator builds its engine with mode "auto", as here.
+    _engine(inst.mesh, [make()])
 
 
 _VARIANTS = {
@@ -98,20 +123,24 @@ def test_vector_matches_fastpath_on_network_variants(variant):
     )
     vec = NoCSimulator(mesh, make(), cfg, engine="vector").run(warmup=200, measure=1000)
     assert _signature(vec) == _signature(fast)
+    _assert_vector_engine(vec)
+    # NoCSimulator builds its engine with mode "auto", as here.
+    _engine(mesh, [make()], cfg)
 
 
-@pytest.mark.parametrize("mode", ["scalar", "dense"])
+@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
 def test_vector_matches_fastpath_under_saturation(mode):
     """0.35 flits/node/cycle x 5-flit packets saturates the 4x4 mesh, so
     credits hit zero and the dense path must take its exact sequential
-    sweep (the scalar path arbitrates contention every cycle)."""
+    sweep (the scalar path and the compiled kernel arbitrate contention
+    every cycle)."""
     mesh = Mesh.square(4)
 
     def make():
         return UniformRandomTraffic(mesh.n_tiles, 0.35, length=5, seed=11)
 
     fast = NoCSimulator(mesh, make(), engine="fastpath").run(warmup=100, measure=500)
-    vec = VectorEngine(mesh, [make()], mode=mode).run(warmup=100, measure=500)[0]
+    vec = _engine(mesh, [make()], mode=mode).run(warmup=100, measure=500)[0]
     assert _signature(vec) == _signature(fast)
 
 
@@ -126,7 +155,8 @@ def test_dense_mode_matches_scalar_mode_single_instance():
     assert _signature(dense) == _signature(scalar)
 
 
-def test_batch_entries_match_single_runs():
+@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
+def test_batch_entries_match_single_runs(mode):
     """Each instance of a batch must be bit-identical to running it alone
     (and hence to the fast path): batching is a pure throughput axis."""
     inst, _ = _mapped_traffic_factory("C1")
@@ -138,8 +168,8 @@ def test_batch_entries_match_single_runs():
         )
 
     seeds = (13, 14, 15)
-    batch = run_batch(
-        inst.mesh, [make(s) for s in seeds], warmup=200, measure=800
+    batch = _engine(inst.mesh, [make(s) for s in seeds], mode=mode).run(
+        warmup=200, measure=800
     )
     for seed, res in zip(seeds, batch):
         single = NoCSimulator(inst.mesh, make(seed), engine="fastpath").run(
@@ -147,6 +177,40 @@ def test_batch_entries_match_single_runs():
         )
         assert _signature(res) == _signature(single)
         _assert_vector_engine(res)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_numpy_backend_selects_python_mode(batch):
+    """Forcing the NumPy solver backend moves ``auto`` off the compiled
+    kernel onto the Python mode for the batch size, with the same bytes."""
+    inst, _ = _mapped_traffic_factory("C1")
+    mapping = sort_select_swap(inst).mapping
+
+    def traffics():
+        return [
+            MappedWorkloadTraffic(
+                inst, mapping, cycles_per_unit=1000.0, generate_replies=True, seed=13 + i
+            )
+            for i in range(batch)
+        ]
+
+    with permkernels.force_backend("numpy"):
+        engine = VectorEngine(inst.mesh, traffics())
+        python_run = engine.run(warmup=200, measure=800)
+    assert engine.mode == ("scalar" if batch == 1 else "dense")
+    default_run = _engine(inst.mesh, traffics()).run(warmup=200, measure=800)
+    assert [_signature(r) for r in python_run] == [_signature(r) for r in default_run]
+
+
+@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
+def test_drain_limit_raises(mode):
+    """A network still holding flits past the drain budget is an error."""
+    mesh = Mesh.square(4)
+    traffic = UniformRandomTraffic(mesh.n_tiles, 0.2, length=5, seed=1)
+    engine = _engine(mesh, [traffic], mode=mode)
+    engine._window(50, None)
+    with pytest.raises(RuntimeError, match="failed to drain"):
+        engine._drain(max_cycles=0)
 
 
 def test_unknown_engine_rejected():

@@ -154,6 +154,28 @@ class TestCheckLogic:
         out = capsys.readouterr().out
         assert "no compiled backend" in out
 
+    @pytest.mark.parametrize("mode, failures", [("cc", 1), ("dense", 0)])
+    def test_soa_guard_reads_the_baseline_of_the_path_that_ran(self, mode, failures):
+        """A 5.0x batch is a regression against the compiled kernel's
+        15.1x but not against the dense path's own 5.69x."""
+        mod = _load_module()
+        measured = {**self.MEASURED, "soa_batch_mode": mode}
+        baseline = {
+            "vector_engine": {
+                "soa_batch": {
+                    "per_sim_speedup": {"batch_32": 15.1},
+                    "dense": {"per_sim_speedup": {"batch_32": 5.69}},
+                }
+            }
+        }
+        found = mod.check(measured, baseline, tol=0.30, tol_seconds=0.60)
+        assert len(found) == failures
+        updated = mod.update(measured, baseline)["vector_engine"]["soa_batch"]
+        section = updated if mode == "cc" else updated["dense"]
+        assert section["per_sim_speedup"]["batch_32"] == 5.0
+        other = updated["dense"] if mode == "cc" else updated
+        assert other["per_sim_speedup"]["batch_32"] == (5.69 if mode == "cc" else 15.1)
+
     def test_non_numeric_baseline_value_fails_not_crashes(self):
         mod = _load_module()
         baseline = {"vector_engine": {"single_sim": {"speedup": "fast!"}}}
