@@ -12,7 +12,11 @@
   of random mappings.
 * :func:`simulated_annealing` — *SA*: Metropolis search whose move swaps
   the tiles of two random threads, with geometric cooling; returns the best
-  mapping seen.
+  mapping seen.  Swap moves run in the compiled ``sa_swap`` kernel
+  (`repro.core.cc_solvers`) when the solver backend resolves to ``cc``,
+  else in the Python loop below; both draw the same stream from the same
+  generator and return bit-identical results.  Cluster moves always run
+  in Python.
 
 MC and SA accept a pluggable scalar ``objective`` so the ablation
 benchmarks can also optimise dev-APL or g-APL and demonstrate the
@@ -21,11 +25,13 @@ Section III.A pathology of deviation-style objectives.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 
 import numpy as np
 
+from repro.core import cc_solvers, permkernels
 from repro.core.hungarian import solve_assignment
 from repro.core.metrics import MappingEvaluation
 from repro.core.problem import Mapping, OBMInstance
@@ -214,6 +220,10 @@ def monte_carlo(
     )
 
 
+#: Random moves sampled from each start state to set the initial temperature.
+_TEMPERATURE_PROBES = 64
+
+
 class _AnnealState:
     """Incremental objective evaluation for thread-pair swap moves."""
 
@@ -269,6 +279,55 @@ class _AnnealState:
             self.perm[a], self.perm[b] = self.perm[b], self.perm[a]
         self.numerators += deltas
 
+    def probe_uphill(self, rng: np.random.Generator, current: float, lib=None):
+        """Uphill deltas of random swap moves from the current state.
+
+        With the compiled library ``lib`` the moves run in the kernel,
+        drawing from ``rng`` exactly as the Python loop does.
+        """
+        if lib is not None:
+            uphill = np.empty(_TEMPERATURE_PROBES)
+            n_up, _ = self._cc_sa_swap(
+                lib, rng, _TEMPERATURE_PROBES, uphill, 0, 1.0, 1.0,
+                current, current, None,
+            )
+            return uphill[:n_up]
+        uphill = []
+        for _ in range(_TEMPERATURE_PROBES):
+            a, b = rng.integers(len(self.perm), size=2)
+            if a == b:
+                continue
+            value, _ = self.propose_swap(int(a), int(b))
+            if value > current:
+                uphill.append(value - current)
+        return uphill
+
+    def anneal_cc(
+        self, lib, rng: np.random.Generator, n_iters: int, temperature: float,
+        cooling: float, current: float, best_value: float, best_perm: np.ndarray,
+    ) -> tuple[int, float]:
+        """The swap-move Metropolis loop of one restart, in the kernel.
+
+        Returns ``(accepted, best_value)``; every new best is copied into
+        ``best_perm`` in place.
+        """
+        return self._cc_sa_swap(
+            lib, rng, 0, None, n_iters, temperature, cooling,
+            current, best_value, best_perm,
+        )
+
+    def _cc_sa_swap(
+        self, lib, rng, n_probe, uphill, n_iters, temperature, cooling,
+        current, best_value, best_perm,
+    ) -> tuple[int, float]:
+        io = np.array([current, best_value])
+        count = cc_solvers.cc_sa_swap(
+            lib, rng, self.perm, self.numerators, self.c, self.m, self.tc,
+            self.tm, self.app_of_thread, self.volumes, self.active,
+            n_probe, uphill, n_iters, temperature, cooling, io, best_perm,
+        )
+        return count, float(io[1])
+
 
 def simulated_annealing(
     instance: OBMInstance,
@@ -289,6 +348,13 @@ def simulated_annealing(
     temperature defaults to the mean uphill move magnitude sampled from
     the start state, and cools geometrically to
     ``final_temperature_fraction`` of itself over ``n_iters`` iterations.
+
+    Swap moves run in the compiled kernel when
+    :func:`~repro.core.permkernels.resolve_backend` is ``cc`` and the
+    library loads; the ``numpy`` and ``reference`` backends, and every
+    cluster-move run, use the Python loop.  The kernel draws from the
+    same generator, so results and the generator's final state are
+    identical either way.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be positive")
@@ -298,8 +364,16 @@ def simulated_annealing(
         raise ValueError(f"unknown move kind {move!r}; expected 'swap' or 'cluster'")
     if move == "cluster" and not 1 <= cluster_size <= instance.n // 2:
         raise ValueError("cluster_size must be in [1, n_threads/2]")
+    if initial_temperature is not None and not initial_temperature > 0:
+        raise ValueError("initial_temperature must be positive")
+    if not final_temperature_fraction > 0:
+        raise ValueError("final_temperature_fraction must be positive")
     rng = as_rng(seed)
     t0 = time.perf_counter()
+
+    lib = None
+    if move == "swap" and permkernels.resolve_backend() == "cc":
+        lib, _ = cc_solvers.load_library()
 
     best_perm = None
     best_value = np.inf
@@ -314,15 +388,8 @@ def simulated_annealing(
 
             if initial_temperature is None:
                 # Sample random moves to scale the temperature to typical deltas.
-                uphill = []
-                for _ in range(64):
-                    a, b = rng.integers(instance.n, size=2)
-                    if a == b:
-                        continue
-                    value, _ = state.propose_swap(int(a), int(b))
-                    if value > current:
-                        uphill.append(value - current)
-                t_start = float(np.mean(uphill)) if uphill else 1.0
+                uphill = state.probe_uphill(rng, current, lib)
+                t_start = float(np.mean(uphill)) if len(uphill) else 1.0
                 t_start = max(t_start, 1e-9)
             else:
                 t_start = initial_temperature
@@ -332,6 +399,13 @@ def simulated_annealing(
             if current < best_value:
                 best_value = current
                 best_perm = state.perm.copy()
+            if lib is not None:
+                accepted, best_value = state.anneal_cc(
+                    lib, rng, iters_per_restart, temperature, cooling,
+                    current, best_value, best_perm,
+                )
+                total_accepted += accepted
+                continue
             for _ in range(iters_per_restart):
                 if move == "swap":
                     a, b = rng.integers(instance.n, size=2)
@@ -346,7 +420,9 @@ def simulated_annealing(
                     group_a, group_b = picks[:cluster_size], picks[cluster_size:]
                     value, deltas = state.propose_cluster(group_a, group_b)
                     apply = lambda: state.apply_cluster(group_a, group_b, deltas)
-                accept = value <= current or rng.random() < np.exp(
+                # math.exp is the C library's exp, the one the kernel
+                # calls; NumPy's SIMD exp can differ from it by an ulp.
+                accept = value <= current or rng.random() < math.exp(
                     -(value - current) / temperature
                 )
                 if accept:

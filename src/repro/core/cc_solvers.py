@@ -1,11 +1,12 @@
 """Self-compiled C kernels (no dependencies): solver loops and the NoC cycle.
 
-The SSS swap sweep and the Hungarian assignment solve are the two solver
-hot loops whose per-iteration work is too small for NumPy dispatch to
-amortise; the vector engine's per-cycle router sweep is the third such
-loop.  Their C sources live in ``repro/csrc/``.  This module compiles
-them together into one shared object, once per machine, with the system
-compiler (``cc -O2 -fPIC -shared``), and binds the solver entry points
+The SSS swap sweep, the Hungarian assignment solve and simulated
+annealing's swap-move Metropolis loop are the three solver hot loops
+whose per-iteration work is too small for NumPy dispatch to amortise;
+the vector engine's per-cycle router sweep is the fourth such loop.
+Their C sources live in ``repro/csrc/``.  This module compiles them
+together into one shared object, once per machine, with the system
+compiler (``cc -O2 -fPIC -shared -lm``), and binds the solver entry points
 through ``ctypes`` (`repro.noc.cc_kernel` binds the engine's).  ``ctypes``
 releases the GIL for the duration of every call, so the serve worker
 pool's threads scale solves and cycle loops across cores.  Without a
@@ -17,8 +18,16 @@ reference (`repro.core.sss._SwapState.try_window` in sweep order) and of
 `repro.core.hungarian._solve_reference` — same expressions, same
 accumulation order, same strict-``<`` first-minimum tie-breaks —
 compiled with ``-ffp-contract=off`` so no fused multiply-adds change
-IEEE rounding.  The cycle kernel is a transliteration of the engine's
-object-exact scalar sweep (see `repro.noc.vector_engine`).  The golden
+IEEE rounding.  The annealing loop transliterates
+`repro.core.baselines._AnnealState.propose_swap` and the swap branch of
+`repro.core.baselines.simulated_annealing`, and draws from the caller's
+own NumPy ``Generator`` through its ``bitgen_t`` pointer, reproducing
+``Generator.integers(n)`` (Lemire's bounded ``uint32`` draw) and
+``Generator.random()`` draw for draw, so the generator is left in the
+same state as the Python loop leaves it; both loops take ``exp`` from
+the C library (``math.exp`` in Python).  The cycle kernel is a
+transliteration of the engine's object-exact scalar sweep (see
+`repro.noc.vector_engine`).  The golden
 and hypothesis suites exercise these kernels directly whenever a
 compiler is present.
 
@@ -51,6 +60,8 @@ __all__ = [
     "load_library",
     "cc_sweep_pass",
     "cc_hungarian",
+    "cc_sa_swap",
+    "cc_bounded_draws",
 ]
 
 #: Stack-buffer limits baked into the C source; the dispatcher falls back
@@ -119,7 +130,7 @@ def _build(compiler: str) -> str:
         f.write(source)
     cmd = [
         compiler, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-        "-o", tmp_path, src_path,
+        "-o", tmp_path, src_path, "-lm",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
@@ -146,6 +157,21 @@ def _bind(so_path: str) -> ctypes.CDLL:
     lib.hungarian.argtypes = [
         _F64, ctypes.c_int64, ctypes.c_int64,
         _I64, _I64, _F64, _F64, _F64, _I64, _U8, _U8,
+    ]
+    lib.sa_swap.restype = ctypes.c_int64
+    lib.sa_swap.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        _I64, _F64,
+        _F64, _F64, _F64, _F64,
+        _I64, _F64,
+        _I64, ctypes.c_int64, _F64,
+        ctypes.c_int64, _F64,
+        ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        _F64, _I64,
+    ]
+    lib.bounded_draws.restype = None
+    lib.bounded_draws.argtypes = [
+        ctypes.c_void_p, ctypes.c_uint32, ctypes.c_int64, _I64,
     ]
     return lib
 
@@ -236,3 +262,70 @@ def cc_hungarian(lib, cost, col_of_row, row_of_col, u, v, shortest, parent):
             _ptr(in_row_tree), _ptr(visited),
         )
     )
+
+
+def cc_sa_swap(
+    lib,
+    rng: np.random.Generator,
+    perm,
+    numerators,
+    c,
+    m,
+    tc,
+    tm,
+    app_of_thread,
+    volumes,
+    active,
+    n_probe,
+    uphill,
+    n_iters,
+    temperature,
+    cooling,
+    io,
+    best_perm,
+) -> int:
+    """Call the C ``sa_swap``: one restart's probe or Metropolis loop.
+
+    Draws from ``rng``'s own bit generator while holding its lock, so
+    the stream continues exactly where NumPy's draws would have left it.
+    With ``n_probe > 0`` it fills ``uphill`` and returns how many
+    entries it wrote (``best_perm`` may be ``None``); otherwise it runs
+    ``n_iters`` steps from ``io = [current, best]``, mutating ``perm`` /
+    ``numerators`` / ``io`` / ``best_perm`` in place, and returns the
+    accepted count (``uphill`` may be ``None``).
+    """
+    deltas = np.zeros(numerators.shape[0])
+    c, m, tc, tm, volumes = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (c, m, tc, tm, volumes)
+    )
+    app_of_thread, active = (
+        np.ascontiguousarray(a, dtype=np.int64) for a in (app_of_thread, active)
+    )
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        return int(
+            lib.sa_swap(
+                bit_generator.ctypes.bit_generator,
+                ctypes.c_int64(perm.shape[0]), ctypes.c_int64(numerators.shape[0]),
+                _ptr(perm), _ptr(numerators),
+                _ptr(c), _ptr(m), _ptr(tc), _ptr(tm),
+                _ptr(app_of_thread), _ptr(volumes),
+                _ptr(active), ctypes.c_int64(active.shape[0]), _ptr(deltas),
+                ctypes.c_int64(n_probe), None if uphill is None else _ptr(uphill),
+                ctypes.c_int64(n_iters), ctypes.c_double(temperature),
+                ctypes.c_double(cooling),
+                _ptr(io), None if best_perm is None else _ptr(best_perm),
+            )
+        )
+
+
+def cc_bounded_draws(lib, rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` draws of the kernel's ``Generator.integers(n)`` on ``rng``."""
+    out = np.empty(count, dtype=np.int64)
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        lib.bounded_draws(
+            bit_generator.ctypes.bit_generator, ctypes.c_uint32(n - 1),
+            ctypes.c_int64(count), _ptr(out),
+        )
+    return out

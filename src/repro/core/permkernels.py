@@ -13,7 +13,8 @@ Two things live here:
   ``_batched_metrics``: same expressions, same reduction order.
 
 * The solver kernel **backend dispatch**.  The SSS swap sweep (and the
-  Hungarian solve in `repro.core.hungarian`) run through one of:
+  Hungarian solve in `repro.core.hungarian` and simulated annealing's
+  swap moves in `repro.core.baselines`) run through one of:
 
   - ``cc`` — the self-compiled ctypes C kernels
     (`repro.core.cc_solvers`) when a C compiler is present,

@@ -39,9 +39,13 @@ __all__ = [
 ALGORITHM_ORDER = ("Global", "MC", "SA", "SSS")
 
 #: Search budgets per the paper: MC draws ~10^4 random mappings; SA is
-#: "allowed to have similar runtime as SSS" (Section V.B.5) — on this
-#: implementation ~3k iterations lands at SSS-comparable wall-clock.
-#: Figure 12 sweeps SA far beyond this budget.
+#: "allowed to have similar runtime as SSS" (Section V.B.5).  3k SA
+#: iterations matched SSS's wall-clock when both ran in Python.  Measured
+#: on a 2-vCPU x86-64 VM (median over C1..C8), 3k iterations now take
+#: ~0.56 ms against SSS's ~1.8 ms with the compiled kernels (~0.3x), and
+#: ~46 ms against ~14 ms on the NumPy fallback (~3x).  The budget stays
+#: because it pins Figure 9 and the benchmark campaign's digest; Figure 12
+#: sweeps SA far beyond it.
 FULL_BUDGETS = {"mc_samples": 10_000, "sa_iters": 3_000, "random_samples": 10_000}
 FAST_BUDGETS = {"mc_samples": 400, "sa_iters": 1_500, "random_samples": 400}
 

@@ -185,6 +185,13 @@ class TestSimulatedAnnealing:
             simulated_annealing(small_instance, n_iters=0)
         with pytest.raises(ValueError):
             simulated_annealing(small_instance, n_iters=10, restarts=0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                simulated_annealing(small_instance, n_iters=10, initial_temperature=bad)
+            with pytest.raises(ValueError):
+                simulated_annealing(
+                    small_instance, n_iters=10, final_temperature_fraction=bad
+                )
 
     def test_sa_incremental_state_consistency(self, small_instance):
         """The final reported evaluation must match re-evaluating the

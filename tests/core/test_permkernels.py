@@ -11,6 +11,10 @@ Three bit-identity contracts, fuzzed with hypothesis:
   per-permutation :func:`repro.core.metrics.evaluate_mapping` bitwise.
 * Every Hungarian backend returns the assignment of the pure-Python
   reference, including on heavily tied (degenerate) cost matrices.
+* The compiled simulated-annealing loop returns what the Python loop
+  returns and leaves the caller's generator in the same state: its
+  bounded draw is ``Generator.integers(n)`` draw for draw on every
+  BitGenerator, and ``n == 1`` consumes nothing.
 
 Plus the deterministic tie-break contracts of Monte Carlo and
 exhaustive search that ride on the batch evaluator.
@@ -27,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import cc_solvers, hungarian, permkernels
-from repro.core.baselines import _permutation_batch, monte_carlo
+from repro.core.baselines import _permutation_batch, monte_carlo, simulated_annealing
 from repro.core.exact import branch_and_bound, exhaustive_search
 from repro.core.latency import Mesh, MeshLatencyModel
 from repro.core.metrics import evaluate_many, evaluate_mapping
@@ -72,6 +76,96 @@ def _reference_sweep(state: _SwapState, sorted_tiles: np.ndarray, w: int, max_st
         span = (w - 1) * step
         for start in range(n - span):
             state.try_window(sorted_tiles[start + step * np.arange(w)])
+
+
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+]
+
+
+def _plain(state):
+    """A BitGenerator state with arrays as lists, so states compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+def _sa_outcome(backend, instance, rng, **kwargs):
+    with permkernels.force_backend(backend):
+        result = simulated_annealing(instance, seed=rng, **kwargs)
+    return (
+        result.mapping.perm.tolist(),
+        float(result.extra["objective_value"]).hex(),
+        result.extra["accepted_moves"],
+        _plain(rng.bit_generator.state),
+    )
+
+
+@pytest.mark.skipif("cc" not in BACKENDS, reason="C kernels unavailable")
+class TestAnnealKernel:
+    # 3 * 2**30 + 1 rejects about a quarter of Lemire draws; 2**32 is the
+    # full-range plain uint32 branch.
+    @pytest.mark.parametrize("n", [2, 3, 16, 36, 49, 64, 3 * 2**30 + 1, 2**32])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_bounded_draws_match_integers(self, n, bit_generator):
+        lib, _ = cc_solvers.load_library()
+        ours = np.random.Generator(bit_generator(5))
+        theirs = np.random.Generator(bit_generator(5))
+        got = cc_solvers.cc_bounded_draws(lib, ours, n, 2_000)
+        assert got.tolist() == theirs.integers(n, size=2_000).tolist()
+        assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+    def test_single_value_range_consumes_nothing(self):
+        lib, _ = cc_solvers.load_library()
+        rng = np.random.default_rng(3)
+        rng.integers(3)  # leave a buffered half-word behind, too
+        before = _plain(rng.bit_generator.state)
+        assert cc_solvers.cc_bounded_draws(lib, rng, 1, 10).tolist() == [0] * 10
+        assert _plain(rng.bit_generator.state) == before
+        rng.integers(1, size=10)
+        assert _plain(rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_generator_state_matches_python_loop(self, bit_generator):
+        instance = fuzz_instance(11, 6, 3, 1)
+        outcomes = [
+            _sa_outcome(
+                backend, instance, np.random.Generator(bit_generator(2024)),
+                n_iters=4_000, restarts=3,
+            )
+            for backend in ("numpy", "cc")
+        ]
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        side=st.integers(2, 5),
+        n_apps=st.integers(1, 4),
+        idle_apps=st.integers(0, 2),
+        n_iters=st.integers(1, 3_000),
+        restarts=st.integers(1, 4),
+        initial_temperature=st.sampled_from([None, 1e-3, 0.5, 20.0]),
+    )
+    def test_matches_python_loop(
+        self, seed, side, n_apps, idle_apps, n_iters, restarts, initial_temperature
+    ):
+        instance = fuzz_instance(seed, side, n_apps, idle_apps)
+        kwargs = dict(
+            n_iters=n_iters, restarts=restarts,
+            initial_temperature=initial_temperature,
+        )
+        outcomes = [
+            _sa_outcome(backend, instance, np.random.default_rng(seed), **kwargs)
+            for backend in ("numpy", "cc")
+        ]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSweepKernel:

@@ -8,6 +8,11 @@ tests replay the exact same budgets through each locally available
 kernel backend and require *bit* equality, pinning the refactor's core
 contract: the compiled/batched kernels change solver speed, never
 solver output.
+
+The ``sa`` / ``sa_restarts`` / ``sa_cluster`` keys were added later,
+captured from the interpreted simulated-annealing loop before its swap
+moves got a compiled kernel; they additionally pin ``objective_value``
+and ``accepted_moves``.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import numpy as np
 import pytest
 
 from repro.core import permkernels
-from repro.core.baselines import monte_carlo
+from repro.core.baselines import monte_carlo, simulated_annealing
 from repro.core.exact import ExactSolverLimits, branch_and_bound
 from repro.core.genetic import GAConfig, genetic_algorithm
 from repro.core.sss import multi_start_sss, sort_select_swap
 from repro.experiments.base import standard_instance, standard_model
+from repro.utils.rng import stable_seed
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "solver_results.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -94,6 +100,30 @@ def test_genetic_algorithm_matches_golden(name, backend):
         standard_instance(name), GAConfig(population=24, generations=12), seed=0
     )
     _assert_matches(result, GOLDEN[name]["ga"])
+
+
+#: (config, golden key, simulated_annealing kwargs).  ``sa`` is the
+#: `run_algorithms` budget and seed; the rest cover restarts and the
+#: cluster move.
+SA_CASES = [
+    *[(name, "sa", {"n_iters": 3_000, "seed": stable_seed("sa", name)}) for name in CONFIGS],
+    *[
+        (name, "sa_restarts", {"n_iters": 3_000, "seed": 0, "restarts": 4})
+        for name in ("C1", "C4", "C8")
+    ],
+    ("C1", "sa_cluster", {"n_iters": 2_000, "seed": 0, "move": "cluster"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,key,kwargs", SA_CASES, ids=[f"{key}-{name}" for name, key, _ in SA_CASES]
+)
+def test_sa_matches_golden(name, key, kwargs, backend):
+    result = simulated_annealing(standard_instance(name), **kwargs)
+    doc = GOLDEN[name][key]
+    _assert_matches(result, doc)
+    assert float(result.extra["objective_value"]).hex() == doc["objective_value"]
+    assert result.extra["accepted_moves"] == doc["accepted_moves"]
 
 
 @pytest.mark.parametrize("name", ["C1", "C4", "C8"])
