@@ -44,7 +44,7 @@ from repro.io import (
     save_json,
     workload_from_dict,
 )
-from repro.utils import profiling
+from repro.obs import reqtrace
 from repro.utils.text import format_table, grid_to_text
 from repro.workloads.parsec import CONFIG_NAMES, parsec_config
 
@@ -176,7 +176,7 @@ def _cmd_simulate(args) -> int:
     )
 
     instance = _build_instance(args)
-    with profiling.phase("simulate.map"):
+    with reqtrace.span("simulate.map"):
         result = ALGORITHMS[args.algorithm](instance)
     print(f"{args.algorithm}: max-APL {result.max_apl:.3f} (modelled)")
 
@@ -199,7 +199,7 @@ def _cmd_simulate(args) -> int:
         obs=obs,
         engine=args.engine,
     )
-    with profiling.phase("simulate.noc"):
+    with reqtrace.span("simulate.noc"):
         measured = sim.run(warmup=args.warmup, measure=args.measure)
 
     print()
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--profile", action="store_true",
-            help="print named phase timings (e.g. sss.select/swap/polish)",
+            help="print per-span timings (e.g. sss.select/swap/polish, noc.measure)",
         )
 
     p_map = sub.add_parser("map", help="solve an OBM instance")
@@ -692,12 +692,12 @@ def main(argv=None) -> int:
 
         return experiments_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    if getattr(args, "profile", False):
-        profiling.enable_profiling()
-    status = args.func(args)
-    if getattr(args, "profile", False):
-        print()
-        print(profiling.format_profile())
+    if not getattr(args, "profile", False):
+        return args.func(args)
+    with reqtrace.profiled(f"cli.{args.command}") as spans:
+        status = args.func(args)
+    print()
+    print(reqtrace.format_span_summary(reqtrace.span_summary(spans)))
     return status
 
 

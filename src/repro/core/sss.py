@@ -35,7 +35,6 @@ from repro.core.problem import Mapping, OBMInstance
 from repro.core.results import MappingResult
 from repro.core.sam import assign_app_to_tiles
 from repro.obs import reqtrace
-from repro.utils import profiling
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -302,37 +301,32 @@ def sort_select_swap(
     supplies the TC-sorted tile list (as from the internal sort) so
     multi-start callers do not re-sort per restart.
 
-    Per-stage wall-clock lands in ``extra["phase_seconds"]`` and, when the
-    global profiler is enabled, under ``sss.select`` / ``sss.swap`` /
-    ``sss.polish`` phases.
+    Per-stage wall-clock is timed, when a trace is active, by the
+    ``sss.sort`` / ``sss.select`` / ``sss.swap`` / ``sss.polish`` spans
+    (:mod:`repro.obs.reqtrace`; ``--profile`` on the CLIs).
     """
     config = config or SSSConfig()
     rng = as_rng(seed)
     if tc_order is None:
         with reqtrace.span("sss.sort"):
             tc_order = _tc_sorted_tiles(instance)
-    phase_seconds: dict[str, float] = {}
     windows_tried = windows_accepted = 0
     t0 = time.perf_counter()
 
     with reqtrace.span("sss.select"):
         perm = _select_phase(instance, config, rng, tc_order)
-    phase_seconds["select"] = time.perf_counter() - t0
     select_eval = evaluate_mapping(
         instance.workload, perm, instance.tc, instance.tm
     )
 
-    t = time.perf_counter()
     with reqtrace.span("sss.swap") as swap_span:
         if config.swap_passes > 0:
             perm, windows_tried, windows_accepted = _swap_phase(
                 instance, perm, config, tc_order
             )
         swap_span.set(windows=windows_tried, accepted=windows_accepted)
-    phase_seconds["swap"] = time.perf_counter() - t
     swap_eval = evaluate_mapping(instance.workload, perm, instance.tc, instance.tm)
 
-    t = time.perf_counter()
     with reqtrace.span("sss.polish"):
         if config.final_polish:
             wl = instance.workload
@@ -348,12 +342,8 @@ def sort_select_swap(
                 )
                 windows_tried += tried
                 windows_accepted += accepted
-    phase_seconds["polish"] = time.perf_counter() - t
     elapsed = time.perf_counter() - t0
 
-    if profiling.profiling_enabled():
-        for name, seconds in phase_seconds.items():
-            profiling.PROFILER.record(f"sss.{name}", seconds)
     if reqtrace.is_active():
         reqtrace.count(
             "sss_swap_windows_total", windows_accepted,
@@ -374,7 +364,6 @@ def sort_select_swap(
             "config": config,
             "select_eval": select_eval,
             "swap_eval": swap_eval,
-            "phase_seconds": phase_seconds,
             "swap_windows": {"tried": windows_tried, "accepted": windows_accepted},
         },
     )

@@ -12,12 +12,13 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.parallel import resolve_workers, supports_workers
 from repro.experiments.resilience import RunInterrupted, RunReport
-from repro.utils import profiling
+from repro.obs import reqtrace
 
 #: Exit code for a deliberate partial run (``--max-cells`` spent).
 EXIT_INTERRUPTED = 3
@@ -71,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print named phase timings (e.g. sss.swap, noc.measure) per experiment",
+        help="print per-span timings (e.g. sss.swap, noc.measure) per experiment; "
+        "with --output-dir, also write them to <id>.profile.json",
     )
     parser.add_argument(
         "--progress",
@@ -106,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-cells requires --output-dir (the run journal lives there)")
     if args.max_cells is not None and args.max_cells < 0:
         parser.error("--max-cells must be >= 0")
-    if args.profile:
-        profiling.enable_profiling()
 
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.output_dir:
@@ -122,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
                 engine=args.engine,
                 resume=not args.no_resume,
                 max_cells=args.max_cells,
+                profile=args.profile,
             )
         except RunInterrupted as exc:
             print(
@@ -144,15 +145,17 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["progress"] = True
         if args.engine != "fastpath" and "engine" in inspect.signature(fn).parameters:
             kwargs["engine"] = args.engine
-        if args.profile:
-            profiling.reset_profiling()
-        report = fn(**kwargs)
+        timer = (
+            reqtrace.profiled(f"experiment.{experiment_id}") if args.profile else nullcontext()
+        )
+        with timer as spans:
+            report = fn(**kwargs)
         print(report)
         if report.run_report is not None:
             print(report.run_report.summary(), file=sys.stderr)
         if args.profile:
             print()
-            print(profiling.format_profile())
+            print(reqtrace.format_span_summary(reqtrace.span_summary(spans)))
         print()
     return 0
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import inspect
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.parallel import supports_kwarg, supports_workers
 from repro.experiments.resilience import RunLedger, config_fingerprint, json_safe
-from repro.utils import profiling
+from repro.obs import reqtrace
 from repro.utils.atomicio import atomic_write_text, quarantine, verify_checksum
 
 __all__ = ["write_artifacts"]
@@ -48,6 +49,7 @@ def write_artifacts(
     engine: str = "fastpath",
     resume: bool = True,
     max_cells: int | None = None,
+    profile: bool = False,
 ) -> dict[str, Path]:
     """Run the selected experiments and write their artifacts.
 
@@ -55,9 +57,11 @@ def write_artifacts(
     ids raise before anything runs.  ``workers`` is forwarded to the
     experiments that declare a ``workers`` keyword (the fan-out-capable
     harnesses) and ``engine`` to those that declare ``engine``; artifact
-    bytes are identical for any worker count or engine.  When
-    the global profiler is enabled, each experiment's phase timings are
-    written to ``<id>.profile.json`` alongside the artifact.
+    bytes are identical for any worker count or engine.  With
+    ``profile=True`` each experiment runs as the root span
+    ``experiment.<id>`` of a fresh trace and its per-span timings
+    (:func:`repro.obs.reqtrace.span_summary`) are written to
+    ``<id>.profile.json`` alongside the artifact.
 
     ``resume=True`` (the default) journals completed cells of
     ledger-capable experiments under ``<output_dir>/.ledger/`` and
@@ -97,10 +101,12 @@ def write_artifacts(
                 ledger_path.unlink()
             if max_cells is not None and supports_kwarg(fn, "max_cells"):
                 kwargs["max_cells"] = max_cells
-        if profiling.profiling_enabled():
-            profiling.reset_profiling()
+        timer = (
+            reqtrace.profiled(f"experiment.{experiment_id}") if profile else nullcontext()
+        )
         try:
-            report = fn(**kwargs)
+            with timer as spans:
+                report = fn(**kwargs)
         finally:
             if ledger is not None:
                 ledger.close()
@@ -130,10 +136,10 @@ def write_artifacts(
                 output_dir / f"{experiment_id}.run.json",
                 json.dumps(report.run_report.as_dict(), indent=2, sort_keys=True) + "\n",
             )
-        if profiling.profiling_enabled():
+        if profile:
             atomic_write_text(
                 output_dir / f"{experiment_id}.profile.json",
-                json.dumps(profiling.profile_summary(), indent=2, sort_keys=True)
+                json.dumps(reqtrace.span_summary(spans), indent=2, sort_keys=True)
                 + "\n",
             )
         written[experiment_id] = text_path

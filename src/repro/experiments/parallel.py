@@ -60,7 +60,6 @@ from repro.experiments.resilience import (
     resolve_backoff,
 )
 from repro.obs import reqtrace
-from repro.utils import profiling
 from repro.utils.rng import stable_seed
 
 __all__ = [
@@ -81,15 +80,16 @@ __all__ = [
 MAX_POOL_REPLACEMENTS = 3
 
 
-class _ProfiledCell:
-    """Picklable wrapper returning ``(fn(cell), worker phase summary)``.
+class _TracedCell:
+    """Picklable wrapper returning ``(fn(cell), worker span histograms)``.
 
-    Worker processes each have their own module-global ``PROFILER``, so
-    phase timings recorded inside a cell (``noc.measure`` etc.) would
-    vanish with the worker.  When the parent has profiling enabled,
-    ``parallel_map`` wraps the cell function in this class; the worker
-    resets its profiler per cell (pool workers are reused) and ships the
-    summary back alongside the result for the parent to merge.
+    A pooled cell runs in another process, where the parent's trace
+    context cannot reach, so spans timed inside it (``noc.measure`` etc.)
+    would vanish with the worker.  When the parent is tracing,
+    ``parallel_map`` wraps the cell function in this class: the worker
+    runs the cell as the root ``parallel.cell`` span of its own tracer
+    and ships that tracer's span histograms back with the result for the
+    parent to merge.
     """
 
     __slots__ = ("fn",)
@@ -98,12 +98,9 @@ class _ProfiledCell:
         self.fn = fn
 
     def __call__(self, cell):
-        profiling.PROFILER.reset()
-        profiling.enable_profiling(True)
-        try:
-            return self.fn(cell), profiling.PROFILER.summary()
-        finally:
-            profiling.enable_profiling(False)
+        with reqtrace.profiled("parallel.cell") as registry:
+            value = self.fn(cell)
+        return value, reqtrace.span_histograms(registry)
 
 
 class CellFailure(RuntimeError):
@@ -238,11 +235,13 @@ def parallel_map(
     use for progress reporting.  Failed cells under ``on_failure="none"``
     report ``None``.
 
-    When the global profiler is enabled, cells fanned to worker
-    processes are wrapped so each worker's phase timings travel back
-    with its result and are merged into the parent profiler (in input
-    order) — ``--profile`` shows the same phases whether ``workers`` is
-    1 or 16, with ``seconds`` then meaning summed worker wall-clock.
+    Every cell runs inside a ``parallel.cell`` span.  When a trace is
+    active (:func:`repro.obs.reqtrace.is_active`, e.g. under
+    ``--profile``), cells fanned to worker processes are wrapped so each
+    worker's span histograms travel back with its result and are merged
+    into the parent's trace (in input order) — ``--profile`` shows the
+    same span names and call counts whether ``workers`` is 1 or 16, with
+    ``seconds`` then meaning summed worker wall-clock.
     """
     cells = list(cells)
     workers = resolve_workers(workers)
@@ -277,7 +276,7 @@ def parallel_map(
     attempts: dict[int, int] = defaultdict(int)
     budget_spent = 0
     reported = 0
-    summaries: dict[int, dict] = {}
+    worker_spans: dict[int, list] = {}
 
     def report_ready() -> None:
         # Fire on_result for the longest done prefix, keeping the callback
@@ -331,13 +330,12 @@ def parallel_map(
         run_idx = run_idx[:max_cells]
 
     use_pool = workers > 1 and len(run_idx) > 1
-    wrapped = use_pool and profiling.profiling_enabled()
-    pooled_fn = _ProfiledCell(fn) if wrapped else fn
+    wrapped = use_pool and reqtrace.is_active()
+    pooled_fn = _TracedCell(fn) if wrapped else fn
 
     def store(index: int, raw):
         if wrapped:
-            value, summary = raw
-            summaries[index] = summary
+            value, worker_spans[index] = raw
         else:
             value = raw
         return complete(index, value)
@@ -347,9 +345,8 @@ def parallel_map(
         while True:
             try:
                 # In-process, so an active trace context flows straight
-                # into the cell; pooled cells run in other processes,
-                # where spans cannot propagate (covered by the parent's
-                # "parallel.map" span instead).
+                # into the cell; pooled cells run in other processes and
+                # open their own "parallel.cell" root span (_TracedCell).
                 with reqtrace.span("parallel.cell", index=index):
                     value = fn(cells[index])
             except Exception as exc:
@@ -364,8 +361,8 @@ def parallel_map(
 
     def finish() -> list:
         report_ready()
-        for index in sorted(summaries):
-            profiling.PROFILER.merge(summaries[index])
+        for index in sorted(worker_spans):
+            reqtrace.merge_span_histograms(worker_spans[index])
         if deferred:
             raise RunInterrupted(sum(done), n)
         return results

@@ -17,7 +17,7 @@ from repro.noc.network import Network, NetworkConfig
 from repro.noc.power import ActivityCounts, PowerBreakdown, PowerModel, PowerParams
 from repro.noc.stats import FaultStats, LatencyStats
 from repro.noc.traffic import TrafficGenerator
-from repro.utils import profiling
+from repro.obs import reqtrace
 
 __all__ = ["SimulationResult", "NoCSimulator"]
 
@@ -167,7 +167,7 @@ class NoCSimulator:
         if sampler is not None:
             sampler.attach(net)
 
-        with profiling.phase("noc.warmup"):
+        with reqtrace.span("noc.warmup"):
             self._window(warmup, count_offered=False)
         warmup_end = net.now
         delivered_before = len(net.delivered)
@@ -175,10 +175,10 @@ class NoCSimulator:
         writes_before = sum(r.buffer_writes for r in net.routers)
         ejected_before = net.flits_ejected
 
-        with profiling.phase("noc.measure"):
+        with reqtrace.span("noc.measure"):
             offered = self._window(measure, count_offered=True)
         # Drain so every measured packet has a latency.
-        with profiling.phase("noc.drain"):
+        with reqtrace.span("noc.drain"):
             net.drain()
         if sampler is not None:
             sampler.finish(net)

@@ -111,7 +111,7 @@ from repro.noc.routing import ROUTE_FUNCTIONS, Port, next_tile
 from repro.noc.simulator import SimulationResult
 from repro.noc.stats import LatencyStats
 from repro.noc.traffic import MappedWorkloadTraffic, TrafficGenerator
-from repro.utils import profiling
+from repro.obs import reqtrace
 
 __all__ = ["VectorEngine", "run_batch", "simulate_batch"]
 
@@ -1292,7 +1292,7 @@ class VectorEngine:
         if warmup < 0 or measure <= 0:
             raise ValueError("warmup must be >= 0 and measure > 0")
         B = self.B
-        with profiling.phase("noc.warmup"):
+        with reqtrace.span("noc.warmup"):
             self._window(warmup, None)
         warmup_end = self.now
         delivered_before = [len(d) for d in self.delivered]
@@ -1301,9 +1301,9 @@ class VectorEngine:
         ejected_before = self.flits_ejected.copy()
 
         offered = np.zeros(B, dtype=np.int64)
-        with profiling.phase("noc.measure"):
+        with reqtrace.span("noc.measure"):
             self._window(measure, offered)
-        with profiling.phase("noc.drain"):
+        with reqtrace.span("noc.drain"):
             self._drain()
         self._assert_conserved()
 

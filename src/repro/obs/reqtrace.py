@@ -5,9 +5,15 @@ module follows *requests* through the serving stack: one
 :class:`TraceContext` per ``/map`` request emits nested spans —
 ``serve.request -> canonicalize -> cache.lookup -> batch.enqueue ->
 worker.solve -> sss.select/swap | hungarian | mc | sa ->
-engine.run_batch`` — into the same bounded ring buffer + JSONL schema
-(version 2, ``kind: "spans"``) the packet tracer uses, so a whole
-service burst opens as one Perfetto flame chart.
+engine.run_batch -> noc.warmup/measure/drain`` — into the same bounded
+ring buffer + JSONL schema (version 2, ``kind: "spans"``) the packet
+tracer uses, so a whole service burst opens as one Perfetto flame chart.
+
+The same spans are the repo's only phase timer: ``--profile`` on the
+CLIs runs the command under :func:`profiled` and reads the per-name
+``trace_span_seconds`` histograms back as ``{name: {"seconds",
+"calls"}}`` (:func:`span_summary`), and experiment worker processes ship
+their histograms home for :func:`merge_span_histograms`.
 
 Design constraints, in order:
 
@@ -43,8 +49,9 @@ import contextvars
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 
-from repro.obs.metrics import SECONDS_BUCKETS
+from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
 from repro.obs.tracing import TRACE_SCHEMA, TRACE_SCHEMA_VERSION
 
 __all__ = [
@@ -57,6 +64,11 @@ __all__ = [
     "observe",
     "current_trace_id",
     "is_active",
+    "profiled",
+    "span_histograms",
+    "merge_span_histograms",
+    "span_summary",
+    "format_span_summary",
 ]
 
 #: The active (context, span_id) pair, or None when tracing is off.
@@ -362,3 +374,71 @@ class SpanTracer:
                 "dur": record[7],
                 "attrs": record[8],
             }
+
+
+# ----------------------------------------------------------------------
+# Profiling: span-duration histograms as a phase summary
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def profiled(name: str, **attrs):
+    """Run the block as root span ``name`` of a fresh trace; yields its registry.
+
+    The tracer keeps no events or flight-recorder spans, only the
+    ``trace_span_seconds`` histograms, so a long campaign profiles in
+    constant memory.  Read the registry after the block exits (the root
+    span is recorded on exit) with :func:`span_summary`.
+    """
+    registry = MetricsRegistry()
+    tracer = SpanTracer(buffer=1, registry=registry, max_spans_per_trace=0)
+    with tracer.trace(name, **attrs):
+        yield registry
+
+
+def span_histograms(registry) -> list:
+    """The registry's per-span-name ``trace_span_seconds`` histograms."""
+    return [m for m in registry if m.name == SPAN_SECONDS_METRIC]
+
+
+def merge_span_histograms(histograms) -> None:
+    """Fold span histograms from another tracer into the active one (no-op when off).
+
+    Used to bring the spans timed in an experiment worker process back
+    into the parent's trace, which never sees them otherwise.
+    """
+    active = _ACTIVE.get()
+    if active is None:
+        return
+    tracer = active[0].tracer
+    if tracer.registry is None:
+        return
+    with tracer.lock:
+        for hist in histograms:
+            tracer.registry.histogram(
+                SPAN_SECONDS_METRIC, hist.help, bounds=hist.bounds, **dict(hist.labels)
+            ).merge(hist)
+
+
+def span_summary(registry) -> dict[str, dict[str, float]]:
+    """``{span name: {"seconds": total wall, "calls": n}}`` from a registry."""
+    return {
+        dict(hist.labels)["span"]: {"seconds": hist.sum, "calls": hist.total}
+        for hist in span_histograms(registry)
+    }
+
+
+def format_span_summary(summary: dict[str, dict[str, float]]) -> str:
+    """Render a :func:`span_summary` as an aligned table, slowest first."""
+    if not summary:
+        return "(no phases recorded)"
+    width = max(len(name) for name in summary)
+    lines = ["phase timings:"]
+    for name, entry in sorted(
+        summary.items(), key=lambda kv: kv[1]["seconds"], reverse=True
+    ):
+        lines.append(
+            f"  {name:<{width}}  {entry['seconds'] * 1e3:10.1f} ms"
+            f"  ({entry['calls']} calls)"
+        )
+    return "\n".join(lines)

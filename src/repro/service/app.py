@@ -112,6 +112,33 @@ def _roundtrip(doc: dict) -> dict:
     return json.loads(json.dumps(json_safe(doc), sort_keys=True, separators=(",", ":")))
 
 
+def _solve_key(canon: CanonicalRequest, algorithm: str, want_bounds: bool) -> str:
+    """Cache key of a solve entry: the canonical problem plus solve knobs."""
+    return config_fingerprint(
+        "serve.solve",
+        problem=canon.problem.fingerprint,
+        algorithm=algorithm,
+        bounds=want_bounds,
+    )
+
+
+def _entry_result(canon: CanonicalRequest, app_names, entry: dict) -> dict:
+    """The ``result`` document of a canonical solve entry, in request labels."""
+    return {
+        "algorithm": entry["algorithm"],
+        "apps": app_names,
+        "perm": canon.perm_from_canonical(entry["perm"]),
+        "evaluation": {
+            "apls": canon.by_app_from_canonical(entry["apls"]),
+            "max_apl": entry["max_apl"],
+            "dev_apl": entry["dev_apl"],
+            "g_apl": entry["g_apl"],
+            "min_max_ratio": entry["min_max_ratio"],
+        },
+        "bounds": entry["bounds"],
+    }
+
+
 def measured_payload(result) -> dict:
     """JSON-safe measured section of a :class:`SimulationResult`.
 
@@ -627,36 +654,13 @@ class MappingService:
     ) -> dict:
         """The full-fidelity path — byte-identical to the pre-ladder daemon."""
         problem_fp = canon.problem.fingerprint
-        solve_key = config_fingerprint(
-            "serve.solve",
-            problem=problem_fp,
-            algorithm=algorithm,
-            bounds=want_bounds,
-        )
+        solve_key = _solve_key(canon, algorithm, want_bounds)
         entry, solve_kind = await self._cached(
             solve_key,
             lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
         )
-        # Any solved entry (fresh or cached) is a donor for stale serving
-        # of same-shape problems under overload.
-        self.nearest.put(
-            NearestIndex.shape_key(canon.problem, algorithm, want_bounds),
-            solve_key,
-            problem_fp,
-        )
-        result = {
-            "algorithm": entry["algorithm"],
-            "apps": app_names,
-            "perm": canon.perm_from_canonical(entry["perm"]),
-            "evaluation": {
-                "apls": canon.by_app_from_canonical(entry["apls"]),
-                "max_apl": entry["max_apl"],
-                "dev_apl": entry["dev_apl"],
-                "g_apl": entry["g_apl"],
-                "min_max_ratio": entry["min_max_ratio"],
-            },
-            "bounds": entry["bounds"],
-        }
+        self._offer_donor(canon, algorithm, want_bounds, solve_key)
+        result = _entry_result(canon, app_names, entry)
         meta = {
             "fingerprint": problem_fp,
             "cache": solve_kind,
@@ -725,20 +729,8 @@ class MappingService:
         if entry is None:
             doc = await self._respond_bounds(canon, apps_doc, app_names, algorithm)
             return doc, LEVEL_BOUNDS
-        result = {
-            "algorithm": entry["algorithm"],
-            "apps": app_names,
-            "perm": canon.perm_from_canonical(entry["perm"]),
-            "evaluation": {
-                "apls": canon.by_app_from_canonical(entry["apls"]),
-                "max_apl": entry["max_apl"],
-                "dev_apl": entry["dev_apl"],
-                "g_apl": entry["g_apl"],
-                "min_max_ratio": entry["min_max_ratio"],
-            },
-            "bounds": entry["bounds"],
-            "degraded": LEVEL_STALE,
-        }
+        result = _entry_result(canon, app_names, entry)
+        result["degraded"] = LEVEL_STALE
         meta = {
             "fingerprint": problem_fp,
             "cache": "stale",
@@ -749,12 +741,17 @@ class MappingService:
         self._revalidate(canon, apps_doc, algorithm, want_bounds)
         return {"result": result, "meta": meta}, LEVEL_STALE
 
+    def _offer_donor(self, canon, algorithm, want_bounds, solve_key: str) -> None:
+        """Any solved entry (fresh or cached) donates to same-shape stale serving."""
+        self.nearest.put(
+            NearestIndex.shape_key(canon.problem, algorithm, want_bounds),
+            solve_key,
+            canon.problem.fingerprint,
+        )
+
     def _revalidate(self, canon, apps_doc, algorithm, want_bounds) -> None:
         """Fire-and-forget fill of the real entry behind a stale answer."""
-        problem_fp = canon.problem.fingerprint
-        solve_key = config_fingerprint(
-            "serve.solve", problem=problem_fp, algorithm=algorithm, bounds=want_bounds
-        )
+        solve_key = _solve_key(canon, algorithm, want_bounds)
         if solve_key in self._inflight or self.cache.get(solve_key) is not None:
             return
         if self.admission.inflight >= self.admission.max_inflight:
@@ -772,11 +769,7 @@ class MappingService:
                     solve_key,
                     lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
                 )
-                self.nearest.put(
-                    NearestIndex.shape_key(canon.problem, algorithm, want_bounds),
-                    solve_key,
-                    problem_fp,
-                )
+                self._offer_donor(canon, algorithm, want_bounds, solve_key)
             except Exception:  # noqa: BLE001 - best-effort background work
                 logger.debug("stale revalidation failed", exc_info=True)
 

@@ -68,9 +68,9 @@ def _crash_on_one(x: int) -> int:
 
 
 def _timed_square(x: int) -> int:
-    from repro.utils import profiling
+    from repro.obs import reqtrace
 
-    with profiling.phase("cell.compute"):
+    with reqtrace.span("cell.compute"):
         return x * x
 
 
@@ -243,67 +243,56 @@ class TestOnResult:
 
 
 class TestWorkerProfiling:
-    """Phase timings recorded inside worker processes reach the parent."""
+    """Spans timed inside worker processes reach the parent's trace."""
 
-    def _with_profiling(self):
-        from repro.utils import profiling
+    @staticmethod
+    def _calls(spans) -> dict[str, int]:
+        from repro.obs import reqtrace
 
-        profiling.reset_profiling()
-        profiling.enable_profiling(True)
-        return profiling
+        return {name: e["calls"] for name, e in reqtrace.span_summary(spans).items()}
 
     def test_worker_phases_merged_into_parent(self):
-        profiling = self._with_profiling()
-        try:
+        from repro.obs import reqtrace
+
+        with reqtrace.profiled("run") as pooled:
             out = parallel_map(_timed_square, [2, 3, 4, 5], workers=2)
-            summary = profiling.profile_summary()
-        finally:
-            profiling.enable_profiling(False)
-            profiling.reset_profiling()
+        with reqtrace.profiled("run") as serial:
+            parallel_map(_timed_square, [2, 3, 4, 5], workers=1)
         assert out == [4, 9, 16, 25]
-        assert summary["cell.compute"]["calls"] == 4
-        assert summary["cell.compute"]["seconds"] >= 0.0
+        assert self._calls(pooled) == self._calls(serial) == {
+            "run": 1, "parallel.cell": 4, "cell.compute": 4,
+        }
+        assert reqtrace.span_summary(pooled)["cell.compute"]["seconds"] >= 0.0
 
     def test_results_identical_with_profiling_enabled(self):
-        profiling = self._with_profiling()
-        try:
+        from repro.obs import reqtrace
+
+        with reqtrace.profiled("run"):
             fanned = parallel_map(_timed_square, [1, 2, 3], workers=2)
-        finally:
-            profiling.enable_profiling(False)
-            profiling.reset_profiling()
         assert fanned == parallel_map(_timed_square, [1, 2, 3], workers=1)
 
     def test_profiled_on_result_sees_unwrapped_values(self):
-        profiling = self._with_profiling()
+        from repro.obs import reqtrace
+
         seen = []
-        try:
+        with reqtrace.profiled("run"):
             parallel_map(
                 _timed_square,
                 [2, 3],
                 workers=2,
                 on_result=lambda i, r: seen.append((i, r)),
             )
-        finally:
-            profiling.enable_profiling(False)
-            profiling.reset_profiling()
         assert seen == [(0, 4), (1, 9)]
 
-    def test_disabled_profiler_stays_empty(self):
-        from repro.utils import profiling
+    def test_disabled_profiler_stays_empty(self, monkeypatch):
+        from repro.experiments import parallel
 
-        profiling.reset_profiling()
+        wrapped = []
+        monkeypatch.setattr(
+            parallel, "_TracedCell", lambda fn: wrapped.append(fn) or fn
+        )
         assert parallel_map(_timed_square, [2, 3], workers=2) == [4, 9]
-        assert profiling.profile_summary() == {}
-
-    def test_merge_accumulates(self):
-        from repro.utils.profiling import PhaseProfiler
-
-        parent = PhaseProfiler()
-        parent.record("a", 1.0)
-        parent.merge({"a": {"seconds": 2.0, "calls": 3}, "b": {"seconds": 0.5, "calls": 1}})
-        summary = parent.summary()
-        assert summary["a"] == {"seconds": 3.0, "calls": 4}
-        assert summary["b"] == {"seconds": 0.5, "calls": 1}
+        assert wrapped == []
 
 
 def _always_fail(x: int) -> int:

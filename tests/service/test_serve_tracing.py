@@ -90,6 +90,8 @@ class TestSpanTopology:
         assert engine["parent_span"] == enqueue["span_id"]
         assert engine["attrs"]["coalesced"] == [0]
         assert spans["serve.request"]["attrs"]["batch_occupancy"] == 1
+        for phase in ("noc.warmup", "noc.measure", "noc.drain"):
+            assert spans[phase]["parent_span"] == engine["span_id"]
 
     def test_coalesced_burst_shares_one_engine_span(self, make_service, spec2):
         import concurrent.futures

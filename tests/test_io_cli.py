@@ -79,6 +79,14 @@ class TestCLI:
         assert "Global" in captured
         assert out.exists()
 
+    def test_map_profile_prints_sss_span_rows(self, capsys):
+        assert main(["map", "--workload", "C1", "--profile"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("phase timings:"):].splitlines()
+        rows = {line.split()[0]: line for line in table[1:]}
+        for name in ("cli.map", "sss.select", "sss.swap", "sss.polish"):
+            assert rows[name].endswith("(1 calls)")
+
     def test_evaluate_command(self, capsys, tmp_path):
         mapping_path = tmp_path / "m.json"
         save_json(mapping_to_dict(Mapping(np.arange(16))), mapping_path)
