@@ -10,8 +10,15 @@ Layers (each usable on its own):
   solves/simulations (PR 5 failure budget + backoff semantics).
 - :mod:`repro.service.batcher` — micro-batching of simulation requests
   onto the vector engine's ``run_batch``.
-- :mod:`repro.service.app` — the request handler and the stdlib HTTP
-  endpoint tying the above together.
+- :mod:`repro.service.admission` — admission control, deadlines, and
+  the one circuit breaker over the C solver kernels.
+- :mod:`repro.service.degrade` — the degradation ladder and the shape
+  key of stale serving.
+- :mod:`repro.service.flightrec` — the ring of recent request records.
+- :mod:`repro.service.http` — HTTP/1.1 request parsing and response
+  framing.
+- :mod:`repro.service.app` — the ``/map`` stage pipeline and the route
+  table tying the above together.
 """
 
 from repro.service.app import MappingService, run_service, serve

@@ -1,4 +1,4 @@
-"""Admission control, deadline propagation, and circuit breakers.
+"""Admission control, deadline propagation, and the circuit breaker.
 
 The serving layer's overload contract mirrors the paper's mapping
 contract: bound the worst case instead of letting tails collapse.  Three
@@ -25,7 +25,7 @@ read.  Single-flight cache fills deliberately *detach* the deadline
 (:func:`detach_deadline`): a fill serves every future duplicate, so it
 runs to completion even when the requester that started it timed out.
 
-**Circuit breakers** (:class:`CircuitBreaker`) — per-backend failure
+**Circuit breaker** (:class:`CircuitBreaker`) — per-backend failure
 accounting with the PR 5 failure-budget semantics (count failures,
 trip at a budget) plus the classic closed → open → half-open cycle.  A
 wedged compiled backend (the ``cc`` solver kernels) trips its breaker
@@ -46,16 +46,16 @@ from collections import deque
 
 __all__ = [
     "AdmissionController",
-    "BreakerBoard",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExpired",
     "EwmaEstimate",
     "ShedError",
+    "count_expired",
     "current_deadline",
-    "deadline_expired",
     "deadline_scope",
     "detach_deadline",
+    "refuse_expired",
 ]
 
 
@@ -85,7 +85,7 @@ class Deadline:
     def __init__(self, budget: float | None) -> None:
         if budget is not None:
             budget = float(budget)
-            if budget <= 0:
+            if not budget > 0:  # NaN included
                 raise ValueError(f"deadline budget must be positive, got {budget}")
         self.budget = budget
         self.at = None if budget is None else time.monotonic() + budget
@@ -115,10 +115,22 @@ def current_deadline() -> Deadline | None:
     return _DEADLINE.get()
 
 
-def deadline_expired() -> bool:
-    """True when the calling context carries an expired deadline."""
+def count_expired(registry, stage: str) -> None:
+    """Count one request whose deadline passed before ``stage`` claimed a resource."""
+    if registry is not None:
+        registry.counter(
+            "serve_deadline_expired_total",
+            "requests whose deadline expired before a resource was claimed",
+            at=stage,
+        ).inc()
+
+
+def refuse_expired(registry, stage: str) -> None:
+    """Raise (and count) :class:`DeadlineExpired` once the context deadline passed."""
     deadline = _DEADLINE.get()
-    return deadline is not None and deadline.expired
+    if deadline is not None and deadline.expired:
+        count_expired(registry, stage)
+        raise DeadlineExpired(stage)
 
 
 @contextlib.contextmanager
@@ -275,14 +287,6 @@ class AdmissionController:
             ).inc()
         return ShedError(reason, self.retry_after(), status=status)
 
-    def _count_expired(self, stage: str) -> None:
-        if self._registry is not None:
-            self._registry.counter(
-                "serve_deadline_expired_total",
-                "requests whose deadline expired before a resource was claimed",
-                at=stage,
-            ).inc()
-
     # -- the token protocol ------------------------------------------------
 
     @contextlib.asynccontextmanager
@@ -305,10 +309,7 @@ class AdmissionController:
             if refusal is not None:
                 reason, status = refusal
                 raise self.shed(reason, status=status)
-        deadline = current_deadline()
-        if deadline is not None and deadline.expired:
-            self._count_expired("queue")
-            raise DeadlineExpired("queue")
+        refuse_expired(self._registry, "queue")
         if self.inflight < self.max_inflight and not self._waiters:
             self.inflight += 1
             self.admitted_total += 1
@@ -319,6 +320,7 @@ class AdmissionController:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters.append(future)
         self._set_gauges()
+        deadline = current_deadline()
         try:
             if deadline is None:
                 await future
@@ -328,7 +330,7 @@ class AdmissionController:
                         asyncio.shield(future), deadline.remaining()
                     )
                 except asyncio.TimeoutError:
-                    self._count_expired("queue")
+                    count_expired(self._registry, "queue")
                     raise DeadlineExpired("queue") from None
         except BaseException:
             if future.done() and not future.cancelled():
@@ -455,41 +457,3 @@ class CircuitBreaker:
             "threshold": self.threshold,
             "reset_after": self.reset_after,
         }
-
-
-class BreakerBoard:
-    """Lazily-created named breakers sharing one configuration."""
-
-    def __init__(
-        self,
-        *,
-        threshold: int = 3,
-        reset_after: float = 30.0,
-        registry=None,
-        clock=time.monotonic,
-    ) -> None:
-        self.threshold = threshold
-        self.reset_after = reset_after
-        self._registry = registry
-        self._clock = clock
-        self._breakers: dict[str, CircuitBreaker] = {}
-
-    def get(self, name: str) -> CircuitBreaker:
-        breaker = self._breakers.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                name,
-                threshold=self.threshold,
-                reset_after=self.reset_after,
-                registry=self._registry,
-                clock=self._clock,
-            )
-            self._breakers[name] = breaker
-        return breaker
-
-    def snapshot(self) -> dict:
-        return {name: b.snapshot() for name, b in sorted(self._breakers.items())}
-
-    @property
-    def trips(self) -> int:
-        return sum(b.trips for b in self._breakers.values())

@@ -22,9 +22,22 @@ Endpoints
 ``GET /readyz``
     Readiness: 503 until kernel warmup finishes and while draining.
     The CI smoke job polls this before sending work.
+``GET /debug/requests``
+    The flight recorder: the last N completed requests with their span
+    trees (``enabled: false`` and empty when tracing is off).
 ``POST /shutdown``
     Graceful drain: stop admitting, flush in-flight work, write the
     deterministic final flight-recorder dump, then stop.
+
+Request pipeline
+----------------
+:meth:`MappingService.map_request` runs each ``/map`` body through a
+fixed list of stages: parse and canonicalize it into a frozen
+:class:`MapRequest`, admit it, choose a ladder level, solve or look up
+at that level, and respond.  Every level answers through one function,
+which also writes the root-span marks the flight recorder files, so
+``meta`` and the flight record cannot disagree.  The HTTP framing lives
+in :mod:`repro.service.http`.
 
 Overload behaviour
 ------------------
@@ -52,9 +65,12 @@ that request gets the same bytes from the cache.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
+import math
 import time
+from dataclasses import dataclass
 
 from repro.core.bounds import max_apl_lower_bound
 from repro.core import permkernels
@@ -72,11 +88,12 @@ from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.reqtrace import SpanTracer
 from repro.service.admission import (
     AdmissionController,
-    BreakerBoard,
+    CircuitBreaker,
     Deadline,
     DeadlineExpired,
     EwmaEstimate,
     ShedError,
+    count_expired,
     deadline_scope,
     detach_deadline,
 )
@@ -88,12 +105,13 @@ from repro.service.degrade import (
     LEVEL_FULL,
     LEVEL_STALE,
     DegradeController,
-    NearestIndex,
+    shape_key,
 )
 from repro.service.flightrec import FlightRecorder
+from repro.service.http import RequestError, read_request, response_bytes
 from repro.service.workers import WorkerPool
 
-__all__ = ["MappingService", "serve", "run_service"]
+__all__ = ["MapRequest", "MappingService", "RequestError", "serve", "run_service"]
 
 logger = logging.getLogger("repro.serve")
 
@@ -106,37 +124,29 @@ _SIM_DEFAULTS = {
     "invariants": False,
 }
 
+#: Root-span annotations copied into every flight record.
+_RECORD_ATTRS = (
+    "fingerprint", "algorithm", "cache", "batch_occupancy", "degraded", "breaker_trips",
+)
+
 
 def _roundtrip(doc: dict) -> dict:
     """Canonical JSON round-trip: one representation for fresh and cached."""
     return json.loads(json.dumps(json_safe(doc), sort_keys=True, separators=(",", ":")))
 
 
-def _solve_key(canon: CanonicalRequest, algorithm: str, want_bounds: bool) -> str:
-    """Cache key of a solve entry: the canonical problem plus solve knobs."""
-    return config_fingerprint(
-        "serve.solve",
-        problem=canon.problem.fingerprint,
-        algorithm=algorithm,
-        bounds=want_bounds,
-    )
+def _bound_doc(instance: OBMInstance, achieved: float | None = None) -> dict:
+    """The certified-bound document, keyed as ``repro bound --json`` prints it.
 
-
-def _entry_result(canon: CanonicalRequest, app_names, entry: dict) -> dict:
-    """The ``result`` document of a canonical solve entry, in request labels."""
-    return {
-        "algorithm": entry["algorithm"],
-        "apps": app_names,
-        "perm": canon.perm_from_canonical(entry["perm"]),
-        "evaluation": {
-            "apls": canon.by_app_from_canonical(entry["apls"]),
-            "max_apl": entry["max_apl"],
-            "dev_apl": entry["dev_apl"],
-            "g_apl": entry["g_apl"],
-            "min_max_ratio": entry["min_max_ratio"],
-        },
-        "bounds": entry["bounds"],
-    }
+    With ``achieved`` (a solve's max-APL) it also carries the relative
+    ``gap`` between that solve and the bound.
+    """
+    with reqtrace.span("worker.bounds"):
+        lb = max_apl_lower_bound(instance)
+    doc = {"value": lb.value, "mean_bound": lb.mean_bound, "per_app_bound": lb.per_app_bound}
+    if achieved is not None:
+        doc["gap"] = lb.gap(achieved)
+    return doc
 
 
 def measured_payload(result) -> dict:
@@ -169,8 +179,73 @@ def measured_payload(result) -> dict:
     }
 
 
-class RequestError(ValueError):
-    """A malformed request (answered with HTTP 400)."""
+@dataclass(frozen=True)
+class MapRequest:
+    """One parsed ``POST /map`` body: everything the later stages read."""
+
+    canon: CanonicalRequest
+    apps: list  #: the request's app documents (raw rates, request order)
+    app_names: list
+    algorithm: str
+    want_bounds: bool
+    simulate: bool
+    sim: dict
+    budget: float | None  #: deadline seconds: the request's ``timeout`` or the default
+    allow_degrade: bool
+
+    @property
+    def fingerprint(self) -> str:
+        return self.canon.problem.fingerprint
+
+    @property
+    def solve_key(self) -> str:
+        """Cache key of a solve entry: the canonical problem plus solve knobs."""
+        return config_fingerprint(
+            "serve.solve",
+            problem=self.fingerprint,
+            algorithm=self.algorithm,
+            bounds=self.want_bounds,
+        )
+
+    @property
+    def bounds_key(self) -> str:
+        return config_fingerprint("serve.bounds", problem=self.fingerprint)
+
+    @property
+    def sim_key(self) -> str:
+        return config_fingerprint(
+            "serve.sim", problem=self.fingerprint, algorithm=self.algorithm, sim=self.sim
+        )
+
+    @property
+    def shape(self) -> tuple:
+        """The donor key for stale serving (see :func:`shape_key`)."""
+        return shape_key(self.canon.problem, self.algorithm, self.want_bounds)
+
+    def result(self, entry: dict) -> dict:
+        """The ``result`` document of a canonical solve entry, in request labels."""
+        canon = self.canon
+        return {
+            "algorithm": entry["algorithm"],
+            "apps": self.app_names,
+            "perm": canon.perm_from_canonical(entry["perm"]),
+            "evaluation": {
+                "apls": canon.by_app_from_canonical(entry["apls"]),
+                "max_apl": entry["max_apl"],
+                "dev_apl": entry["dev_apl"],
+                "g_apl": entry["g_apl"],
+                "min_max_ratio": entry["min_max_ratio"],
+            },
+            "bounds": entry["bounds"],
+        }
+
+    def measured(self, entry: dict) -> dict:
+        """The ``measured`` section of a canonical simulation entry, in request labels."""
+        return {
+            **entry,
+            "apls": self.canon.by_app_from_canonical(entry["apls"]),
+            "percentiles": self.canon.by_app_from_canonical(entry["percentiles"]),
+        }
 
 
 class MappingService:
@@ -180,7 +255,6 @@ class MappingService:
         self,
         *,
         cache_size: int = 256,
-        model_memo_size: int = 64,
         batch_window: float = 0.005,
         max_batch: int = 32,
         workers: int = 2,
@@ -196,11 +270,14 @@ class MappingService:
         max_queue: int = 128,
         default_deadline: float | None = None,
         degrade: str = "auto",
-        breaker_threshold: int = 3,
-        breaker_reset: float = 30.0,
         drain_timeout: float = 10.0,
         flight_out: str | None = None,
     ) -> None:
+        if default_deadline is not None and not 0 < default_deadline < math.inf:
+            raise ValueError(
+                f"default_deadline must be a positive finite number of seconds, "
+                f"got {default_deadline}"
+            )
         self.registry = MetricsRegistry()
         self.report = RunReport()
         # Off by default: with tracer=None every instrumentation site is a
@@ -211,9 +288,9 @@ class MappingService:
             if trace
             else None
         )
-        self.flightrec = FlightRecorder(flight_recorder) if trace else None
+        self.flightrec = FlightRecorder(flight_recorder if trace else 0)
         self.cache = LRUCache(cache_size, registry=self.registry)
-        self.models = ModelMemo(model_memo_size, registry=self.registry)
+        self.models = ModelMemo(registry=self.registry)
         self.pool = WorkerPool(
             workers,
             timeout=task_timeout,
@@ -244,15 +321,16 @@ class MappingService:
             health=self._admission_health,
         )
         self.degrade = DegradeController(degrade, registry=self.registry)
-        self.nearest = NearestIndex(capacity=cache_size)
-        self.breakers = BreakerBoard(
-            threshold=breaker_threshold,
-            reset_after=breaker_reset,
-            registry=self.registry,
+        #: Shape → ``(solve_key, fingerprint)`` of its freshest solve.
+        self.nearest = LRUCache(cache_size)
+        # One breaker, at its default threshold and cooldown, guards the C
+        # solver kernels; with the kernels resolved to numpy there is
+        # nothing to guard.
+        self.breaker = (
+            CircuitBreaker("cc", registry=self.registry)
+            if permkernels.resolve_backend() == "cc"
+            else None
         )
-        # The solver-kernel backend this service's "cc" breaker guards
-        # ("numpy" when the C kernels cannot load: nothing to guard).
-        self._kernel_backend = permkernels.resolve_backend()
         #: EWMA of one full solve's wall cost, feeding degrade decisions.
         self.solve_cost = EwmaEstimate()
         self._m_latency = self.registry.histogram(
@@ -334,14 +412,14 @@ class MappingService:
         if self._flight_dumped or self.flight_out is None:
             return
         self._flight_dumped = True
-        dump = json.dumps(json_safe(self.debug_requests()), sort_keys=True, indent=2)
+        dump = json.dumps(json_safe(self.flightrec.dump()), sort_keys=True, indent=2)
         with open(self.flight_out, "w") as fh:
             fh.write(dump + "\n")
         logger.info("wrote final flight record to %s", self.flight_out)
 
-    # -- request parsing ---------------------------------------------------
+    # -- stage 1: parse and canonicalize -----------------------------------
 
-    def _parse(self, payload: dict):
+    def _parse(self, payload: dict) -> MapRequest:
         """Parse defensively: malformed shapes become 400s, never 500s."""
         try:
             return self._parse_spec(payload)
@@ -352,7 +430,7 @@ class MappingService:
                 f"malformed request: {type(exc).__name__}: {exc}"
             ) from exc
 
-    def _parse_spec(self, payload: dict):
+    def _parse_spec(self, payload: dict) -> MapRequest:
         if not isinstance(payload, dict):
             raise RequestError("request body must be a JSON object")
         spec = dict(payload)
@@ -386,19 +464,13 @@ class MappingService:
             raise RequestError(
                 f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
             )
-        want_bounds = bool(spec.get("bounds", True))
-        simulate = bool(spec.get("simulate", False))
         sim = dict(_SIM_DEFAULTS)
         sim_doc = spec.get("sim") or {}
         unknown = set(sim_doc) - set(_SIM_DEFAULTS)
         if unknown:
             raise RequestError(f"unknown sim options: {sorted(unknown)}")
         sim.update(sim_doc)
-        sim["warmup"] = int(sim["warmup"])
-        sim["measure"] = int(sim["measure"])
-        sim["seed"] = int(sim["seed"])
-        sim["invariants"] = bool(sim["invariants"])
-        sim["engine"] = str(sim["engine"])
+        sim = {key: type(default)(sim[key]) for key, default in _SIM_DEFAULTS.items()}
         if sim["engine"] not in ("fastpath", "vector"):
             raise RequestError(f"unknown sim engine {sim['engine']!r}")
         if sim["warmup"] < 0 or sim["measure"] <= 0:
@@ -406,6 +478,9 @@ class MappingService:
         timeout = spec.get("timeout")
         if timeout is not None:
             timeout = float(timeout)
+            # json.loads accepts NaN and Infinity; neither is a budget.
+            if not math.isfinite(timeout):
+                raise RequestError("timeout must be finite")
             if timeout <= 0:
                 raise RequestError("timeout must be positive")
         allow_degrade = spec.get("degrade", True)
@@ -416,15 +491,19 @@ class MappingService:
             canon = canonicalize(spec)
         except ValueError as exc:
             raise RequestError(str(exc)) from exc
-        app_names = [
-            str(a.get("name", f"app{i}")) for i, a in enumerate(spec["apps"])
-        ]
-        return (
-            canon, spec["apps"], app_names, algorithm, want_bounds,
-            simulate, sim, timeout, allow_degrade,
+        return MapRequest(
+            canon=canon,
+            apps=spec["apps"],
+            app_names=[str(a.get("name", f"app{i}")) for i, a in enumerate(spec["apps"])],
+            algorithm=algorithm,
+            want_bounds=bool(spec.get("bounds", True)),
+            simulate=bool(spec.get("simulate", False)),
+            sim=sim,
+            budget=self.default_deadline if timeout is None else timeout,
+            allow_degrade=allow_degrade,
         )
 
-    def _request_instance(self, canon: CanonicalRequest, apps_doc) -> OBMInstance:
+    def _request_instance(self, req: MapRequest) -> OBMInstance:
         """The instance in *request* labels, on the memoized latency model.
 
         Rates are used verbatim (NOT quantized): quantization exists only
@@ -432,13 +511,159 @@ class MappingService:
         requester's exact numbers, so its response is bit-identical to
         solving the same instance directly.
         """
-        problem = canon.problem
+        problem = req.canon.problem
         model = self.models.get(problem.rows, problem.cols, problem.params)
         apps = tuple(
             Application(f"app{i}", a["cache_rates"], a["mem_rates"])
-            for i, a in enumerate(apps_doc)
+            for i, a in enumerate(req.apps)
         )
         return OBMInstance(model, Workload(apps, name="request"))
+
+    # -- the pipeline --------------------------------------------------------
+
+    async def map_request(self, payload: dict) -> dict:
+        """Serve one ``POST /map`` body; returns the response document.
+
+        Stages: parse and canonicalize (:meth:`_parse`), admit, choose a
+        ladder level, then solve or look up at that level (:meth:`_full`,
+        :meth:`_bounds_only` or :meth:`_nearest`), each of which answers
+        through :meth:`_respond`, the one place a response is made.
+        """
+        t0 = time.perf_counter()
+        with reqtrace.span("canonicalize"):
+            req = self._parse(payload)
+        reqtrace.annotate(
+            fingerprint=req.fingerprint,
+            algorithm=req.algorithm,
+            simulate=req.simulate,
+        )
+        deadline = None if req.budget is None else Deadline(req.budget)
+        try:
+            with deadline_scope(deadline):
+                # timeout=None awaits in this task, exactly like a bare await
+                doc = await asyncio.wait_for(
+                    self._admitted(req, deadline),
+                    timeout=None if deadline is None else deadline.remaining(),
+                )
+        except DeadlineExpired:
+            raise  # already counted at the stage that refused
+        except asyncio.TimeoutError:
+            if deadline is not None:
+                count_expired(self.registry, "request")
+            raise
+        finally:
+            self._m_latency.observe(time.perf_counter() - t0)
+        self._m_requests.inc()
+        return doc
+
+    async def _admitted(self, req: MapRequest, deadline: Deadline | None) -> dict:
+        """Admit, choose a ladder level, and answer at that level."""
+        async with self.admission.admit():
+            level = self.degrade.level_for(
+                pressure=self.admission.pressure,
+                remaining=None if deadline is None else deadline.remaining(),
+                estimate=self.solve_cost.value,
+                allow=req.allow_degrade,
+            )
+            answer = {
+                LEVEL_FULL: self._full,
+                LEVEL_BOUNDS: self._bounds_only,
+                LEVEL_STALE: self._nearest,
+            }[level]
+            doc = await answer(req)
+            if self.breaker is not None and self.breaker.trips:
+                reqtrace.annotate(breaker_trips=self.breaker.trips)
+            return doc
+
+    def _respond(self, req: MapRequest, level: str, result: dict, cache: str, **meta) -> dict:
+        """Make the response: ``result``/``meta`` and the root-span marks.
+
+        ``meta.cache``/``meta.degraded`` and the flight record's
+        ``cache``/``degraded`` are written here from the same values, so
+        they cannot disagree.
+        """
+        meta = {"fingerprint": req.fingerprint, "cache": cache, **meta}
+        reqtrace.annotate(cache=cache)
+        if level != LEVEL_FULL:
+            result["degraded"] = meta["degraded"] = level
+            reqtrace.annotate(degraded=level)
+        self.degrade.record(level)
+        return {"result": result, "meta": meta}
+
+    # -- ladder levels -------------------------------------------------------
+
+    async def _full(self, req: MapRequest) -> dict:
+        """Full fidelity — byte-identical to the pre-ladder daemon."""
+        entry, kind = await self._solved(req)
+        doc = self._respond(req, LEVEL_FULL, req.result(entry), kind)
+        if req.simulate:
+            measured, doc["meta"]["sim_cache"] = await self._cached(
+                req.sim_key, lambda: self._simulate(req, entry), stage="sim"
+            )
+            doc["result"]["measured"] = req.measured(measured)
+        return doc
+
+    async def _bounds_only(self, req: MapRequest) -> dict:
+        """Degraded rung 1: the certified bound alone, no solve."""
+        bounds, kind = await self._cached(
+            req.bounds_key,
+            lambda: self.pool.run(self._bounds_sync, req),
+            stage="bounds",
+        )
+        result = {
+            "algorithm": req.algorithm,
+            "apps": req.app_names,
+            "perm": None,
+            "evaluation": None,
+            "bounds": bounds,
+        }
+        return self._respond(req, LEVEL_BOUNDS, result, kind)
+
+    async def _nearest(self, req: MapRequest) -> dict:
+        """Degraded rung 2: the freshest same-shape cached solve, marked stale.
+
+        Falls back to ``bounds_only`` when no donor entry is cached.  A
+        served stale answer schedules a background revalidation of the
+        real entry (stale-while-revalidate) when capacity allows.
+        """
+        donor = self.nearest.get(req.shape)
+        entry = None if donor is None else self.cache.get(donor[0])
+        if entry is None:
+            return await self._bounds_only(req)
+        doc = self._respond(
+            req, LEVEL_STALE, req.result(entry), "stale", stale_fingerprint=donor[1]
+        )
+        self._revalidate(req)
+        return doc
+
+    async def _solved(self, req: MapRequest) -> tuple[dict, str]:
+        """Solve or look up (single-flight); the entry donates to stale serving."""
+        entry, kind = await self._cached(req.solve_key, lambda: self._run_solve(req))
+        self.nearest.put(req.shape, (req.solve_key, req.fingerprint))
+        return entry, kind
+
+    def _revalidate(self, req: MapRequest) -> None:
+        """Fire-and-forget fill of the real entry behind a stale answer."""
+        solve_key = req.solve_key
+        # ``in`` rather than get(): a presence check is not a cache lookup
+        if solve_key in self._inflight or solve_key in self.cache:
+            return
+        if self.admission.inflight >= self.admission.max_inflight:
+            # Saturated: a revalidation would steal a worker from live
+            # traffic.  The next stale hit retries when pressure drops.
+            return
+        self.registry.counter(
+            "serve_revalidate_total", "background fills behind stale answers"
+        ).inc()
+
+        async def refill() -> None:
+            detach_deadline()
+            try:
+                await self._solved(req)
+            except Exception:  # noqa: BLE001 - best-effort background work
+                logger.debug("stale revalidation failed", exc_info=True)
+
+        asyncio.get_running_loop().create_task(refill())
 
     # -- single-flight cache -----------------------------------------------
 
@@ -491,9 +716,9 @@ class MappingService:
         total = hits + self.cache.misses
         self._m_hit_ratio.set(hits / total if total else 0.0)
 
-    # -- solve path --------------------------------------------------------
+    # -- blocking work (pool threads) ----------------------------------------
 
-    def _run_solve(self, canon: CanonicalRequest, apps_doc, algorithm: str, want_bounds: bool):
+    def _run_solve(self, req: MapRequest):
         """:meth:`_solve_sync` on a pool thread, guarded by the ``cc`` breaker.
 
         Calling :meth:`CircuitBreaker.blocked` here is what moves an open
@@ -502,25 +727,12 @@ class MappingService:
         the NumPy fallback and are *not* charged to the breaker; other
         services in the process keep their own backend.
         """
-        breaker = None
-        fallback = None
-        if self._kernel_backend == "cc":
-            breaker = self.breakers.get("cc")
-            if breaker.blocked():
-                breaker, fallback = None, "numpy"
-        return self.pool.run(
-            self._solve_sync, canon, apps_doc, algorithm, want_bounds, fallback,
-            breaker=breaker,
-        )
+        breaker, backend = self.breaker, None
+        if breaker is not None and breaker.blocked():
+            breaker, backend = None, "numpy"
+        return self.pool.run(self._solve_sync, req, backend, breaker=breaker)
 
-    def _solve_sync(
-        self,
-        canon: CanonicalRequest,
-        apps_doc,
-        algorithm: str,
-        want_bounds: bool,
-        backend: str | None = None,
-    ) -> dict:
+    def _solve_sync(self, req: MapRequest, backend: str | None = None) -> dict:
         """Blocking solve in request labels; returns the canonical entry.
 
         ``backend`` forces the solver kernels for this call only (the
@@ -528,76 +740,50 @@ class MappingService:
         """
         if backend is not None:
             with permkernels.force_backend(backend):
-                return self._solve_sync(canon, apps_doc, algorithm, want_bounds)
+                return self._solve_sync(req)
         t0 = time.perf_counter()
-        with reqtrace.span("worker.solve", algorithm=algorithm) as solve_span:
-            instance = self._request_instance(canon, apps_doc)
-            result = ALGORITHMS[algorithm](instance)
+        with reqtrace.span("worker.solve", algorithm=req.algorithm) as solve_span:
+            instance = self._request_instance(req)
+            result = ALGORITHMS[req.algorithm](instance)
             solve_span.set(max_apl=result.evaluation.max_apl)
+        canon, evaluation = req.canon, result.evaluation
         perm = result.mapping.perm
-        n_real = canon.problem.n_threads
         apls = [
             None if v != v else float(v)  # NaN (idle app) -> None
-            for v in result.evaluation.apls[: canon.n_apps]
+            for v in evaluation.apls[: canon.n_apps]
         ]
         entry = {
-            "algorithm": algorithm,
+            "algorithm": req.algorithm,
             "perm": canon.perm_to_canonical(perm),
-            "pad_tiles": [int(t) for t in perm[n_real:]],
+            "pad_tiles": [int(t) for t in perm[canon.problem.n_threads:]],
             "apls": canon.by_app_to_canonical(apls),
-            "max_apl": result.evaluation.max_apl,
-            "dev_apl": result.evaluation.dev_apl,
-            "g_apl": result.evaluation.g_apl,
-            "min_max_ratio": result.evaluation.min_max_ratio,
+            "max_apl": evaluation.max_apl,
+            "dev_apl": evaluation.dev_apl,
+            "g_apl": evaluation.g_apl,
+            "min_max_ratio": evaluation.min_max_ratio,
             "bounds": None,
         }
-        if want_bounds:
-            with reqtrace.span("worker.bounds"):
-                lb = max_apl_lower_bound(instance)
-            gap = lb.gap(result.evaluation.max_apl)
-            entry["bounds"] = {
-                "value": lb.value,
-                "mean_bound": lb.mean_bound,
-                "per_app_bound": lb.per_app_bound,
-                "gap": gap,
-            }
+        if req.want_bounds:
+            entry["bounds"] = _bound_doc(instance, evaluation.max_apl)
             # Achieved-vs-certified gap distribution, per algorithm.
             reqtrace.observe(
                 "solver_bound_gap",
-                gap,
+                entry["bounds"]["gap"],
                 bounds=(0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
                 help="relative gap between achieved max-APL and certified lower bound",
-                algorithm=algorithm,
+                algorithm=req.algorithm,
             )
         self.solve_cost.observe(time.perf_counter() - t0)
         return _roundtrip(entry)
 
-    def _bounds_sync(self, canon: CanonicalRequest, apps_doc) -> dict:
+    def _bounds_sync(self, req: MapRequest) -> dict:
         """Blocking bounds-only computation (no solve, no permutation).
 
         The returned document is byte-identical to what
         ``python -m repro bound --json`` prints for the same problem —
         a degraded answer is still a *certified* answer.
         """
-        with reqtrace.span("worker.bounds"):
-            instance = self._request_instance(canon, apps_doc)
-            lb = max_apl_lower_bound(instance)
-        return _roundtrip(
-            {
-                "value": lb.value,
-                "mean_bound": lb.mean_bound,
-                "per_app_bound": lb.per_app_bound,
-            }
-        )
-
-    def _mapping_for(self, canon: CanonicalRequest, entry: dict) -> Mapping:
-        """Full request-label permutation from a canonical entry."""
-        perm = canon.perm_from_canonical(entry["perm"]) + [
-            int(t) for t in entry["pad_tiles"]
-        ]
-        return Mapping(perm)
-
-    # -- simulate path -----------------------------------------------------
+        return _roundtrip(_bound_doc(self._request_instance(req)))
 
     def _simulate_single_sync(self, instance, mapping, sim: dict):
         from repro.noc.simulator import NoCSimulator
@@ -615,11 +801,16 @@ class MappingService:
             )
             return simulator.run(warmup=sim["warmup"], measure=sim["measure"])
 
-    async def _simulate(self, canon: CanonicalRequest, apps_doc, entry: dict, sim: dict) -> dict:
+    async def _simulate(self, req: MapRequest, entry: dict) -> dict:
+        """Measure a solved entry's mapping; returns the canonical sim entry."""
         from repro.noc.traffic import MappedWorkloadTraffic
 
-        instance = self._request_instance(canon, apps_doc)
-        mapping = self._mapping_for(canon, entry)
+        canon, sim = req.canon, req.sim
+        instance = self._request_instance(req)
+        mapping = Mapping(
+            canon.perm_from_canonical(entry["perm"])
+            + [int(t) for t in entry["pad_tiles"]]
+        )
         if sim["engine"] == "vector" and not sim["invariants"]:
             # The batchable common case: coalesce with whatever arrives
             # inside the micro-batch window.
@@ -634,223 +825,13 @@ class MappingService:
         payload = measured_payload(result)
         # Store per-app containers in canonical order so relabeled
         # duplicates translate cleanly.
-        by_app = payload.pop("apl_by_app")
-        pct = payload.pop("percentiles_by_app")
-        payload["apls"] = canon.by_app_to_canonical(
-            [by_app.get(str(i)) for i in range(canon.n_apps)]
-        )
-        payload["percentiles"] = canon.by_app_to_canonical(
-            [pct.get(str(i)) for i in range(canon.n_apps)]
-        )
-        payload["warmup"] = sim["warmup"]
-        payload["measure"] = sim["measure"]
-        payload["seed"] = sim["seed"]
+        for keyed, name in (("apl_by_app", "apls"), ("percentiles_by_app", "percentiles")):
+            by_app = payload.pop(keyed)
+            payload[name] = canon.by_app_to_canonical(
+                [by_app.get(str(i)) for i in range(canon.n_apps)]
+            )
+        payload.update((knob, sim[knob]) for knob in ("warmup", "measure", "seed"))
         return _roundtrip(payload)
-
-    # -- the endpoint ------------------------------------------------------
-
-    async def _respond_full(
-        self, canon, apps_doc, app_names, algorithm, want_bounds, simulate, sim
-    ) -> dict:
-        """The full-fidelity path — byte-identical to the pre-ladder daemon."""
-        problem_fp = canon.problem.fingerprint
-        solve_key = _solve_key(canon, algorithm, want_bounds)
-        entry, solve_kind = await self._cached(
-            solve_key,
-            lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
-        )
-        self._offer_donor(canon, algorithm, want_bounds, solve_key)
-        result = _entry_result(canon, app_names, entry)
-        meta = {
-            "fingerprint": problem_fp,
-            "cache": solve_kind,
-        }
-        reqtrace.annotate(cache=solve_kind)
-        if simulate:
-            sim_key = config_fingerprint(
-                "serve.sim", problem=problem_fp, algorithm=algorithm, sim=sim
-            )
-            mentry, sim_kind = await self._cached(
-                sim_key,
-                lambda: self._simulate(canon, apps_doc, entry, sim),
-                stage="sim",
-            )
-            measured = {
-                k: v
-                for k, v in mentry.items()
-                if k not in ("apls", "percentiles")
-            }
-            measured["apls"] = canon.by_app_from_canonical(mentry["apls"])
-            measured["percentiles"] = canon.by_app_from_canonical(
-                mentry["percentiles"]
-            )
-            result["measured"] = measured
-            meta["sim_cache"] = sim_kind
-        return {"result": result, "meta": meta}
-
-    async def _respond_bounds(self, canon, apps_doc, app_names, algorithm) -> dict:
-        """Degraded rung 1: the certified bound alone, no solve."""
-        problem_fp = canon.problem.fingerprint
-        bounds_key = config_fingerprint("serve.bounds", problem=problem_fp)
-        entry, kind = await self._cached(
-            bounds_key,
-            lambda: self.pool.run(self._bounds_sync, canon, apps_doc),
-            stage="bounds",
-        )
-        reqtrace.annotate(cache=kind)
-        result = {
-            "algorithm": algorithm,
-            "apps": app_names,
-            "perm": None,
-            "evaluation": None,
-            "bounds": entry,
-            "degraded": LEVEL_BOUNDS,
-        }
-        meta = {"fingerprint": problem_fp, "cache": kind, "degraded": LEVEL_BOUNDS}
-        return {"result": result, "meta": meta}
-
-    async def _respond_stale(
-        self, canon, apps_doc, app_names, algorithm, want_bounds
-    ) -> tuple[dict, str]:
-        """Degraded rung 2: the freshest same-shape cached solve, marked stale.
-
-        Falls back to ``bounds_only`` when no donor exists; returns
-        ``(document, actual_level)``.  A served stale answer schedules a
-        background revalidation of the real entry (stale-while-revalidate)
-        when capacity allows.
-        """
-        problem_fp = canon.problem.fingerprint
-        shape = NearestIndex.shape_key(canon.problem, algorithm, want_bounds)
-        donor = self.nearest.get(shape)
-        entry = donor_fp = None
-        if donor is not None:
-            donor_key, donor_fp = donor
-            entry = self.cache.get(donor_key)
-        if entry is None:
-            doc = await self._respond_bounds(canon, apps_doc, app_names, algorithm)
-            return doc, LEVEL_BOUNDS
-        result = _entry_result(canon, app_names, entry)
-        result["degraded"] = LEVEL_STALE
-        meta = {
-            "fingerprint": problem_fp,
-            "cache": "stale",
-            "degraded": LEVEL_STALE,
-            "stale_fingerprint": donor_fp,
-        }
-        reqtrace.annotate(cache="stale")
-        self._revalidate(canon, apps_doc, algorithm, want_bounds)
-        return {"result": result, "meta": meta}, LEVEL_STALE
-
-    def _offer_donor(self, canon, algorithm, want_bounds, solve_key: str) -> None:
-        """Any solved entry (fresh or cached) donates to same-shape stale serving."""
-        self.nearest.put(
-            NearestIndex.shape_key(canon.problem, algorithm, want_bounds),
-            solve_key,
-            canon.problem.fingerprint,
-        )
-
-    def _revalidate(self, canon, apps_doc, algorithm, want_bounds) -> None:
-        """Fire-and-forget fill of the real entry behind a stale answer."""
-        solve_key = _solve_key(canon, algorithm, want_bounds)
-        if solve_key in self._inflight or self.cache.get(solve_key) is not None:
-            return
-        if self.admission.inflight >= self.admission.max_inflight:
-            # Saturated: a revalidation would steal a worker from live
-            # traffic.  The next stale hit retries when pressure drops.
-            return
-        self.registry.counter(
-            "serve_revalidate_total", "background fills behind stale answers"
-        ).inc()
-
-        async def refill() -> None:
-            detach_deadline()
-            try:
-                await self._cached(
-                    solve_key,
-                    lambda: self._run_solve(canon, apps_doc, algorithm, want_bounds),
-                )
-                self._offer_donor(canon, algorithm, want_bounds, solve_key)
-            except Exception:  # noqa: BLE001 - best-effort background work
-                logger.debug("stale revalidation failed", exc_info=True)
-
-        asyncio.get_running_loop().create_task(refill())
-
-    async def map_request(self, payload: dict) -> dict:
-        """Serve one ``POST /map`` body; returns the response document."""
-        t0 = time.perf_counter()
-        with reqtrace.span("canonicalize"):
-            parsed = self._parse(payload)
-        (
-            canon, apps_doc, app_names, algorithm, want_bounds,
-            simulate, sim, timeout, allow_degrade,
-        ) = parsed
-        reqtrace.annotate(
-            fingerprint=canon.problem.fingerprint,
-            algorithm=algorithm,
-            simulate=simulate,
-        )
-        budget = timeout if timeout is not None else self.default_deadline
-        deadline = None if budget is None else Deadline(budget)
-
-        async def admitted() -> dict:
-            async with self.admission.admit():
-                level = self.degrade.level_for(
-                    pressure=self.admission.pressure,
-                    remaining=None if deadline is None else deadline.remaining(),
-                    estimate=self.solve_cost.value,
-                    allow=allow_degrade,
-                )
-                if level == LEVEL_STALE:
-                    doc, level = await self._respond_stale(
-                        canon, apps_doc, app_names, algorithm, want_bounds
-                    )
-                elif level == LEVEL_BOUNDS:
-                    doc = await self._respond_bounds(
-                        canon, apps_doc, app_names, algorithm
-                    )
-                else:
-                    doc = await self._respond_full(
-                        canon, apps_doc, app_names, algorithm,
-                        want_bounds, simulate, sim,
-                    )
-                self.degrade.record(level)
-                if level != LEVEL_FULL:
-                    reqtrace.annotate(degraded=level)
-                if self.breakers.trips:
-                    reqtrace.annotate(breaker_trips=self.breakers.trips)
-                return doc
-
-        try:
-            with deadline_scope(deadline):
-                if deadline is not None:
-                    try:
-                        doc = await asyncio.wait_for(
-                            admitted(), timeout=deadline.remaining()
-                        )
-                    except DeadlineExpired:
-                        raise  # already counted at the stage that refused
-                    except asyncio.TimeoutError:
-                        self.registry.counter(
-                            "serve_deadline_expired_total",
-                            "requests whose deadline expired before a "
-                            "resource was claimed",
-                            at="request",
-                        ).inc()
-                        raise
-                else:
-                    doc = await admitted()
-        finally:
-            self._m_latency.observe(time.perf_counter() - t0)
-        self._m_requests.inc()
-        trace_id = reqtrace.current_trace_id()
-        if trace_id is not None:
-            logger.debug(
-                "map served [trace=%d cache=%s algorithm=%s]",
-                trace_id,
-                doc["meta"]["cache"],
-                algorithm,
-            )
-        return doc
 
     # -- flight recorder ---------------------------------------------------
 
@@ -858,21 +839,17 @@ class MappingService:
         """File one completed request into the flight recorder.
 
         Called by the HTTP layer after the response status is settled;
-        ``ctx`` is the request's closed :class:`TraceContext`.  Any 5xx
-        also logs the full record so post-mortems survive ring eviction.
+        ``ctx`` is the request's closed :class:`TraceContext` (None when
+        tracing is off).  Any 5xx also logs the full record so
+        post-mortems survive ring eviction.
         """
-        if self.flightrec is None or ctx is None:
+        if ctx is None:
             return
         attrs = ctx.root_attrs
         record = {
             "trace_id": ctx.trace_id,
             "status": status,
-            "fingerprint": attrs.get("fingerprint"),
-            "algorithm": attrs.get("algorithm"),
-            "cache": attrs.get("cache"),
-            "batch_occupancy": attrs.get("batch_occupancy"),
-            "degraded": attrs.get("degraded"),
-            "breaker_trips": attrs.get("breaker_trips"),
+            **{key: attrs.get(key) for key in _RECORD_ATTRS},
             "retries": ctx.notes.get("retries", 0),
             "error": payload.get("error") if isinstance(payload, dict) else None,
             # the root span is the last to end; its wall clock is the
@@ -892,22 +869,6 @@ class MappingService:
                 status,
                 json.dumps(json_safe(record), sort_keys=True),
             )
-
-    def debug_requests(self) -> dict:
-        """The ``GET /debug/requests`` document (empty shell when off)."""
-        if self.flightrec is None:
-            from repro.service.flightrec import FLIGHT_SCHEMA, FLIGHT_SCHEMA_VERSION
-
-            return {
-                "schema": FLIGHT_SCHEMA,
-                "version": FLIGHT_SCHEMA_VERSION,
-                "enabled": False,
-                "capacity": 0,
-                "recorded": 0,
-                "dropped": 0,
-                "requests": [],
-            }
-        return self.flightrec.dump()
 
     # -- introspection -----------------------------------------------------
 
@@ -957,7 +918,7 @@ class MappingService:
                 "shed": self.admission.shed_total,
                 "pressure": self.admission.pressure,
             },
-            "breakers": self.breakers.snapshot(),
+            "breakers": {} if self.breaker is None else {"cc": self.breaker.snapshot()},
             "degrade_mode": self.degrade.mode,
             "ready": self.ready,
             "draining": self.draining,
@@ -966,71 +927,8 @@ class MappingService:
 
 
 # ----------------------------------------------------------------------
-# HTTP layer (stdlib-only: asyncio streams + hand-rolled HTTP/1.1)
+# HTTP endpoint: the route table (framing lives in repro.service.http)
 # ----------------------------------------------------------------------
-
-_MAX_BODY = 8 * 1024 * 1024
-_MAX_HEADERS = 256
-
-
-async def _read_request(reader: asyncio.StreamReader):
-    try:
-        request_line = await reader.readline()
-    except (ValueError, asyncio.LimitOverrunError):
-        raise RequestError("request line too long") from None
-    if not request_line:
-        return None
-    try:
-        method, path, _version = request_line.decode("latin-1").split(None, 2)
-    except ValueError:
-        raise RequestError("malformed request line") from None
-    headers = {}
-    for _ in range(_MAX_HEADERS):
-        try:
-            line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            raise RequestError("header line too long") from None
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep or not name.strip():
-            raise RequestError("malformed header line")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise RequestError(f"more than {_MAX_HEADERS} headers")
-    raw_length = headers.get("content-length", "0") or "0"
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise RequestError(f"invalid content-length {raw_length!r}") from None
-    if length < 0:
-        raise RequestError("negative content-length")
-    if length > _MAX_BODY:
-        raise RequestError(f"body exceeds {_MAX_BODY} bytes")
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), path, headers, body
-
-
-def _response_bytes(
-    status: int, payload, content_type: str, extra_headers: dict | None = None
-) -> bytes:
-    reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               429: "Too Many Requests", 500: "Internal Server Error",
-               503: "Service Unavailable", 504: "Gateway Timeout"}
-    if isinstance(payload, (dict, list)):
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-    else:
-        body = str(payload).encode()
-    lines = [
-        f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    lines.append("Connection: close")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
 
 
 async def serve(
@@ -1042,13 +940,14 @@ async def serve(
     from repro.obs.exporters import render_prometheus
 
     stop = asyncio.Event()
+    tracer = service.tracer
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         status, payload, ctype = 500, {"error": "internal error"}, "application/json"
         headers_out: dict = {}
         trace_ctx = None
         try:
-            request = await _read_request(reader)
+            request = await read_request(reader)
             if request is None:
                 writer.close()
                 return
@@ -1056,18 +955,15 @@ async def serve(
             route = (method, path.split("?", 1)[0])
             if route == ("POST", "/map"):
                 doc = json.loads(body.decode() or "null")
-                if service.tracer is not None:
-                    with service.tracer.trace("serve.request") as trace_ctx:
-                        status, payload = 200, await service.map_request(doc)
-                else:
+                with (
+                    contextlib.nullcontext() if tracer is None
+                    else tracer.trace("serve.request")
+                ) as trace_ctx:
                     status, payload = 200, await service.map_request(doc)
             elif route == ("GET", "/metrics"):
                 # The tracer lock serializes against worker threads that
                 # record solver metrics mid-span.
-                if service.tracer is not None:
-                    with service.tracer.lock:
-                        text = render_prometheus(service.registry)
-                else:
+                with contextlib.nullcontext() if tracer is None else tracer.lock:
                     text = render_prometheus(service.registry)
                 status, payload, ctype = 200, text, "text/plain; version=0.0.4"
             elif route == ("GET", "/healthz"):
@@ -1075,7 +971,7 @@ async def serve(
             elif route == ("GET", "/readyz"):
                 status, payload = service.readiness()
             elif route == ("GET", "/debug/requests"):
-                status, payload = 200, json_safe(service.debug_requests())
+                status, payload = 200, json_safe(service.flightrec.dump())
             elif route == ("POST", "/shutdown"):
                 status, payload = 200, service.begin_drain(stop)
             else:
@@ -1115,7 +1011,7 @@ async def serve(
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         service.finish_flight_record(trace_ctx, status, payload)
         try:
-            writer.write(_response_bytes(status, payload, ctype, headers_out))
+            writer.write(response_bytes(status, payload, ctype, headers_out))
             await writer.drain()
             writer.close()
         except ConnectionError:
@@ -1125,22 +1021,6 @@ async def serve(
     bound_port = server.sockets[0].getsockname()[1]
     logger.info("serving on http://%s:%d", host, bound_port)
     return server, bound_port, stop
-
-
-async def _serve_until_stopped(service: MappingService, host: str, port: int, ready=None) -> None:
-    # The server binds *before* kernel warmup so orchestration can poll
-    # GET /readyz (503 "starting") while the backend compiles; /readyz
-    # flips to 200 only once the kernels and the pool are up.
-    server, bound_port, stop = await serve(service, host, port)
-    try:
-        if ready is not None:
-            ready(bound_port)
-        await service.warm_kernels()
-        service.mark_ready()
-        await stop.wait()
-    finally:
-        server.close()
-        await server.wait_closed()
 
 
 def run_service(
@@ -1153,8 +1033,24 @@ def run_service(
 ) -> int:
     """Blocking entry point used by ``python -m repro serve``."""
     service = MappingService(**config)
+
+    async def serve_until_stopped() -> None:
+        # The server binds *before* kernel warmup so orchestration can poll
+        # GET /readyz (503 "starting") while the backend compiles; /readyz
+        # flips to 200 only once the kernels and the pool are up.
+        server, bound_port, stop = await serve(service, host, port)
+        try:
+            if ready is not None:
+                ready(bound_port)
+            await service.warm_kernels()
+            service.mark_ready()
+            await stop.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+
     try:
-        asyncio.run(_serve_until_stopped(service, host, port, ready))
+        asyncio.run(serve_until_stopped())
     except KeyboardInterrupt:
         pass
     # SIGINT skips the drain path; the final dump is idempotent.

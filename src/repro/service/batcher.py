@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.noc.vector_engine import run_batch
 from repro.obs import reqtrace
-from repro.service.admission import DeadlineExpired, current_deadline
+from repro.service.admission import DeadlineExpired, count_expired, current_deadline
 
 __all__ = ["BatchRequest", "SimulationBatcher"]
 
@@ -87,10 +87,6 @@ class SimulationBatcher:
                 "serve_queue_depth", "simulation requests waiting for a batch flush"
             )
 
-    def _group_key(self, request: BatchRequest) -> tuple:
-        mesh = request.mesh
-        return (mesh.rows, mesh.cols, request.warmup, request.measure)
-
     def _set_depth(self) -> None:
         if self._registry is not None:
             self._m_depth.set(sum(len(v) for v in self._pending.values()))
@@ -108,7 +104,7 @@ class SimulationBatcher:
         request.future = loop.create_future()
         request.trace_id = reqtrace.current_trace_id()
         request.deadline = current_deadline()
-        key = self._group_key(request)
+        key = (mesh.rows, mesh.cols, request.warmup, request.measure)  # batchable group
         with reqtrace.span("batch.enqueue") as enq:
             group = self._pending.setdefault(key, [])
             group.append(request)
@@ -133,13 +129,7 @@ class SimulationBatcher:
             if r.deadline is not None and r.deadline.expired:
                 # Expired work never claims a batch seat: answer the
                 # waiter (if any is left) instead of simulating for it.
-                if self._registry is not None:
-                    self._registry.counter(
-                        "serve_deadline_expired_total",
-                        "requests whose deadline expired before a "
-                        "resource was claimed",
-                        at="batch",
-                    ).inc()
+                count_expired(self._registry, "batch")
                 r.future.set_exception(DeadlineExpired("batch"))
                 continue
             batch.append(r)

@@ -37,9 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
-from repro.core.problem import OBMInstance
-from repro.core.workload import Application, Workload
+from repro.core.latency import LatencyParams
 from repro.experiments.resilience import config_fingerprint
 
 __all__ = [
@@ -113,23 +111,6 @@ class CanonicalProblem:
                 for c, app in enumerate(self.apps)
             ],
         }
-
-    def build_instance(self, model: MeshLatencyModel | None = None) -> OBMInstance:
-        """An :class:`OBMInstance` in canonical labels."""
-        if model is None:
-            model = MeshLatencyModel(
-                Mesh(self.rows, self.cols),
-                LatencyParams(**dict(zip(_PARAM_FIELDS, self.params))),
-            )
-        apps = tuple(
-            Application(
-                f"app{c}",
-                [pair[0] for pair in app],
-                [pair[1] for pair in app],
-            )
-            for c, app in enumerate(self.apps)
-        )
-        return OBMInstance(model, Workload(apps, name="canonical"))
 
 
 @dataclass(frozen=True)

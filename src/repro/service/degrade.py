@@ -31,24 +31,17 @@ silently passed off as a full-fidelity one.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 __all__ = [
     "LEVEL_FULL",
     "LEVEL_BOUNDS",
     "LEVEL_STALE",
-    "LADDER",
     "DegradeController",
-    "NearestIndex",
+    "shape_key",
 ]
 
 LEVEL_FULL = "full"
 LEVEL_BOUNDS = "bounds_only"
 LEVEL_STALE = "cached_nearest"
-
-#: Fidelity order, best first (shedding itself lives in admission).
-LADDER = (LEVEL_FULL, LEVEL_BOUNDS, LEVEL_STALE)
 
 #: Operator modes: "off" never degrades, "auto" follows load/deadline,
 #: a level name forces that level for every degradable request.
@@ -124,47 +117,20 @@ class DegradeController:
             ).inc()
 
 
-class NearestIndex:
-    """Shape-keyed index of the freshest cached solve, for stale serving.
+def shape_key(problem, algorithm: str, want_bounds: bool) -> tuple:
+    """The shape of a canonical problem: the donor key for stale serving.
 
-    A *shape* is everything a cached permutation needs to be legally
+    A shape is everything a cached permutation needs to be legally
     translatable into the requester's labels: mesh dimensions, latency
     params, algorithm, bounds flag, and the canonical per-app thread
-    counts.  The index maps each shape to the most recently filled solve
-    cache key (plus its problem fingerprint, so stale responses can name
-    their donor).  Bounded LRU like every other store in the service.
+    counts.  The service keeps the freshest solve of each shape in a
+    bounded :class:`~repro.service.cache.LRUCache`.
     """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._store: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def shape_key(problem, algorithm: str, want_bounds: bool) -> tuple:
-        """The shape of a canonical problem, for donor lookup."""
-        return (
-            problem.rows,
-            problem.cols,
-            problem.params,
-            algorithm,
-            bool(want_bounds),
-            tuple(len(app) for app in problem.apps),
-        )
-
-    def put(self, shape: tuple, solve_key, fingerprint: str) -> None:
-        with self._lock:
-            self._store[shape] = (solve_key, fingerprint)
-            self._store.move_to_end(shape)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-
-    def get(self, shape: tuple) -> tuple | None:
-        """``(solve_key, donor_fingerprint)`` of the freshest donor, or None."""
-        with self._lock:
-            return self._store.get(shape)
-
-    def __len__(self) -> int:
-        return len(self._store)
+    return (
+        problem.rows,
+        problem.cols,
+        problem.params,
+        algorithm,
+        bool(want_bounds),
+        tuple(len(app) for app in problem.apps),
+    )

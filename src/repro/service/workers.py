@@ -38,7 +38,7 @@ from repro.experiments.parallel import (
     resolve_retries,
     resolve_timeout,
 )
-from repro.service.admission import DeadlineExpired, current_deadline
+from repro.service.admission import refuse_expired
 
 __all__ = ["WorkerPool"]
 
@@ -103,18 +103,6 @@ class WorkerPool:
             self.failure_budget is not None
             and self._budget_spent > self.failure_budget
         )
-
-    def _check_deadline(self) -> None:
-        """Refuse to claim (or keep) a worker slot for expired work."""
-        deadline = current_deadline()
-        if deadline is not None and deadline.expired:
-            if self._registry is not None:
-                self._registry.counter(
-                    "serve_deadline_expired_total",
-                    "requests whose deadline expired before a resource was claimed",
-                    at="worker",
-                ).inc()
-            raise DeadlineExpired("worker")
 
     def _charge(self, exc: BaseException) -> None:
         """Account one failed attempt; raise once the budget is spent."""
@@ -200,9 +188,9 @@ class WorkerPool:
         index = self._task_index
         if self._registry is not None:
             self._m_tasks.inc()
-        self._check_deadline()
+        refuse_expired(self._registry, "worker")
         async with self._semaphore():
-            self._check_deadline()
+            refuse_expired(self._registry, "worker")
             attempt = 0
             while True:
                 attempt += 1
@@ -229,7 +217,7 @@ class WorkerPool:
                         if delay > 0:
                             self.report.backoff_seconds += delay
                             await asyncio.sleep(delay)
-                        self._check_deadline()  # no retry for expired work
+                        refuse_expired(self._registry, "worker")  # no retry for expired work
                         continue
                     self.report.cells_failed += 1
                     raise

@@ -56,7 +56,7 @@ def make_service():
 
     def factory(**config) -> ServiceClient:
         service = MappingService(**config)
-        # The fixture bypasses _serve_until_stopped (no kernel warmup), so
+        # The fixture bypasses run_service (no kernel warmup), so
         # readiness is declared here; tests of the starting state build
         # their own service.
         service.mark_ready()

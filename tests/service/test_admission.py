@@ -11,7 +11,6 @@ from repro.core import cc_solvers, permkernels
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     AdmissionController,
-    BreakerBoard,
     CircuitBreaker,
     Deadline,
     DeadlineExpired,
@@ -288,13 +287,21 @@ class TestCircuitBreaker:
         b.record_failure()
         assert gauge.value == 2
 
-    def test_board_counts_trips(self):
-        board = BreakerBoard(threshold=1, reset_after=1.0)
-        board.get("cc").record_failure()
-        board.get("other").record_failure()
-        assert board.trips == 2
-        snap = board.snapshot()
-        assert snap["cc"]["state"] == "open"
+    def test_service_holds_one_cc_breaker(self):
+        """A service guards the C kernels with one ``cc`` breaker, and
+        holds none when the kernels resolve to numpy."""
+        from repro.service.app import MappingService
+
+        with permkernels.force_backend("numpy"):
+            assert MappingService().breaker is None
+        with permkernels.force_backend("cc"):
+            service = MappingService()
+        breaker = service.breaker
+        assert breaker.name == "cc"
+        for _ in range(breaker.threshold):
+            breaker.record_failure()
+        assert breaker.trips == 1
+        assert service.health()["breakers"]["cc"]["state"] == "open"
 
 
 @pytest.mark.skipif(
@@ -315,9 +322,10 @@ class TestPerServiceBackend:
             return real_sweep(*args, **kwargs)
 
         monkeypatch.setattr(cc_solvers, "cc_sweep_pass", counting_sweep)
-        a = make_service(breaker_threshold=1)
-        b = make_service(breaker_threshold=1)
-        a.service.breakers.get("cc").record_failure()
+        a = make_service()
+        b = make_service()
+        for _ in range(a.service.breaker.threshold):
+            a.service.breaker.record_failure()
         spec = {
             "mesh": 8,
             "algorithm": "sss",
@@ -336,6 +344,6 @@ class TestPerServiceBackend:
         result_b = b.map(spec)["result"]
         assert calls
         assert json.dumps(result_a, sort_keys=True) == json.dumps(result_b, sort_keys=True)
-        assert a.service.breakers.get("cc").state == "open"
-        assert b.service.breakers.get("cc").state == "closed"
+        assert a.service.breaker.state == "open"
+        assert b.service.breaker.state == "closed"
         assert permkernels.resolve_backend() == "cc"

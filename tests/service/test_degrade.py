@@ -7,13 +7,14 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service.cache import LRUCache
 from repro.service.canonical import canonicalize
 from repro.service.degrade import (
     LEVEL_BOUNDS,
     LEVEL_FULL,
     LEVEL_STALE,
     DegradeController,
-    NearestIndex,
+    shape_key,
 )
 
 
@@ -61,6 +62,8 @@ class TestLevelSelection:
 
 
 class TestNearestIndex:
+    """The stale-serving index: shape keys into a plain LRU of donors."""
+
     def _canon(self, spec):
         return canonicalize(spec)
 
@@ -73,32 +76,26 @@ class TestNearestIndex:
         ]
         b = self._canon(b_spec).problem
         assert a.fingerprint != b.fingerprint
-        assert NearestIndex.shape_key(a, "sss", True) == NearestIndex.shape_key(
-            b, "sss", True
-        )
+        assert shape_key(a, "sss", True) == shape_key(b, "sss", True)
 
     def test_algorithm_and_bounds_split_shapes(self, spec2):
         p = self._canon(spec2).problem
-        assert NearestIndex.shape_key(p, "sss", True) != NearestIndex.shape_key(
-            p, "global", True
-        )
-        assert NearestIndex.shape_key(p, "sss", True) != NearestIndex.shape_key(
-            p, "sss", False
-        )
+        assert shape_key(p, "sss", True) != shape_key(p, "global", True)
+        assert shape_key(p, "sss", True) != shape_key(p, "sss", False)
 
     def test_lru_bound(self):
-        idx = NearestIndex(capacity=2)
-        idx.put(("a",), "k1", "f1")
-        idx.put(("b",), "k2", "f2")
-        idx.put(("c",), "k3", "f3")
+        idx = LRUCache(2)
+        idx.put(("a",), ("k1", "f1"))
+        idx.put(("b",), ("k2", "f2"))
+        idx.put(("c",), ("k3", "f3"))
         assert idx.get(("a",)) is None
         assert idx.get(("c",)) == ("k3", "f3")
         assert len(idx) == 2
 
     def test_freshest_donor_wins(self):
-        idx = NearestIndex()
-        idx.put(("s",), "old", "f-old")
-        idx.put(("s",), "new", "f-new")
+        idx = LRUCache(256)
+        idx.put(("s",), ("old", "f-old"))
+        idx.put(("s",), ("new", "f-new"))
         assert idx.get(("s",)) == ("new", "f-new")
 
 
@@ -175,6 +172,8 @@ class TestDegradedServing:
             dict(app, mem_rates=[r * 2.0 for r in app["mem_rates"]])
             for app in spec2["apps"]
         ]
+        misses = client.service.registry.counter("serve_cache_misses_total")
+        misses_before = misses.value
         doc = client.map(warm_spec)
         assert doc["meta"]["degraded"] == "cached_nearest"
         reval = client.service.registry.counter("serve_revalidate_total")
@@ -189,6 +188,9 @@ class TestDegradedServing:
             time.sleep(0.05)
         else:
             pytest.fail("revalidated entry never became a cache hit")
+        # One stale answer plus its refill is one lookup that missed: the
+        # refill's own.  Checking whether a refill is needed is not a lookup.
+        assert misses.value - misses_before == 1
 
     def test_unloaded_auto_stays_full_fidelity(self, make_service, spec2):
         client = make_service(degrade="auto")

@@ -5,16 +5,20 @@ headers, hostile request lines, lying content-lengths — may produce a
 500, kill the daemon, or yield an unstructured error body.  Every
 answered error is a JSON object with an ``"error"`` key; unanswerable
 garbage (e.g. a body shorter than its declared length) just closes the
-connection.
+connection.  The framing module is also fuzzed on its own, through an
+in-memory stream with no socket.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from repro.service.http import RequestError, read_request
 
 FUZZ = settings(
     max_examples=50,
@@ -170,3 +174,55 @@ class TestRequestLineFuzz:
         assert raw_roundtrip(client.port, b"") == b""
         _status, payload = client.get("/healthz")
         assert payload["status"] in ("ok", "degraded")
+
+
+def read_from_bytes(data: bytes, limit: int):
+    """:func:`read_request` over an in-memory stream holding exactly ``data``."""
+
+    async def read():
+        reader = asyncio.StreamReader(limit=limit)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    return asyncio.run(read())
+
+
+# Near-miss requests: a request line, header lines (some of them a
+# Content-Length, possibly lying or negative), a blank line, a body.
+_framed = st.builds(
+    lambda line, headers, body: b"\r\n".join([line, *headers, b"", body]),
+    st.just(b"POST /map HTTP/1.1") | st.binary(max_size=48),
+    st.lists(
+        st.binary(max_size=32)
+        | st.builds(lambda n: b"Content-Length: %d" % n, st.integers(-2, 64))
+        | st.builds(
+            b"%s:%s".__mod__,
+            st.tuples(st.sampled_from([b"Host", b" X-Y ", b"content-type"]),
+                      st.binary(max_size=16)),
+        ),
+        max_size=4,
+    ),
+    st.binary(max_size=48),
+)
+
+
+class TestFramingFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=512) | _framed, limit=st.sampled_from([16, 2**16]))
+    def test_read_request_parses_or_refuses(self, data, limit):
+        try:
+            request = read_from_bytes(data, limit)
+        except (RequestError, asyncio.IncompleteReadError):
+            return
+        if request is None:
+            assert data == b""
+            return
+        method, path, headers, body = request
+        assert isinstance(method, str) and method == method.upper()
+        assert isinstance(path, str) and path
+        for name, value in headers.items():
+            assert isinstance(name, str) and name == name.strip().lower()
+            assert isinstance(value, str) and value == value.strip()
+        assert isinstance(body, bytes)
+        assert len(body) == int(headers.get("content-length", "0") or "0")

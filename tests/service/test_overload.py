@@ -190,6 +190,26 @@ class TestDeadlines:
         assert total >= 1
 
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timeout_is_400(self, client, spec2, timeout):
+        """json.loads accepts NaN and Infinity; neither is a budget (a NaN
+        deadline would otherwise expire at once and answer 504)."""
+        status, payload = client.post("/map", {**spec2, "timeout": timeout})
+        assert status == 400, payload
+        assert "finite" in payload["error"]
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_default_deadline_refuses_to_start(self, budget):
+        """A default deadline that cannot be a budget fails at startup,
+        instead of turning every /map into a 500."""
+        from repro.service.app import MappingService, run_service
+
+        with pytest.raises(ValueError, match="default_deadline"):
+            MappingService(default_deadline=budget)
+        with pytest.raises(ValueError, match="default_deadline"):
+            run_service("127.0.0.1", 0, default_deadline=budget)
+
+
 class TestGracefulDrain:
     def test_drain_finishes_inflight_and_sheds_new(self, make_service, spec2):
         client = make_service(drain_timeout=10.0)
