@@ -1,44 +1,28 @@
-"""Service-path benchmark: request latency, cache behaviour, batching.
+"""Serve-daemon probes that perfbench's workloads do not cover.
 
-Starts the ``python -m repro serve`` daemon in-process, drives it with a
-deterministic mixed workload from concurrent clients — duplicate solve
-requests (cache/coalescing path) plus a concurrent simulation burst
-(micro-batching path) — and reports request-latency percentiles, the
-cache hit ratio, and vector-batch occupancy.  Numbers feed the
-``service`` section of ``BENCH_perf.json``.
-
-Latency percentiles come from the service's own ``serve_request_seconds``
-histogram (log-spaced buckets, so p50/p99 are bucket-resolution
-estimates), exactly what a Prometheus scrape of ``/metrics`` would see.
-
-Regenerate with::
-
-    PYTHONPATH=src python benchmarks/bench_serve.py --update
+Starts the mapping service and its HTTP endpoint in-process and drives
+it over HTTP.  ``measure_tracing_overhead`` times request-span tracing;
+``measure_overload`` drives a bounded pipe at 4x saturation.
+``check_regression.py`` guards both, and CI's overload drill runs the
+second.  Request latency, cache behaviour and batching are measured by
+``perfbench/run.py`` (``map_unique``, ``map_simulate``).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import http.client
 import json
-import sys
+import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 from repro.service.app import MappingService, serve
 
 MESH = 8
-UNIQUE_PROBLEMS = 8
-DUPLICATES = 4  # requests per unique problem in the solve mix
-SIM_BURST = 12  # concurrent simulation requests in one micro-batch window
-CLIENTS = 8  # concurrent client threads
-WARMUP, MEASURE = 100, 400
-TRACE_PROBE = 6  # unique problems in the tracing-overhead probe
-
-PERF_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+TRACE_PROBE = 32  # unique problems per tracing-overhead round
+TRACE_ROUNDS = 9  # interleaved off/on rounds; the probe reports the median
 
 
 def problem_spec(index: int) -> dict:
@@ -84,16 +68,6 @@ class _Daemon:
             raise RuntimeError("service did not start")
         self.port = self._holder["port"]
 
-    def post(self, doc: dict) -> dict:
-        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=120)
-        conn.request("POST", "/map", json.dumps(doc), {"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        payload = json.loads(resp.read())
-        conn.close()
-        if resp.status != 200:
-            raise RuntimeError(f"request failed ({resp.status}): {payload}")
-        return payload
-
     def post_raw(self, doc: dict) -> tuple:
         """``(status, headers, payload)`` — sheds are data, not errors."""
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=120)
@@ -104,43 +78,48 @@ class _Daemon:
         conn.close()
         return resp.status, headers, payload
 
+    def post(self, doc: dict) -> dict:
+        status, _headers, payload = self.post_raw(doc)
+        if status != 200:
+            raise RuntimeError(f"request failed ({status}): {payload}")
+        return payload
+
     def stop(self) -> None:
         self._holder["loop"].call_soon_threadsafe(self._holder["stop"].set)
         self._thread.join(10)
 
 
-def measure_tracing_overhead(rounds: int = 2) -> dict:
-    """Wall-clock ratio of an identical sequential burst, tracing on vs off.
+def measure_tracing_overhead() -> float:
+    """Median wall-clock ratio of identical sequential bursts, tracing on/off.
 
-    Fresh daemons per round (cold caches both times), interleaved
-    off/on rounds with best-of-N per configuration so machine load
-    mostly cancels.  Also imported by ``check_regression.py`` to guard
-    ``service.obs_overhead.overhead_ratio``.
+    Two daemons, one traced, get the same requests interleaved one by
+    one, alternating which goes first, so the host's load phase falls on
+    both alike.  Each round sends ``TRACE_PROBE`` problems that neither
+    daemon has seen (a miss pass), then the same again (a hit pass), and
+    yields one on/off ratio; the median over rounds drops the odd
+    disturbed round.
     """
-
-    def burst(daemon: _Daemon) -> float:
-        t0 = time.perf_counter()
-        for _pass in range(2):  # miss pass, then cache-hit pass
-            for i in range(TRACE_PROBE):
-                daemon.post(problem_spec(i))
-        return time.perf_counter() - t0
-
-    configs = (("off", {}), ("on", {"trace": True, "trace_clock": "logical"}))
-    times: dict[str, list[float]] = {"off": [], "on": []}
-    for _ in range(max(1, rounds)):
-        for key, config in configs:
-            daemon = _Daemon(workers=2, **config)
-            try:
-                times[key].append(burst(daemon))
-            finally:
-                daemon.stop()
-    best_off, best_on = min(times["off"]), min(times["on"])
-    return {
-        "off_seconds": round(best_off, 3),
-        "tracing_on_seconds": round(best_on, 3),
-        "overhead_ratio": round(best_on / best_off, 2),
-        "requests_per_round": 2 * TRACE_PROBE,
-    }
+    daemons = {}
+    try:
+        daemons["off"] = _Daemon(workers=2)
+        daemons["on"] = _Daemon(workers=2, trace=True, trace_clock="logical")
+        for daemon in daemons.values():
+            daemon.post(problem_spec(-1))  # warm the per-daemon model memo
+        ratios = []
+        for r in range(TRACE_ROUNDS):
+            spent = {"off": 0.0, "on": 0.0}
+            for _pass in range(2):
+                for i in range(TRACE_PROBE):
+                    spec = problem_spec(r * TRACE_PROBE + i)
+                    for key in ("off", "on") if i % 2 == 0 else ("on", "off"):
+                        t0 = time.perf_counter()
+                        daemons[key].post(spec)
+                        spent[key] += time.perf_counter() - t0
+            ratios.append(spent["on"] / spent["off"])
+    finally:
+        for daemon in daemons.values():
+            daemon.stop()
+    return round(statistics.median(ratios), 3)
 
 
 OVERLOAD_WORKERS = 2
@@ -299,125 +278,3 @@ def measure_overload(rounds: int = 2) -> dict:
         if best is None or stats["p99_ratio"] < best["p99_ratio"]:
             best = stats
     return best
-
-
-def run_benchmark() -> dict:
-    daemon = _Daemon(workers=2, batch_window=0.02)
-    try:
-        # -- solve mix: duplicates exercise the cache and coalescing ----
-        requests = [
-            problem_spec(i) for i in range(UNIQUE_PROBLEMS) for _ in range(DUPLICATES)
-        ]
-        # deterministic interleave so duplicates arrive both concurrently
-        # (coalesced) and after their entry landed (LRU hits)
-        requests = requests[::2] + requests[1::2]
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-            metas = [doc["meta"]["cache"] for doc in pool.map(daemon.post, requests)]
-        solve_wall = time.perf_counter() - t0
-
-        # -- simulate burst: one problem, distinct seeds, one window ----
-        sim_requests = [
-            {
-                **problem_spec(0),
-                "simulate": True,
-                "sim": {"warmup": WARMUP, "measure": MEASURE, "seed": s},
-            }
-            for s in range(SIM_BURST)
-        ]
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=SIM_BURST) as pool:
-            list(pool.map(daemon.post, sim_requests))
-        sim_wall = time.perf_counter() - t0
-
-        service = daemon.service
-        latency = service.registry.histogram("serve_request_seconds")
-        occupancy = service.registry.histogram(
-            "serve_batch_occupancy", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-        )
-        batcher = service.batcher
-        counts = {
-            kind: metas.count(kind) for kind in ("miss", "hit", "coalesced")
-        }
-        mean_occupancy = (
-            occupancy.sum / occupancy.total if occupancy.total else 0.0
-        )
-        section = {
-            "description": (
-                "In-process serve daemon driven over HTTP by "
-                f"{CLIENTS} concurrent clients: {len(requests)} solve requests "
-                f"({UNIQUE_PROBLEMS} unique x {DUPLICATES} duplicates), then a "
-                f"{SIM_BURST}-request concurrent simulation burst (one problem, "
-                "distinct seeds) coalesced by the micro-batcher onto "
-                "run_batch.  Latency percentiles are bucket estimates from the "
-                "service's serve_request_seconds histogram (what /metrics "
-                "exports).  obs_overhead compares an identical sequential "
-                "burst with request-span tracing on vs off (fresh daemons, "
-                "interleaved rounds, best-of-N).  overload drives a bounded "
-                "pipe (max_inflight/max_queue, degrade=auto) at 4x "
-                "saturation with unique problems and reports shed rate, "
-                "goodput vs pool capacity, and the accepted-p99 vs unloaded-"
-                "p99 ratio.  Regenerate with: "
-                "PYTHONPATH=src python benchmarks/bench_serve.py --update"
-            ),
-            "request_latency_seconds": {
-                "p50": round(latency.quantile(0.5), 6),
-                "p99": round(latency.quantile(0.99), 6),
-                "count": latency.total,
-            },
-            "solve_mix": {
-                "requests": len(requests),
-                "unique": UNIQUE_PROBLEMS,
-                "wall_seconds": round(solve_wall, 3),
-                "cache": counts,
-                "hit_ratio": round(
-                    service.registry.gauge("serve_cache_hit_ratio").value, 3
-                ),
-            },
-            "simulate_burst": {
-                "requests": SIM_BURST,
-                "wall_seconds": round(sim_wall, 3),
-                "batches_run": batcher.batches_run,
-                "mean_batch_occupancy": round(mean_occupancy, 2),
-                "max_batch_occupancy": SIM_BURST if batcher.batches_run else 0,
-            },
-        }
-        # sanity: the benchmark is meaningless if the paths it claims to
-        # measure were not exercised
-        assert counts["hit"] + counts["coalesced"] >= 1, metas
-        assert counts["miss"] >= UNIQUE_PROBLEMS
-        assert mean_occupancy > 1.0, "simulation burst was not batched"
-    finally:
-        daemon.stop()
-    # -- tracing overhead: same burst, span tracing on vs off -----------
-    section["obs_overhead"] = measure_tracing_overhead()
-    # -- overload: 4x saturation burst against a bounded pipe -----------
-    section["overload"] = measure_overload()
-    return section
-
-
-def test_serve_benchmark():
-    """Pytest entry: run the benchmark and print the section."""
-    section = run_benchmark()
-    print(json.dumps({"service": section}, indent=2, sort_keys=True))
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--update", action="store_true",
-        help=f"write the 'service' section into {PERF_PATH.name}",
-    )
-    args = parser.parse_args(argv)
-    section = run_benchmark()
-    print(json.dumps({"service": section}, indent=2, sort_keys=True))
-    if args.update:
-        perf = json.loads(PERF_PATH.read_text())
-        perf["service"] = section
-        PERF_PATH.write_text(json.dumps(perf, indent=2, sort_keys=True) + "\n")
-        print(f"updated {PERF_PATH}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

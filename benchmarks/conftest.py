@@ -12,13 +12,12 @@ Run with::
 
 Add ``-s`` to see the reproduced tables printed inline.
 
-Every ``run_once`` wall-clock is also persisted to a machine-readable
-JSON file (``benchmarks/bench_timings.json``, or the path in the
-``BENCH_PERF_JSON`` environment variable) so speedups can be tracked
-across revisions — ``BENCH_perf.json`` at the repo root is assembled from
-these records.  Set ``REPRO_BENCH_WORKERS=N`` to run the fan-out-capable
-harnesses on N processes (default 1 = serial; identical results either
-way).
+Every ``run_once`` wall-clock is also written to
+``benchmarks/bench_timings.json``, keyed by test name (CI uploads it).
+These are single-round timings for inspection; the guarded performance
+numbers come from ``perf_guard.py`` and ``check_regression.py``.  Set
+``REPRO_BENCH_WORKERS=N`` to run the fan-out-capable harnesses on N
+processes (default 1 = serial; identical results either way).
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ import pytest
 #: Worker processes for fan-out-capable experiment harnesses.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
-_TIMINGS_PATH = Path(
-    os.environ.get("BENCH_PERF_JSON", Path(__file__).parent / "bench_timings.json")
-)
+_TIMINGS_PATH = Path(__file__).parent / "bench_timings.json"
 
 
 def _record_timing(name: str, seconds: float) -> None:

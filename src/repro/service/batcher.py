@@ -2,8 +2,8 @@
 
 Concurrent ``simulate`` requests are the service's expensive tail.  The
 vector engine steps B independent simulations in lock-step for less than
-B times the cost of one (``BENCH_perf.json``'s ``vector_engine``
-section records the per-sim figures), and its batched results are
+B times the cost of one (perfbench's ``map_simulate`` and
+``sim_campaign`` workloads measure it), and its batched results are
 bit-identical to single runs — so coalescing concurrent requests is pure
 throughput, with zero effect on response bytes.  With a C compiler the
 batch's cycle loop runs in the compiled kernel, whose ``ctypes`` call
