@@ -83,7 +83,8 @@ def measure_engine() -> dict:
     mesh, make = _scenario()
 
     def fast(obs=None):
-        return NoCSimulator(mesh, make(), obs=obs).run(warmup=500, measure=4_000)
+        sim = NoCSimulator(mesh, make(), obs=obs, engine="fastpath")
+        return sim.run(warmup=500, measure=4_000)
 
     def scalar():
         return VectorEngine(mesh, [make()], mode="scalar").run(warmup=500, measure=4_000)[0]

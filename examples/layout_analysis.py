@@ -20,7 +20,8 @@ from repro.workloads import parsec_config
 
 def traffic_heatmap(instance, mapping, label):
     traffic = MappedWorkloadTraffic(instance, mapping, cycles_per_unit=1000, seed=3)
-    sim = NoCSimulator(instance.mesh, traffic)
+    # Telemetry reads the fast path's Network.
+    sim = NoCSimulator(instance.mesh, traffic, engine="fastpath")
     telemetry = NetworkTelemetry(sim.network)
     sim.run(warmup=500, measure=6_000)
     snap = telemetry.snapshot()

@@ -28,7 +28,8 @@ def main() -> None:
     mapping = Mapping(np.arange(16))
 
     traffic = MappedWorkloadTraffic(instance, mapping, cycles_per_unit=1000, seed=0)
-    sim = NoCSimulator(mesh, traffic)
+    # The fast path keeps the delivered Packet objects read below.
+    sim = NoCSimulator(mesh, traffic, engine="fastpath")
     print("running 20k measured cycles of cycle-level simulation ...")
     result = sim.run(warmup=2_000, measure=20_000)
 

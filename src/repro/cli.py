@@ -118,7 +118,7 @@ def _build_observability(args):
     """Assemble an :class:`~repro.obs.Observability` from simulate flags.
 
     Returns ``None`` when no observability output was requested so the
-    simulator keeps its uninstrumented fast path.
+    simulator keeps its hook-free default engine.
     """
     from repro.obs import Observability, ObservabilityConfig, SamplerConfig, TraceConfig
 
@@ -197,19 +197,12 @@ def _cmd_simulate(args) -> int:
         faults=None if schedule.is_trivial else schedule,
         invariants=args.invariants or None,
         obs=obs,
-        engine=args.engine,
     )
     with reqtrace.span("simulate.noc"):
         measured = sim.run(warmup=args.warmup, measure=args.measure)
 
     print()
-    if measured.engine_fallback is not None:
-        print(
-            f"engine: {measured.engine} (requested {sim.engine_requested}; "
-            f"fell back: {measured.engine_fallback})"
-        )
-    else:
-        print(f"engine: {measured.engine}")
+    print(f"engine: {measured.engine}")
     print(measured.stats.report())
     print(
         f"delivery: {measured.packets_delivered}/{measured.packets_offered} "
@@ -390,12 +383,7 @@ def _cmd_bound(args) -> int:
 
         from repro.experiments.resilience import json_safe
 
-        doc = {
-            "value": lb.value,
-            "mean_bound": lb.mean_bound,
-            "per_app_bound": lb.per_app_bound,
-        }
-        print(json.dumps(json_safe(doc), sort_keys=True, separators=(",", ":")))
+        print(json.dumps(json_safe(lb.as_dict()), sort_keys=True, separators=(",", ":")))
         return 0
     print(
         f"max-APL lower bound: {lb.value:.4f} "
@@ -483,13 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--warmup", type=int, default=1_000)
     p_sim.add_argument("--measure", type=int, default=5_000)
     p_sim.add_argument("--seed", type=int, default=0, help="traffic seed")
-    p_sim.add_argument(
-        "--engine", choices=["fastpath", "vector"],
-        default="fastpath",
-        help="simulation backend; 'vector' is the SoA engine and falls "
-        "back to 'fastpath' (with a printed reason) when faults, "
-        "invariants or observability are attached",
-    )
     p_sim.add_argument(
         "--invariants", action="store_true",
         help="enable runtime invariant checking (conservation, credits, watchdog)",

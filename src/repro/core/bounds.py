@@ -50,6 +50,14 @@ class OBMLowerBound:
             return 0.0
         return achieved_max_apl / self.value - 1.0
 
+    def as_dict(self) -> dict:
+        """The certified-bound document (``repro bound --json``, serve's bounds)."""
+        return {
+            "value": self.value,
+            "mean_bound": self.mean_bound,
+            "per_app_bound": self.per_app_bound,
+        }
+
 
 def _best_tiles_for_app(
     instance: OBMInstance, app_index: int

@@ -49,11 +49,11 @@ def _scorecard(fast=False):
     return run_scorecard(fast=fast)
 
 
-def _measured(fast=False, workers=1, engine="fastpath", ledger=None, max_cells=None):
+def _measured(fast=False, workers=1, ledger=None, max_cells=None):
     from repro.experiments.measured import measured_apl_comparison
 
     return measured_apl_comparison(
-        "C1", fast=fast, workers=workers, engine=engine, ledger=ledger, max_cells=max_cells
+        "C1", fast=fast, workers=workers, ledger=ledger, max_cells=max_cells
     )
 
 

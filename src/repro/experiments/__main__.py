@@ -62,14 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         "Results are identical for any worker count.",
     )
     parser.add_argument(
-        "--engine",
-        choices=["fastpath", "vector"],
-        default="fastpath",
-        help="NoC backend for engine-aware experiments (currently 'measured'): "
-        "'vector' steps each worker's replays as one batched SoA run. "
-        "A pure wall-clock knob -- results are identical either way.",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-span timings (e.g. sss.swap, noc.measure) per experiment; "
@@ -119,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
                 ids,
                 fast=args.fast,
                 workers=workers,
-                engine=args.engine,
                 resume=not args.no_resume,
                 max_cells=args.max_cells,
                 profile=args.profile,
@@ -143,8 +134,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["workers"] = workers
         if args.progress and "progress" in inspect.signature(fn).parameters:
             kwargs["progress"] = True
-        if args.engine != "fastpath" and "engine" in inspect.signature(fn).parameters:
-            kwargs["engine"] = args.engine
         timer = (
             reqtrace.profiled(f"experiment.{experiment_id}") if args.profile else nullcontext()
         )

@@ -15,7 +15,6 @@ quarantined to ``*.corrupt`` and recomputed.
 
 from __future__ import annotations
 
-import inspect
 import json
 from contextlib import nullcontext
 from pathlib import Path
@@ -46,7 +45,6 @@ def write_artifacts(
     *,
     fast: bool = False,
     workers: int = 1,
-    engine: str = "fastpath",
     resume: bool = True,
     max_cells: int | None = None,
     profile: bool = False,
@@ -56,8 +54,7 @@ def write_artifacts(
     Returns a map from experiment id to the written text file.  Unknown
     ids raise before anything runs.  ``workers`` is forwarded to the
     experiments that declare a ``workers`` keyword (the fan-out-capable
-    harnesses) and ``engine`` to those that declare ``engine``; artifact
-    bytes are identical for any worker count or engine.  With
+    harnesses); artifact bytes are identical for any worker count.  With
     ``profile=True`` each experiment runs as the root span
     ``experiment.<id>`` of a fresh trace and its per-span timings
     (:func:`repro.obs.reqtrace.span_summary`) are written to
@@ -85,8 +82,6 @@ def write_artifacts(
         kwargs = {"fast": fast}
         if workers != 1 and supports_workers(fn):
             kwargs["workers"] = workers
-        if engine != "fastpath" and "engine" in inspect.signature(fn).parameters:
-            kwargs["engine"] = engine
         ledger = None
         if supports_kwarg(fn, "ledger"):
             ledger_path = output_dir / ".ledger" / f"{experiment_id}.jsonl"
@@ -94,7 +89,7 @@ def write_artifacts(
                 ledger = RunLedger(
                     ledger_path,
                     experiment=experiment_id,
-                    fingerprint=config_fingerprint(experiment_id, fast=fast, engine=engine),
+                    fingerprint=config_fingerprint(experiment_id, fast=fast),
                 )
                 kwargs["ledger"] = ledger
             elif ledger_path.exists():

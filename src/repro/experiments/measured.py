@@ -74,22 +74,6 @@ def _measure(instance, mapping, *, cycles: int, seed: int) -> LatencyStats:
     return result.stats
 
 
-def _measure_batch(cells) -> list[dict]:
-    """A whole chunk of replays stepped together in one vector batch.
-
-    Bit-identical to running :func:`_measure_cell` per cell (the vector
-    engine is pinned to the fast path by the golden equivalence suite),
-    but amortizes the per-cycle Python overhead across the chunk.
-    """
-    from repro.noc.vector_engine import run_batch
-
-    instance, _, cycles, _ = cells[0]
-    traffics = [_traffic(inst, mapping, seed) for inst, mapping, _, seed in cells]
-    warmup = max(500, cycles // 10)
-    results = run_batch(instance.mesh, traffics, warmup=warmup, measure=cycles)
-    return [_stats_payload(r.stats) for r in results]
-
-
 def measured_apl_comparison(
     config_name: str = "C1",
     *,
@@ -97,24 +81,18 @@ def measured_apl_comparison(
     cycles: int = 20_000,
     fast: bool = False,
     workers: int = 1,
-    engine: str = "fastpath",
     ledger=None,
     max_cells: int | None = None,
 ) -> ExperimentReport:
     """Analytic vs measured per-application APLs for chosen algorithms.
 
     Each algorithm's cycle-level replay is an independent simulation with
-    a fixed seed, so ``workers > 1`` fans them across processes without
-    changing a single measured number.  ``engine="vector"`` composes the
-    two amortization axes (workers x batch): the replays are chunked
-    contiguously across workers and each chunk is stepped as one batched
-    vector-engine run — still the same measured numbers, because the
-    vector engine is bit-identical to the fast path.
+    a fixed seed on the simulator's default (vector) engine, so
+    ``workers > 1`` fans them across processes without changing a single
+    measured number.
 
     ``ledger`` journals each completed replay (keyed by algorithm name)
-    for crash-safe resume; the batched vector path trades that
-    cell-granular journaling for throughput, so the ledger only applies
-    to the ``fastpath`` engine (a vector run simply recomputes).
+    for crash-safe resume.
     """
     if fast:
         cycles = min(cycles, 4_000)
@@ -126,24 +104,15 @@ def measured_apl_comparison(
     )
     cells = [(instance, results[alg].mapping, cycles, 13) for alg in algorithms]
     try:
-        if engine == "vector":
-            k = -(-len(cells) // max(1, workers))  # ceil: contiguous chunks
-            chunks = [cells[i : i + k] for i in range(0, len(cells), k)]
-            payloads = [
-                payload
-                for chunk in parallel_map(_measure_batch, chunks, workers=workers)
-                for payload in chunk
-            ]
-        else:
-            payloads = parallel_map(
-                _measure_cell,
-                cells,
-                workers=workers,
-                ledger=ledger,
-                cell_keys=list(algorithms),
-                max_cells=max_cells,
-                report=run_report,
-            )
+        payloads = parallel_map(
+            _measure_cell,
+            cells,
+            workers=workers,
+            ledger=ledger,
+            cell_keys=list(algorithms),
+            max_cells=max_cells,
+            report=run_report,
+        )
     finally:
         run_report.wall_seconds = time.perf_counter() - t0
     rows = []

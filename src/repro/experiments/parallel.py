@@ -463,7 +463,7 @@ def supports_kwarg(fn: Callable, name: str) -> bool:
     """Does ``fn`` declare an explicit keyword argument ``name``?
 
     Used by the artifact writer and CLI to forward knobs (``workers``,
-    ``ledger``, ``max_cells``, ``engine``) only to experiments that
+    ``ledger``, ``max_cells``) only to experiments that
     actually honour them (``**kwargs`` catch-alls do not count — they
     ignore the knob).
     """

@@ -28,7 +28,7 @@ Resume semantics
 
 A ledger is bound to one ``(experiment, fingerprint)`` pair, where the
 fingerprint hashes every knob that affects cell *values* (``fast``,
-``engine``, ledger format version...).  Opening an existing ledger file
+ledger format version...).  Opening an existing ledger file
 written under a different pair quarantines it to ``*.corrupt`` and
 starts fresh — stale state can slow a run down, but can never leak into
 its results.  A truncated trailing line (the signature of dying
@@ -91,8 +91,8 @@ def config_fingerprint(experiment_id: str, **knobs) -> str:
     """Stable hex fingerprint of an experiment id plus its value-affecting knobs.
 
     Two runs share a ledger exactly when their fingerprints match, so any
-    knob that changes what a cell *returns* (``fast``, ``engine``,
-    workload selection...) must be included; pure wall-clock knobs
+    knob that changes what a cell *returns* (``fast``, workload
+    selection...) must be included; pure wall-clock knobs
     (``workers``, ``progress``) must not be.
     """
     payload = _canonical(

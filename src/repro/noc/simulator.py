@@ -5,11 +5,18 @@ handles warmup/measurement windows, and produces measured latency
 statistics and power numbers.  This is the reproduction's stand-in for the
 paper's Garnet runs: given a mapping, it *measures* what the analytic
 ``TC``/``TM`` model *predicts*, closing the validation loop.
+
+Two engines produce bit-identical results (the golden equivalence suite
+pins them).  A run uses the vector engine
+(:mod:`repro.noc.vector_engine`) unless it needs per-event hooks —
+faults, invariants or observability — which only the fast path
+(:class:`~repro.noc.network.Network`) has; ``engine="fastpath"`` asks
+for the fast path outright.  ``result.engine`` says which one ran, and
+``sim.network`` is the fast path's network (``None`` on a vector run).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from repro.core.latency import Mesh
@@ -20,8 +27,6 @@ from repro.noc.traffic import TrafficGenerator
 from repro.obs import reqtrace
 
 __all__ = ["SimulationResult", "NoCSimulator"]
-
-logger = logging.getLogger("repro.noc")
 
 #: Engine backends accepted by :class:`NoCSimulator`.
 ENGINES = ("fastpath", "vector")
@@ -43,15 +48,8 @@ class SimulationResult:
     packets_lost: int = 0
     #: completed invariant sweeps (0 unless invariant checking was enabled)
     invariant_checks: int = 0
-    #: engine that actually produced this result ("fastpath" or "vector")
+    #: engine that produced this result ("fastpath" or "vector")
     engine: str = "fastpath"
-    #: why a requested engine was substituted (None when none was)
-    engine_fallback: str | None = None
-    #: engine the caller asked for (equals ``engine`` unless a fallback
-    #: happened); carried on the result so payload builders — the service
-    #: response, artifact writers — can surface a fallback without access
-    #: to the simulator object that detected it
-    engine_requested: str = "fastpath"
 
     @property
     def delivery_ratio(self) -> float:
@@ -80,7 +78,7 @@ class NoCSimulator:
         faults=None,
         invariants=None,
         obs=None,
-        engine: str = "fastpath",
+        engine: str = "vector",
     ) -> None:
         from repro.obs import Observability
 
@@ -91,33 +89,18 @@ class NoCSimulator:
         self.network_config = network_config
         self.power_params = power_params
         self.obs = Observability.coerce(obs)
-        self.engine_requested = engine
-        self.engine_fallback = None
-        if engine == "vector":
-            # The vector engine has no per-event hooks: anything that must
-            # observe or perturb individual flits forces the fast path.
-            if self.obs is not None:
-                self.engine_fallback = (
-                    "observability attached (tracing/sampling needs per-event hooks)"
-                )
-            elif faults is not None:
-                self.engine_fallback = "fault injection attached"
-            elif invariants:
-                self.engine_fallback = "invariant checking attached"
-            if self.engine_fallback is not None:
-                logger.warning(
-                    "vector engine unavailable: %s; falling back to fastpath",
-                    self.engine_fallback,
-                )
-                engine = "fastpath"
+        if self.obs is not None or faults is not None or invariants:
+            engine = "fastpath"  # only the fast path has per-event hooks
         self.engine = engine
-        self.network = Network(
-            mesh,
-            network_config,
-            faults=faults,
-            invariants=invariants,
-            tracer=None if self.obs is None else self.obs.tracer,
-        )
+        self.network = None
+        if engine == "fastpath":
+            self.network = Network(
+                mesh,
+                network_config,
+                faults=faults,
+                invariants=invariants,
+                tracer=None if self.obs is None else self.obs.tracer,
+            )
         self.power_model = PowerModel(mesh, power_params)
         self.include_local = include_local
 
@@ -159,9 +142,7 @@ class NoCSimulator:
                 self.power_params,
                 self.include_local,
             )
-            result = vec.run(warmup=warmup, measure=measure)[0]
-            result.engine_requested = self.engine_requested
-            return result
+            return vec.run(warmup=warmup, measure=measure)[0]
         net = self.network
         sampler = None if self.obs is None else self.obs.sampler
         if sampler is not None:
@@ -219,8 +200,6 @@ class NoCSimulator:
             packets_lost=lost,
             invariant_checks=checker.checks_run if checker is not None else 0,
             engine=self.engine,
-            engine_fallback=self.engine_fallback,
-            engine_requested=self.engine_requested,
         )
         if self.obs is not None:
             self.obs.finalize(result, net)

@@ -196,55 +196,14 @@ class MappedWorkloadTraffic(TrafficGenerator):
         self._app_l = [int(a) for a in self.app_of_thread]
         self._nearest_l = [self._model.nearest_mc(t) for t in range(self.n_tiles)]
         # Zero-load arrival estimate (sans the per-packet length term):
-        # hops * (pipeline + link) + pipeline, per (src, dst).
+        # hops * (pipeline + link) + pipeline, per (src, dst).  The
+        # generator is open-loop (it never sees deliveries), so a reply is
+        # due this long plus (flits - 1) plus the L2/memory latency after
+        # its request; queuing shifts real arrivals by the 0-1 cycle td_q
+        # term at the paper's loads.
         self._est_l = (
             instance.mesh.hop_matrix * self._per_hop + self._pipeline
         ).tolist()
-
-    def _make_request(self, thread: int, now: int, memory: bool) -> Packet:
-        src = int(self.thread_tile[thread])
-        if memory:
-            dst = self._model.nearest_mc(src)
-            cls = TrafficClass.MEM_REQUEST
-        else:
-            dst = int(self._rng.integers(self.n_tiles))
-            cls = TrafficClass.CACHE_REQUEST
-        return Packet(
-            src=src,
-            dst=dst,
-            traffic_class=cls,
-            created_at=now,
-            app=int(self.app_of_thread[thread]),
-            thread=int(thread),
-        )
-
-    def _request_arrival_estimate(self, request: Packet, now: int) -> int:
-        """Zero-load delivery cycle of a request (open-loop reply pacing).
-
-        The generator is open-loop (it does not observe actual deliveries),
-        so replies are scheduled after the request's *expected* uncontended
-        arrival: ``hops*(pipeline+link) + pipeline + (flits-1)``.  Queuing
-        shifts real arrivals slightly later; at the paper's loads that
-        error is the 0-1 cycle ``td_q`` term.
-        """
-        hops = self.instance.mesh.hops(request.src, request.dst)
-        return now + hops * self._per_hop + self._pipeline + (request.length - 1)
-
-    def _schedule_reply(self, request: Packet, now: int) -> None:
-        if request.traffic_class == TrafficClass.CACHE_REQUEST:
-            delay, cls = self.l2_latency, TrafficClass.CACHE_REPLY
-        else:
-            delay, cls = self.memory_latency, TrafficClass.MEM_REPLY
-        due = self._request_arrival_estimate(request, now) + delay
-        reply = Packet(
-            src=request.dst,
-            dst=request.src,
-            traffic_class=cls,
-            created_at=due,
-            app=request.app,
-            thread=request.thread,
-        )
-        self._pending_replies.setdefault(due, []).append(reply)
 
     def packets_for_cycle(self, now: int) -> list[Packet]:
         # One (2, n) draw: row 0 is the cache Bernoulli trials, row 1 the

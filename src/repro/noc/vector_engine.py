@@ -92,8 +92,8 @@ kernel keeps the ejection stamps itself, so the table's ``ej`` list
 stays unset.
 
 Faults, invariants and observability hooks are *not* supported here;
-:class:`~repro.noc.simulator.NoCSimulator` falls back to the fast path
-(with a logged reason) when any of them is attached.
+:class:`~repro.noc.simulator.NoCSimulator` runs the fast path whenever
+any of them is attached.
 """
 
 from __future__ import annotations
@@ -1349,7 +1349,6 @@ class VectorEngine:
                     packets_offered=int(offered[b]),
                     packets_delivered=int(keep.size),
                     engine="vector",
-                    engine_requested="vector",
                 )
             )
         return results

@@ -120,7 +120,6 @@ _SIM_DEFAULTS = {
     "warmup": 1_000,
     "measure": 5_000,
     "seed": 0,
-    "engine": "vector",
     "invariants": False,
 }
 
@@ -143,7 +142,7 @@ def _bound_doc(instance: OBMInstance, achieved: float | None = None) -> dict:
     """
     with reqtrace.span("worker.bounds"):
         lb = max_apl_lower_bound(instance)
-    doc = {"value": lb.value, "mean_bound": lb.mean_bound, "per_app_bound": lb.per_app_bound}
+    doc = lb.as_dict()
     if achieved is not None:
         doc["gap"] = lb.gap(achieved)
     return doc
@@ -153,15 +152,12 @@ def measured_payload(result) -> dict:
     """JSON-safe measured section of a :class:`SimulationResult`.
 
     Per-app containers are keyed by app index (as strings after the JSON
-    round-trip); the engine triple surfaces any auto-fallback — the
-    reason string is the exact one the simulator logged.
+    round-trip); ``engine`` names the engine that ran.
     """
     stats = result.stats
     apl_by_app = stats.apl_by_app()
     return {
         "engine": result.engine,
-        "engine_requested": result.engine_requested,
-        "engine_fallback": result.engine_fallback,
         "cycles": result.cycles,
         "packets_offered": result.packets_offered,
         "packets_delivered": result.packets_delivered,
@@ -471,8 +467,6 @@ class MappingService:
             raise RequestError(f"unknown sim options: {sorted(unknown)}")
         sim.update(sim_doc)
         sim = {key: type(default)(sim[key]) for key, default in _SIM_DEFAULTS.items()}
-        if sim["engine"] not in ("fastpath", "vector"):
-            raise RequestError(f"unknown sim engine {sim['engine']!r}")
         if sim["warmup"] < 0 or sim["measure"] <= 0:
             raise RequestError("sim.warmup must be >= 0 and sim.measure > 0")
         timeout = spec.get("timeout")
@@ -789,15 +783,10 @@ class MappingService:
         from repro.noc.simulator import NoCSimulator
         from repro.noc.traffic import MappedWorkloadTraffic
 
-        with reqtrace.span(
-            "worker.simulate", engine=sim["engine"], measure=sim["measure"]
-        ):
+        with reqtrace.span("worker.simulate", measure=sim["measure"]):
             traffic = MappedWorkloadTraffic(instance, mapping, seed=sim["seed"])
             simulator = NoCSimulator(
-                instance.mesh,
-                traffic,
-                invariants=sim["invariants"] or None,
-                engine=sim["engine"],
+                instance.mesh, traffic, invariants=sim["invariants"] or None
             )
             return simulator.run(warmup=sim["warmup"], measure=sim["measure"])
 
@@ -811,7 +800,7 @@ class MappingService:
             canon.perm_from_canonical(entry["perm"])
             + [int(t) for t in entry["pad_tiles"]]
         )
-        if sim["engine"] == "vector" and not sim["invariants"]:
+        if not sim["invariants"]:
             # The batchable common case: coalesce with whatever arrives
             # inside the micro-batch window.
             traffic = MappedWorkloadTraffic(instance, mapping, seed=sim["seed"])

@@ -95,7 +95,7 @@ class SimulationBatcher:
         """Queue one simulation; resolves to its ``SimulationResult``.
 
         The returned result is bit-identical to
-        ``NoCSimulator(mesh, traffic, engine="vector").run(warmup, measure)``
+        ``NoCSimulator(mesh, traffic).run(warmup, measure)``
         regardless of which requests it shared a batch with (the golden
         suite pins batch-vs-single equality in the engine).
         """

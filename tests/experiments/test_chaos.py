@@ -28,7 +28,7 @@ def _fig9_ledger(output_dir):
     return RunLedger(
         output_dir / ".ledger" / "fig9.jsonl",
         experiment="fig9",
-        fingerprint=config_fingerprint("fig9", fast=True, engine="fastpath"),
+        fingerprint=config_fingerprint("fig9", fast=True),
     )
 
 
@@ -147,7 +147,7 @@ class TestArtifactCorruption:
         with RunLedger(
             out / ".ledger" / "fig9.jsonl",
             experiment="fig9",
-            fingerprint=config_fingerprint("fig9", fast=False, engine="fastpath"),
+            fingerprint=config_fingerprint("fig9", fast=False),
         ) as ledger:
             assert len(ledger) == 0
             assert ledger.recovered_from is not None

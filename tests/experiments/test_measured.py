@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.measured import measured_apl_comparison
+from repro.experiments.resilience import RunLedger
 
 
 @pytest.mark.slow
@@ -29,3 +30,22 @@ class TestMeasuredComparison:
     def test_per_app_measurements_present(self, report):
         assert len(report.data["SSS"]["measured_by_app"]) == 4
         assert "measured APL" in report.text
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ledger_journals_every_replay(tmp_path, workers):
+    """Every replay is journaled at any worker count; a re-run recomputes none."""
+
+    def run():
+        ledger = RunLedger(tmp_path / "measured.jsonl", experiment="measured", fingerprint="t")
+        try:
+            return measured_apl_comparison(
+                "C1", fast=True, cycles=1_000, workers=workers, ledger=ledger
+            )
+        finally:
+            ledger.close()
+
+    first, second = run(), run()
+    assert first.run_report.cells_computed == 2
+    assert (second.run_report.cells_resumed, second.run_report.cells_computed) == (2, 0)
+    assert second.text == first.text

@@ -47,18 +47,23 @@ def _build_simulator(case: dict) -> NoCSimulator:
         traffic = UniformRandomTraffic(
             mesh.n_tiles, case["rate"], length=case["length"], seed=case["seed"]
         )
-        return NoCSimulator(mesh, traffic)
+        return NoCSimulator(mesh, traffic, engine="fastpath")
     if kind == "variant":
         mesh = Mesh.square(4)
         traffic = UniformRandomTraffic(mesh.n_tiles, 0.06, length=5, seed=7)
-        return NoCSimulator(mesh, traffic, network_config=_VARIANT_CONFIGS[case["variant"]]())
+        return NoCSimulator(
+            mesh,
+            traffic,
+            network_config=_VARIANT_CONFIGS[case["variant"]](),
+            engine="fastpath",
+        )
     if kind == "mapped_c1":
         inst = standard_instance("C1")
         mapping = sort_select_swap(inst).mapping
         traffic = MappedWorkloadTraffic(
             inst, mapping, cycles_per_unit=1000.0, generate_replies=True, seed=13
         )
-        return NoCSimulator(inst.mesh, traffic)
+        return NoCSimulator(inst.mesh, traffic, engine="fastpath")
     raise ValueError(f"unknown golden case kind {kind!r}")
 
 

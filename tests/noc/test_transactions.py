@@ -88,7 +88,7 @@ class TestEndToEnd:
             cycles_per_unit=1000, generate_replies=True,
             l2_latency=6, memory_latency=128, seed=0,
         )
-        sim = NoCSimulator(instance.mesh, traffic)
+        sim = NoCSimulator(instance.mesh, traffic, engine="fastpath")
         sim.run(warmup=500, measure=8_000)
         tracker = TransactionTracker()
         tracker.observe_all(

@@ -9,7 +9,7 @@ sequential sweep), every engine mode (the compiled ``cc`` kernel that
 ``auto`` selects wherever a C compiler exists, and the Python ``scalar``
 and ``dense`` modes), and batched execution (a batch entry must equal its
 own single run).  With ``REPRO_CC=0`` the ``auto`` cases run the Python
-modes instead.  Also covers the NoCSimulator fallback matrix and the
+modes instead.  Also covers NoCSimulator's engine selection and the
 simulate_batch API surface.
 """
 
@@ -70,9 +70,8 @@ def _engine(mesh, traffics, network_config=None, *, mode="auto", **kwargs):
 
 
 def _assert_vector_engine(res):
-    """The result came from the vector engine, with no fallback."""
+    """The result came from the vector engine."""
     assert res.engine == "vector"
-    assert res.engine_fallback is None
 
 
 def _mapped_traffic_factory(name: str, seed: int = 13):
@@ -239,48 +238,44 @@ def test_empty_traffic_list_rejected():
 
 def _c1_sim(**kwargs):
     inst, make = _mapped_traffic_factory("C1")
-    return NoCSimulator(inst.mesh, make(), engine="vector", **kwargs)
+    return NoCSimulator(inst.mesh, make(), **kwargs)
 
 
-def test_vector_falls_back_on_observability(caplog):
+def _assert_fastpath_run(sim):
+    assert sim.engine == "fastpath"
+    assert sim.network is not None
+    assert sim.run(warmup=100, measure=300).engine == "fastpath"
+
+
+def test_vector_falls_back_on_observability():
     from repro.obs import Observability, ObservabilityConfig, TraceConfig
 
     obs = Observability(ObservabilityConfig(trace=TraceConfig()))
-    with caplog.at_level("WARNING", logger="repro.noc"):
-        sim = _c1_sim(obs=obs)
-    assert sim.engine == "fastpath"
-    assert "observability" in sim.engine_fallback
-    assert any("falling back to fastpath" in r.message for r in caplog.records)
-    result = sim.run(warmup=100, measure=300)
-    assert result.engine == "fastpath"
-    assert "observability" in result.engine_fallback
+    _assert_fastpath_run(_c1_sim(obs=obs))
 
 
 def test_vector_falls_back_on_faults():
     schedule = FaultSchedule(
         link_windows=(LinkDownWindow(5, Port.EAST, 10, 50),)
     )
-    sim = _c1_sim(faults=schedule)
-    assert sim.engine == "fastpath"
-    assert "fault" in sim.engine_fallback
-    result = sim.run(warmup=100, measure=300)
-    assert result.engine == "fastpath"
-    assert "fault" in result.engine_fallback
+    _assert_fastpath_run(_c1_sim(faults=schedule))
 
 
 def test_vector_falls_back_on_invariants():
     sim = _c1_sim(invariants=True)
-    assert sim.engine == "fastpath"
-    assert "invariant" in sim.engine_fallback
-    result = sim.run(warmup=100, measure=300)
-    assert result.engine == "fastpath"
-    assert result.invariant_checks > 0
+    _assert_fastpath_run(sim)
+    assert sim.network.invariants.checks_run > 0
+
+
+def test_fastpath_on_request():
+    _assert_fastpath_run(_c1_sim(engine="fastpath"))
 
 
 def test_vector_engine_used_when_nothing_attached():
     sim = _c1_sim()
     assert sim.engine == "vector"
-    assert sim.engine_fallback is None
+    assert sim.network is None
+    _assert_vector_engine(sim.run(warmup=100, measure=300))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
 
 import pytest
 
-from repro.noc.simulator import NoCSimulator
-from repro.noc.traffic import MappedWorkloadTraffic
-from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
-from repro.core.problem import Mapping, OBMInstance
-from repro.core.workload import Application, Workload
 from repro.service.app import MappingService
 
 
@@ -93,6 +87,7 @@ class TestHTTPEndpoints:
             lambda s: {**s, "apps": []},
             lambda s: {**s, "mesh": 1},  # 6 threads on 1 tile
             lambda s: {**s, "sim": {"engine": "vector-jit"}},  # engine removed
+            lambda s: {**s, "sim": {"engine": "vector"}},  # the run picks the engine
         ],
     )
     def test_malformed_requests_are_400(self, client, spec2, mutate):
@@ -189,55 +184,16 @@ class TestCacheSemantics:
 
 
 class TestFallbackSurfacing:
-    """ISSUE satellite 3: engine auto-fallback must reach the payload."""
+    """A run that needs the fast path says so in ``measured.engine``."""
 
-    def test_service_surfaces_invariant_fallback(self, client, spec2, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.noc"):
-            doc = client.map(
-                {
-                    **spec2,
-                    "simulate": True,
-                    "sim": {**SIM_FAST, "engine": "vector", "invariants": True},
-                }
-            )
+    def test_service_surfaces_invariant_fallback(self, client, spec2):
+        doc = client.map(
+            {**spec2, "simulate": True, "sim": {**SIM_FAST, "invariants": True}}
+        )
         measured = doc["result"]["measured"]
         assert measured["engine"] == "fastpath"
-        assert measured["engine_requested"] == "vector"
-        assert measured["engine_fallback"] == "invariant checking attached"
-        assert (
-            "vector engine unavailable: invariant checking attached; "
-            "falling back to fastpath" in caplog.text
-        )
+        assert measured["invariant_checks"] > 0
 
     def test_no_fallback_on_the_batched_path(self, client, spec2):
         doc = client.map({**spec2, "simulate": True, "sim": SIM_FAST})
-        measured = doc["result"]["measured"]
-        assert measured["engine"] == "vector"
-        assert measured["engine_requested"] == "vector"
-        assert measured["engine_fallback"] is None
-
-    def test_observability_fallback_reason_string_is_pinned(self, caplog):
-        """Regression: the exact logged reason for obs-attached fallback."""
-        model = MeshLatencyModel(Mesh.square(2), LatencyParams())
-        instance = OBMInstance(
-            model, Workload((Application("a", [1.0], [0.5]),), name="w")
-        )
-        traffic = MappedWorkloadTraffic(
-            instance, Mapping([0, 1, 2, 3]), seed=0
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.noc"):
-            sim = NoCSimulator(instance.mesh, traffic, obs=True, engine="vector")
-        assert sim.engine == "fastpath"
-        assert sim.engine_requested == "vector"
-        assert sim.engine_fallback == (
-            "observability attached (tracing/sampling needs per-event hooks)"
-        )
-        assert (
-            "vector engine unavailable: observability attached "
-            "(tracing/sampling needs per-event hooks); falling back to fastpath"
-            in caplog.text
-        )
-        result = sim.run(warmup=10, measure=50)
-        assert result.engine == "fastpath"
-        assert result.engine_requested == "vector"
-        assert result.engine_fallback == sim.engine_fallback
+        assert doc["result"]["measured"]["engine"] == "vector"

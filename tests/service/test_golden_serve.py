@@ -1,9 +1,9 @@
 """Golden end-to-end: service responses == direct engine runs, bit for bit.
 
 For every measured paper configuration C1-C8, a ``POST /map`` with
-``simulate`` on must return exactly the bytes a direct
-``python -m repro simulate --engine vector`` pipeline produces: same
-solver permutation, same evaluation metrics, same measured APLs.  The
+``simulate`` on must return exactly the bytes a direct ``python -m repro
+simulate`` pipeline produces: same solver permutation, same evaluation
+metrics, same measured APLs.  The
 comparison is on canonical JSON encodings, so any drift — float noise,
 translation bugs, a different RNG-to-thread assignment — fails loudly.
 """
@@ -39,9 +39,7 @@ def reference_response(config: str, algorithm: str = "sss") -> dict:
     lb = max_apl_lower_bound(instance)
 
     traffic = MappedWorkloadTraffic(instance, solved.mapping, seed=SEED)
-    measured = NoCSimulator(instance.mesh, traffic, engine="vector").run(
-        warmup=WARMUP, measure=MEASURE
-    )
+    measured = NoCSimulator(instance.mesh, traffic).run(warmup=WARMUP, measure=MEASURE)
 
     n_apps = len(workload.applications)
     stats = measured.stats
@@ -66,8 +64,6 @@ def reference_response(config: str, algorithm: str = "sss") -> dict:
         },
         "measured": {
             "engine": measured.engine,
-            "engine_requested": measured.engine_requested,
-            "engine_fallback": measured.engine_fallback,
             "cycles": measured.cycles,
             "packets_offered": measured.packets_offered,
             "packets_delivered": measured.packets_delivered,

@@ -126,7 +126,16 @@ class TestCLI:
         assert "packets delivered" in out
         assert "delivery:" in out
         assert "invariant sweeps" in out
+        assert "engine: fastpath" in out.splitlines()  # invariants need its hooks
         assert "fault injection" not in out  # no schedule attached
+
+    def test_simulate_defaults_to_vector_engine(self, capsys):
+        code = main(
+            ["simulate", "--workload", "C1", "--mesh", "4", "--algorithm",
+             "global", "--warmup", "100", "--measure", "400"]
+        )
+        assert code == 0
+        assert "engine: vector" in capsys.readouterr().out.splitlines()
 
     def test_simulate_command_with_faults(self, capsys):
         code = main(
