@@ -134,8 +134,9 @@ class PacketTable:
     per simulated cycle in the dense mode, once per window in the
     compiled one), so no per-packet NumPy write ever happens.
 
-    The table holds no :class:`Packet` objects: a packet that enters
-    through :meth:`append_packet` is copied field-by-field and dropped.
+    The table holds no :class:`Packet` objects: traffic generators
+    append rows (:meth:`~repro.noc.traffic.TrafficGenerator.emit`), and
+    only the fast path builds objects from them.
     The vector engine's compiled mode leaves ``ej`` unset: its kernel
     keeps the ejection stamps in an array of its own.
     """
@@ -181,16 +182,11 @@ class PacketTable:
         self.ej.append(-1)
         return pid
 
-    def append_packet(self, packet: Packet) -> int:
-        """Copy a :class:`Packet`'s fields into a row (the object is not kept)."""
-        return self.append(
-            packet.src,
-            packet.dst,
-            int(packet.traffic_class),
-            packet.length,
-            packet.created_at,
-            int(packet.app),
-        )
+    def clear(self) -> None:
+        """Drop every row; the mirrors keep their capacity."""
+        for name in ("src", "dst", "tclass", "length", "created", "app", "ej"):
+            getattr(self, name).clear()
+        self._synced = 0
 
     def flush(self) -> None:
         """Sync the NumPy mirrors with rows appended since the last flush.

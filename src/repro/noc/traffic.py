@@ -12,6 +12,12 @@ Two families:
   :class:`TransposeTraffic`, :class:`NearestMCTraffic`) used by the NoC
   validation tests and the latency-model calibration.
 
+Every generator defines its traffic once, in ``emit(now, table)``, as
+:class:`~repro.noc.packet.PacketTable` rows.  The vector engine passes its
+own table; the fast path's ``packets_for_cycle`` builds
+:class:`~repro.noc.packet.Packet` objects from the same rows, so pids
+rise with ``created_at``.
+
 Rates in the workload model are *per unit time*; ``cycles_per_unit``
 converts them to per-cycle injection probabilities (default 1000 cycles
 per unit, which puts the paper's Table 3 rates comfortably below
@@ -26,7 +32,7 @@ import numpy as np
 
 from repro.core.latency import MeshLatencyModel
 from repro.core.problem import Mapping, OBMInstance
-from repro.noc.packet import Packet, TrafficClass
+from repro.noc.packet import Packet, PacketTable, TrafficClass
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -38,11 +44,40 @@ __all__ = [
 ]
 
 
+#: ``TrafficClass`` by its row code (the enum values are 0..3 in order)
+_CLASSES = tuple(TrafficClass)
+
+
 class TrafficGenerator:
-    """Base class: yields the packets created in a given cycle."""
+    """Base class: the packets created in each cycle.
+
+    :meth:`emit` is a generator's one definition of its traffic.  The
+    vector engine calls it with its packet table; :meth:`packets_for_cycle`
+    turns the same rows into :class:`Packet` objects for the fast path.
+    """
+
+    _rows = None  #: this generator's scratch table for packets_for_cycle
+
+    def emit(self, now: int, table: PacketTable) -> None:
+        """Append the packets created in cycle ``now`` to ``table``."""
+        raise NotImplementedError
 
     def packets_for_cycle(self, now: int) -> list[Packet]:
-        raise NotImplementedError
+        """The rows :meth:`emit` writes for cycle ``now``, as packets."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = PacketTable(capacity=1)
+        self.emit(now, rows)
+        if not rows.src:
+            return []
+        packets = [
+            Packet(src, dst, _CLASSES[cls], created, length, app)
+            for src, dst, cls, length, created, app in zip(
+                rows.src, rows.dst, rows.tclass, rows.length, rows.created, rows.app
+            )
+        ]
+        rows.clear()
+        return packets
 
 
 @dataclass
@@ -54,34 +89,27 @@ class _PatternBase(TrafficGenerator):
     length: int = 1
     seed: object = None
 
+    #: drop packets whose destination is their source
+    _skip_self = False
+
     def __post_init__(self) -> None:
         if not 0 <= self.injection_rate <= 1:
             raise ValueError("injection rate must be a per-cycle probability")
         if self.n_tiles < 2:
             raise ValueError("need at least two tiles for network traffic")
+        if self.length < 1:
+            raise ValueError(f"packet length must be >= 1 flit, got {self.length}")
         self._rng = as_rng(self.seed)
-
-    def _sources_this_cycle(self) -> np.ndarray:
-        return np.flatnonzero(self._rng.random(self.n_tiles) < self.injection_rate)
 
     def _dst(self, src: int) -> int:
         raise NotImplementedError
 
-    def packets_for_cycle(self, now: int) -> list[Packet]:
-        out = []
-        for src in self._sources_this_cycle():
-            src = int(src)
+    def emit(self, now: int, table: PacketTable) -> None:
+        sources = np.flatnonzero(self._rng.random(self.n_tiles) < self.injection_rate)
+        for src in sources.tolist():
             dst = self._dst(src)
-            out.append(
-                Packet(
-                    src=src,
-                    dst=dst,
-                    traffic_class=TrafficClass.CACHE_REQUEST,
-                    created_at=now,
-                    length=self.length,
-                )
-            )
-        return out
+            if dst != src or not self._skip_self:
+                table.append(src, dst, 0, self.length, now, -1)  # CACHE_REQUEST
 
 
 class UniformRandomTraffic(_PatternBase):
@@ -94,9 +122,14 @@ class UniformRandomTraffic(_PatternBase):
 
 @dataclass
 class TransposeTraffic(_PatternBase):
-    """Matrix-transpose permutation traffic on a square mesh."""
+    """Matrix-transpose permutation traffic on a square mesh.
+
+    Diagonal tiles would send to themselves; their packets are dropped.
+    """
 
     side: int = 0
+
+    _skip_self = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -106,9 +139,6 @@ class TransposeTraffic(_PatternBase):
     def _dst(self, src: int) -> int:
         r, c = divmod(src, self.side)
         return c * self.side + r
-
-    def packets_for_cycle(self, now: int) -> list[Packet]:
-        return [p for p in super().packets_for_cycle(now) if p.src != p.dst]
 
 
 @dataclass
@@ -159,8 +189,6 @@ class MappedWorkloadTraffic(TrafficGenerator):
     ) -> None:
         if cycles_per_unit <= 0:
             raise ValueError("cycles_per_unit must be positive")
-        self._per_hop = router_pipeline + link_latency
-        self._pipeline = router_pipeline
         self.instance = instance
         self.mapping = mapping
         self.cycles_per_unit = cycles_per_unit
@@ -179,13 +207,10 @@ class MappedWorkloadTraffic(TrafficGenerator):
         self.thread_tile = mapping.perm
         self.app_of_thread = wl.app_of_thread
         self.n_tiles = instance.n
-        self._model = instance.model
-        # Replies scheduled for the future: cycle -> list of packets
-        # (object path) / cycle -> list of field tuples (SoA path).  The
-        # two paths never mix within one generator: a generator is
-        # consumed by exactly one engine run.
-        self._pending_replies: dict[int, list[Packet]] = {}
-        self._soa_pending: dict[int, list[tuple[int, int, int, int]]] = {}
+        # Replies scheduled for the future: cycle -> list of (src, dst,
+        # class, app, thread) tuples, in scheduling order.
+        self._pending: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        self._replied = ()  #: the reply tuples _emit_rows last emitted
         # Hot-loop lookup tables: one (2, n_threads) draw buffer matching
         # the stacked per-cycle probabilities, plus plain-list mirrors of
         # every per-thread/per-tile quantity the packet loop touches.
@@ -194,149 +219,95 @@ class MappedWorkloadTraffic(TrafficGenerator):
         self._hit_buf = np.empty(self._p_both.shape, dtype=bool)
         self._tile_l = [int(t) for t in self.thread_tile]
         self._app_l = [int(a) for a in self.app_of_thread]
-        self._nearest_l = [self._model.nearest_mc(t) for t in range(self.n_tiles)]
-        # Zero-load arrival estimate (sans the per-packet length term):
-        # hops * (pipeline + link) + pipeline, per (src, dst).  The
-        # generator is open-loop (it never sees deliveries), so a reply is
-        # due this long plus (flits - 1) plus the L2/memory latency after
-        # its request; queuing shifts real arrivals by the 0-1 cycle td_q
-        # term at the paper's loads.
-        self._est_l = (
-            instance.mesh.hop_matrix * self._per_hop + self._pipeline
-        ).tolist()
+        self._nearest_l = [instance.model.nearest_mc(t) for t in range(self.n_tiles)]
+        # Zero-load arrival of a single-flit request: hops * (pipeline +
+        # link) + pipeline, per (src, dst).  The generator is open-loop (it
+        # never sees deliveries), so a reply is due this long plus the
+        # L2/memory latency after its request; queuing shifts real
+        # arrivals by the 0-1 cycle td_q term at the paper's loads.
+        per_hop = router_pipeline + link_latency
+        self._est_l = (instance.mesh.hop_matrix * per_hop + router_pipeline).tolist()
 
-    def packets_for_cycle(self, now: int) -> list[Packet]:
+    def emit(self, now: int, table: PacketTable) -> None:
         # One (2, n) draw: row 0 is the cache Bernoulli trials, row 1 the
-        # memory trials — the same stream as the original stacked draw,
-        # and row-major nonzero() preserves the cache-then-memory request
-        # order (so the per-cache-request destination draws line up too).
+        # memory trials, and row-major nonzero() yields the cache requests
+        # before the memory ones (so the per-cache-request destination
+        # draws follow the same order every time).
         self._rng.random(out=self._draw_buf)
         hits = np.less(self._draw_buf, self._p_both, out=self._hit_buf)
         rows, threads = hits.nonzero()
-        return self._emit(rows, threads, now)
+        # No hits and no reply due now -> nothing to emit and no RNG
+        # draws owed (destination draws follow hits).
+        if rows.size or now in self._pending:
+            self._emit_rows(rows, threads, now, table)
 
-    def _emit(self, rows, threads, now: int) -> list[Packet]:
-        """Build this cycle's packets from Bernoulli hits ``(rows, threads)``.
+    def packets_for_cycle(self, now: int) -> list[Packet]:
+        """The base class's packets, plus the thread ids of their rows.
 
-        Split out from :meth:`packets_for_cycle` so the vector engine can
-        batch the draw comparison across instances (one fused ``np.less``
-        + ``nonzero`` over a stacked buffer) and still emit per-instance
-        packets — including the interleaved per-request destination draws
-        — in exactly the single-instance stream order.
+        :class:`~repro.noc.transactions.TransactionTracker` pairs
+        requests with replies by thread, and the table has no thread
+        column: requests take theirs from this cycle's hit buffer, replies
+        from their pending tuple.
         """
-        rng = self._rng
-        out = []
-        if rows.size:
-            tile = self._tile_l
-            app = self._app_l
-            for memory, thread in zip(rows.tolist(), threads.tolist()):
-                src = tile[thread]
-                if memory:
-                    dst = self._nearest_l[src]
-                    cls = TrafficClass.MEM_REQUEST
-                else:
-                    dst = int(rng.integers(self.n_tiles))
-                    cls = TrafficClass.CACHE_REQUEST
-                out.append(
-                    Packet(
-                        src=src,
-                        dst=dst,
-                        traffic_class=cls,
-                        created_at=now,
-                        app=app[thread],
-                        thread=thread,
-                    )
-                )
-        if self.generate_replies:
-            if out:
-                est = self._est_l
-                pending = self._pending_replies
-                for request in out:
-                    if request.traffic_class == TrafficClass.CACHE_REQUEST:
-                        delay, cls = self.l2_latency, TrafficClass.CACHE_REPLY
-                    else:
-                        delay, cls = self.memory_latency, TrafficClass.MEM_REPLY
-                    due = (
-                        now
-                        + est[request.src][request.dst]
-                        + (request.length - 1)
-                        + delay
-                    )
-                    reply = Packet(
-                        src=request.dst,
-                        dst=request.src,
-                        traffic_class=cls,
-                        created_at=due,
-                        app=request.app,
-                        thread=request.thread,
-                    )
-                    pending.setdefault(due, []).append(reply)
-            if self._pending_replies:
-                out.extend(self._pending_replies.pop(now, []))
-        return out
+        packets = super().packets_for_cycle(now)
+        if packets:
+            threads = self._hit_buf.nonzero()[1].tolist()
+            threads += [reply[4] for reply in self._replied]
+            for packet, thread in zip(packets, threads):
+                packet.thread = thread
+        return packets
 
-    def _emit_soa(self, rows, threads, now: int, table) -> None:
-        """SoA twin of :meth:`_emit`: append straight into ``table``.
+    def _emit_rows(self, rows, threads, now: int, table: PacketTable) -> None:
+        """Append this cycle's packets for Bernoulli hits ``(rows, threads)``.
 
-        Writes this cycle's packets as rows of a
-        :class:`~repro.noc.packet.PacketTable` — no :class:`Packet`
-        objects anywhere — while consuming the RNG draw-for-draw
-        identically to :meth:`_emit` (the per-cache-request destination
-        draws interleave with the hit order exactly as there).  Row
-        order matches :meth:`_emit`'s returned list order: requests in
-        hit order, then this cycle's due replies in scheduling order.
+        Requests come first, in hit order, each cache request drawing its
+        destination as it goes; then the replies due now, in scheduling
+        order.  Split out of :meth:`emit` so the vector engine can fuse
+        the draw comparison across instances (one ``np.less`` +
+        ``nonzero`` over a stacked buffer) and still consume each
+        instance's RNG exactly as :meth:`emit` does.
         """
         rng = self._rng
         src_c, dst_c, cls_c = table.src, table.dst, table.tclass
         len_c, created_c, app_c = table.length, table.created, table.app
         ej_c = table.ej
-        start = len(src_c)
-        if rows.size:
-            tile = self._tile_l
-            app = self._app_l
-            nearest = self._nearest_l
-            n_tiles = self.n_tiles
-            for memory, thread in zip(rows.tolist(), threads.tolist()):
-                src = tile[thread]
+        tile, app, nearest = self._tile_l, self._app_l, self._nearest_l
+        n_tiles = self.n_tiles
+        pending = self._pending if self.generate_replies else None
+        est = self._est_l
+        for memory, thread in zip(rows.tolist(), threads.tolist()):
+            src = tile[thread]
+            if memory:
+                dst = nearest[src]
+                cls = 2  # TrafficClass.MEM_REQUEST
+            else:
+                dst = int(rng.integers(n_tiles))
+                cls = 0  # TrafficClass.CACHE_REQUEST
+            src_c.append(src)
+            dst_c.append(dst)
+            cls_c.append(cls)
+            len_c.append(1)  # requests are single-flit (Table 2)
+            created_c.append(now)
+            app_c.append(app[thread])
+            ej_c.append(-1)
+            if pending is not None:
                 if memory:
-                    dst = nearest[src]
-                    cls = 2  # TrafficClass.MEM_REQUEST
+                    due = now + est[src][dst] + self.memory_latency
                 else:
-                    dst = int(rng.integers(n_tiles))
-                    cls = 0  # TrafficClass.CACHE_REQUEST
+                    due = now + est[src][dst] + self.l2_latency
+                reply = (dst, src, cls + 1, app[thread], thread)  # *_REPLY
+                pl = pending.get(due)
+                if pl is None:
+                    pending[due] = [reply]
+                else:
+                    pl.append(reply)
+        if pending is not None:
+            self._replied = replied = pending.pop(now, ())
+            for src, dst, cls, app_id, _ in replied:
                 src_c.append(src)
                 dst_c.append(dst)
                 cls_c.append(cls)
-                len_c.append(1)  # requests are single-flit (Table 2)
+                len_c.append(5)  # replies carry a 64 B line + head
                 created_c.append(now)
-                app_c.append(app[thread])
+                app_c.append(app_id)
                 ej_c.append(-1)
-        if self.generate_replies:
-            end = len(src_c)
-            if end > start:
-                est = self._est_l
-                pending = self._soa_pending
-                l2, mem = self.l2_latency, self.memory_latency
-                for pid in range(start, end):
-                    src = src_c[pid]
-                    dst = dst_c[pid]
-                    if cls_c[pid] == 0:
-                        due = now + est[src][dst] + l2
-                        rcls = 1  # TrafficClass.CACHE_REPLY
-                    else:
-                        due = now + est[src][dst] + mem
-                        rcls = 3  # TrafficClass.MEM_REPLY
-                    pl = pending.get(due)
-                    if pl is None:
-                        pending[due] = [(dst, src, rcls, app_c[pid])]
-                    else:
-                        pl.append((dst, src, rcls, app_c[pid]))
-            if self._soa_pending:
-                for src, dst, rcls, app_id in self._soa_pending.pop(now, ()):
-                    src_c.append(src)
-                    dst_c.append(dst)
-                    cls_c.append(rcls)
-                    len_c.append(5)  # replies carry a 64 B line + head
-                    created_c.append(now)
-                    app_c.append(app_id)
-                    ej_c.append(-1)

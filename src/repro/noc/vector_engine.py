@@ -77,19 +77,17 @@ No per-packet objects
 Packets live as rows of a :class:`~repro.noc.packet.PacketTable` — flat
 id/src/dst/class/length/created/app/inject/eject columns grown
 geometrically — never as :class:`~repro.noc.packet.Packet` instances.
-:class:`~repro.noc.traffic.MappedWorkloadTraffic` emits straight into
-the table via :meth:`~repro.noc.traffic.MappedWorkloadTraffic._emit_soa`
-(consuming its RNG draw-for-draw identically to the object path: the
-destination draws interleave with the injection draws, which is also why
-draws cannot be prefetched across cycles), the engine tracks delivered
-*pids*, and latency statistics materialize once at the end of
+Every generator appends its rows straight into the table through
+:meth:`~repro.noc.traffic.TrafficGenerator.emit`, the same code whose
+rows the fast path turns into objects (for
+:class:`~repro.noc.traffic.MappedWorkloadTraffic` the destination draws
+interleave with the injection draws, which is also why draws cannot be
+prefetched across cycles).  The engine tracks delivered *pids*, and
+latency statistics materialize once at the end of
 :meth:`VectorEngine.run` via :meth:`LatencyStats.from_arrays` — same
 delivered order, same ``SimulationResult`` fields, no per-packet Python
-work anywhere on the batch path.  Generators that are not plain
-``MappedWorkloadTraffic`` still enter through ``packets_for_cycle``;
-each object is copied into the table and dropped.  In ``cc`` mode the
-kernel keeps the ejection stamps itself, so the table's ``ej`` list
-stays unset.
+work anywhere on the batch path.  In ``cc`` mode the kernel keeps the
+ejection stamps itself, so the table's ``ej`` list stays unset.
 
 Faults, invariants and observability hooks are *not* supported here;
 :class:`~repro.noc.simulator.NoCSimulator` runs the fast path whenever
@@ -1187,50 +1185,27 @@ class VectorEngine:
         Returns ``emit(now)``, which appends cycle ``now``'s packets of
         each generator to the packet table, instance by instance, and
         reports each instance's fresh rows as ``on_rows(b, start, end,
-        now)``.  Generators that are not plain ``MappedWorkloadTraffic``
-        go through ``packets_for_cycle``, each object copied into the
-        table and dropped.
+        now)``.  Two branches: a batch of ``MappedWorkloadTraffic`` that
+        can fuse its draw comparison (see :meth:`_traffic_batch`) writes
+        through ``_emit_rows``; any other batch calls each generator's
+        :meth:`~repro.noc.traffic.TrafficGenerator.emit`.
         """
         traffics = self.traffics
         pt = self.pt
         src_col = pt.src
-        if self.B == 1 and type(traffics[0]) is MappedWorkloadTraffic:
-            # SoA emission: identical draws to packets_for_cycle, but
-            # rows append straight into the packet table — no Packet
-            # objects on the single-instance path either.
-            traffic = traffics[0]
-            rng_fill = traffic._rng.random
-            db, pb, hb = traffic._draw_buf, traffic._p_both, traffic._hit_buf
-            emit_soa = traffic._emit_soa
-            pend = traffic._soa_pending
-
-            def emit(now: int) -> None:
-                rng_fill(out=db)
-                np.less(db, pb, out=hb)
-                rows, threads = hb.nonzero()
-                # No hits and no reply due now -> nothing to emit and
-                # no RNG draws owed (destination draws follow hits).
-                if rows.size or now in pend:
-                    start = len(src_col)
-                    emit_soa(rows, threads, now, pt)
-                    end = len(src_col)
-                    if end > start:
-                        on_rows(0, start, end, now)
-
-            return emit
         batch = self._traffic_batch() if self.B > 1 else None
         if batch is not None:
-            # Fused draw: per-instance RNG fills (stream-identical to the
-            # per-generator path), then ONE comparison + nonzero over the
-            # stacked buffer instead of B small kernel dispatches.  Each
-            # instance's hits then append straight into the shared packet
-            # table via _emit_soa.
+            # Fused draw: per-instance RNG fills (stream-identical to each
+            # generator's own emit), then ONE comparison + nonzero over
+            # the stacked buffer instead of B small kernel dispatches.
+            # Each instance's hits then append straight into the shared
+            # packet table via _emit_rows.
             tgp, tgd, tgh, tgb = batch
             # Hoisted per-instance bound methods/dicts: the inner loops
             # below run B times per cycle.
             fills = [(t._rng.random, row) for t, row in zip(traffics, tgd)]
             emits = [
-                (b, t._emit_soa, t._soa_pending)
+                (b, t._emit_rows, t._pending)
                 for b, t in enumerate(traffics)
             ]
 
@@ -1240,29 +1215,28 @@ class VectorEngine:
                 np.less(tgd, tgp, out=tgh)
                 ii, rows, threads = tgh.nonzero()
                 bounds = np.searchsorted(ii, tgb).tolist()
-                for b, emit_soa, pend in emits:
+                for b, emit_rows, pend in emits:
                     lo, hi = bounds[b], bounds[b + 1]
                     # Hitless instances with no reply due this cycle owe
                     # neither table rows nor RNG draws: skip the call.
                     if lo == hi and now not in pend:
                         continue
                     start = len(src_col)
-                    emit_soa(rows[lo:hi], threads[lo:hi], now, pt)
+                    emit_rows(rows[lo:hi], threads[lo:hi], now, pt)
                     end = len(src_col)
                     if end > start:
                         on_rows(b, start, end, now)
 
             return emit
-        append = pt.append_packet
+        emits = [(b, t.emit) for b, t in enumerate(traffics)]
 
         def emit(now: int) -> None:
-            for b, traffic in enumerate(traffics):
-                packets = traffic.packets_for_cycle(now)
-                if packets:
-                    start = len(src_col)
-                    for packet in packets:
-                        append(packet)
-                    on_rows(b, start, len(src_col), now)
+            for b, traffic_emit in emits:
+                start = len(src_col)
+                traffic_emit(now, pt)
+                end = len(src_col)
+                if end > start:
+                    on_rows(b, start, end, now)
 
         return emit
 

@@ -148,7 +148,7 @@ class PacketTracer:
                 event[name] = value
             yield event
 
-    def _emit(self, record: tuple) -> None:
+    def _record(self, record: tuple) -> None:
         self.events_total += 1
         self._buffer.append(record)
 
@@ -167,7 +167,7 @@ class PacketTracer:
         tid = self._next_tid
         self._next_tid = tid + 1
         self._tids[packet.pid] = tid
-        self._emit(
+        self._record(
             (
                 "submit",
                 now,
@@ -187,19 +187,19 @@ class PacketTracer:
         tid = self._tids.get(flit.packet.pid)
         if tid is None:
             return
-        self._emit(("hop", now, tid, tile, out_port.name, out_vc))
+        self._record(("hop", now, tid, tile, out_port.name, out_vc))
 
     def on_vc_alloc(self, tile: int, out_port, out_vc: int, pid: int, now: int) -> None:
         tid = self._tids.get(pid)
         if tid is None:
             return
-        self._emit(("vc_alloc", now, tid, tile, out_port.name, out_vc))
+        self._record(("vc_alloc", now, tid, tile, out_port.name, out_vc))
 
     def on_eject(self, packet, now: int) -> None:
         tid = self._tids.pop(packet.pid, None)
         if tid is None:
             return
-        self._emit(
+        self._record(
             (
                 "eject",
                 now,
@@ -216,23 +216,23 @@ class PacketTracer:
     def on_teardown(self, packet, now: int, flits: int) -> None:
         tid = self._tids.get(packet.pid)
         if tid is not None:
-            self._emit(("teardown", now, tid, flits))
+            self._record(("teardown", now, tid, flits))
 
     def on_retry(self, packet, now: int) -> None:
         tid = self._tids.get(packet.pid)
         if tid is not None:
-            self._emit(("retry", now, tid, packet.retries))
+            self._record(("retry", now, tid, packet.retries))
 
     def on_lost(self, packet, now: int) -> None:
         tid = self._tids.pop(packet.pid, None)
         if tid is not None:
-            self._emit(("lost", now, tid, packet.retries))
+            self._record(("lost", now, tid, packet.retries))
 
     def on_reroute(self, tile: int, dst: int, blocked, port, now: int) -> None:
-        self._emit(("reroute", now, tile, dst, blocked.name, port.name))
+        self._record(("reroute", now, tile, dst, blocked.name, port.name))
 
     def on_link_down(self, tile: int, port, now: int) -> None:
-        self._emit(("link_down", now, tile, port.name))
+        self._record(("link_down", now, tile, port.name))
 
     def on_link_up(self, tile: int, port, now: int) -> None:
-        self._emit(("link_up", now, tile, port.name))
+        self._record(("link_up", now, tile, port.name))
