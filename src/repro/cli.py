@@ -667,8 +667,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "experiments":
         # The documented alias: defer to the experiments CLI wholesale so
-        # its flags (--output-dir, --max-cells, --no-resume...) stay in
-        # one place.
+        # its flags (--output-dir, --workers, --profile...) stay in one
+        # place.
         from repro.experiments.__main__ import main as experiments_main
 
         return experiments_main(list(argv[1:]))

@@ -49,12 +49,10 @@ def _scorecard(fast=False):
     return run_scorecard(fast=fast)
 
 
-def _measured(fast=False, workers=1, ledger=None, max_cells=None):
+def _measured(fast=False, workers=1):
     from repro.experiments.measured import measured_apl_comparison
 
-    return measured_apl_comparison(
-        "C1", fast=fast, workers=workers, ledger=ledger, max_cells=max_cells
-    )
+    return measured_apl_comparison("C1", fast=fast, workers=workers)
 
 
 EXPERIMENTS["scorecard"] = _scorecard

@@ -54,20 +54,14 @@ FAST_BUDGETS = {"mc_samples": 400, "sa_iters": 1_500, "random_samples": 400}
 class ExperimentReport:
     """Rendered output plus raw data of one reproduced table/figure.
 
-    ``run_report`` (when the harness orchestrates cells through
-    :func:`~repro.experiments.parallel.parallel_map`) carries the
-    :class:`~repro.experiments.resilience.RunReport` accounting of the
-    run — cells resumed/computed, retries, degradation, wall time.  It is
-    deliberately *not* part of ``data``: artifact JSON must stay
-    byte-deterministic and wall time is not.  The artifact writer puts it
-    in a ``<id>.run.json`` sidecar instead.
+    ``data`` is written to the ``<id>.json`` artifact, so it must hold
+    only deterministic values: no wall-clock times.
     """
 
     experiment_id: str
     title: str
     text: str
     data: dict[str, Any] = field(default_factory=dict)
-    run_report: Any = None
 
     def __str__(self) -> str:
         return f"== {self.experiment_id}: {self.title} ==\n{self.text}"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
@@ -19,7 +17,6 @@ from repro.experiments.base import (
     standard_model,
 )
 from repro.experiments.parallel import parallel_map
-from repro.experiments.resilience import RunReport
 from repro.utils.text import format_table, grid_to_text, heatmap_to_text
 
 __all__ = ["fig3", "fig4", "fig5", "fig8", "fig9", "fig10"]
@@ -185,8 +182,18 @@ def fig8(*, fast: bool = False) -> ExperimentReport:
         "fig8",
         "SSS mapping and APLs of C1",
         text,
-        {"grid": grid, "global": glob, "sss": sss},
+        {"grid": grid, "global": _mapping_slice(glob), "sss": _mapping_slice(sss)},
     )
+
+
+def _mapping_slice(result) -> dict:
+    """The deterministic part of one result (no wall-clock runtime)."""
+    return {
+        "perm": result.mapping.perm.tolist(),
+        "apls": result.evaluation.apls,
+        "max_apl": result.max_apl,
+        "dev_apl": result.dev_apl,
+    }
 
 
 def _config_progress(total: int):
@@ -202,31 +209,14 @@ def _config_progress(total: int):
     return report
 
 
-def _config_sweeps(
-    fast: bool, workers: int, progress: bool, ledger, max_cells
-) -> tuple[list, RunReport]:
-    """The shared C1..C8 four-algorithm fan-out behind fig9 and fig10.
-
-    With a ledger attached, completed configurations are journaled as
-    they finish (keyed by config name) and resumed on re-launch, so an
-    interrupted sweep costs only its unfinished cells.
-    """
-    run_report = RunReport()
-    t0 = time.perf_counter()
-    try:
-        sweeps = parallel_map(
-            _algorithm_sweep_cell,
-            [(name, fast) for name in CONFIG_NAMES],
-            workers=workers,
-            ledger=ledger,
-            cell_keys=CONFIG_NAMES,
-            max_cells=max_cells,
-            report=run_report,
-            on_result=_config_progress(len(CONFIG_NAMES)) if progress else None,
-        )
-    finally:
-        run_report.wall_seconds = time.perf_counter() - t0
-    return sweeps, run_report
+def _config_sweeps(fast: bool, workers: int, progress: bool) -> list:
+    """The shared C1..C8 four-algorithm fan-out behind fig9 and fig10."""
+    return parallel_map(
+        _algorithm_sweep_cell,
+        [(name, fast) for name in CONFIG_NAMES],
+        workers=workers,
+        on_result=_config_progress(len(CONFIG_NAMES)) if progress else None,
+    )
 
 
 def fig9(
@@ -234,8 +224,6 @@ def fig9(
     fast: bool = False,
     workers: int = 1,
     progress: bool = False,
-    ledger=None,
-    max_cells: int | None = None,
 ) -> ExperimentReport:
     """Figure 9: max-APL of the four algorithms across C1-C8.
 
@@ -243,11 +231,8 @@ def fig9(
     best or tied-best, ~10% below Global on average.  ``workers > 1``
     fans the eight configurations across processes with identical output;
     ``progress=True`` reports per-configuration completion on stderr.
-    ``ledger`` journals completed configurations for crash-safe resume
-    (see :mod:`repro.experiments.resilience`); resumed output is
-    byte-identical to an uninterrupted run's.
     """
-    sweeps, run_report = _config_sweeps(fast, workers, progress, ledger, max_cells)
+    sweeps = _config_sweeps(fast, workers, progress)
     per_alg: dict[str, list[float]] = {a: [] for a in ALGORITHM_ORDER}
     data = {}
     for name, sweep in zip(CONFIG_NAMES, sweeps):
@@ -271,9 +256,7 @@ def fig9(
         "(paper: 8.74%, 9.44%, 10.42%)"
     )
     data["improvements"] = improvements
-    return ExperimentReport(
-        "fig9", "max-APL comparison", text, data, run_report=run_report
-    )
+    return ExperimentReport("fig9", "max-APL comparison", text, data)
 
 
 def fig10(
@@ -281,8 +264,6 @@ def fig10(
     fast: bool = False,
     workers: int = 1,
     progress: bool = False,
-    ledger=None,
-    max_cells: int | None = None,
 ) -> ExperimentReport:
     """Figure 10: g-APL of the four algorithms, normalised to Global.
 
@@ -290,10 +271,9 @@ def fig10(
     optimum); the three balancing algorithms pay only a few percent, SSS
     the least.  ``workers > 1`` fans the configurations across processes
     with identical output; ``progress=True`` reports per-configuration
-    completion on stderr.  ``ledger``/``max_cells`` give crash-safe
-    checkpoint/resume exactly as on :func:`fig9`.
+    completion on stderr.
     """
-    sweeps, run_report = _config_sweeps(fast, workers, progress, ledger, max_cells)
+    sweeps = _config_sweeps(fast, workers, progress)
     per_alg: dict[str, list[float]] = {a: [] for a in ALGORITHM_ORDER}
     data = {}
     for name, sweep in zip(CONFIG_NAMES, sweeps):
@@ -316,6 +296,4 @@ def fig10(
         f"SSS {losses['SSS']:.2%} (paper: 5.35%, 4.82%, <3.82%)"
     )
     data["losses"] = losses
-    return ExperimentReport(
-        "fig10", "normalized g-APL", text, data, run_report=run_report
-    )
+    return ExperimentReport("fig10", "normalized g-APL", text, data)

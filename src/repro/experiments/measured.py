@@ -9,16 +9,12 @@ packets.  Agreement between the analytic and measured columns — both in
 ordering and near-absolute cycles — is the strongest validation this
 reproduction offers.
 
-Cells return a JSON-safe *payload* (per-app APLs, max/dev, percentiles)
-rather than the raw :class:`~repro.noc.stats.LatencyStats`, so a
-:class:`~repro.experiments.resilience.RunLedger` can journal each
-replay as it completes and a re-launched run resumes from the journal
-with byte-identical output.
+Cells return a small *payload* (per-app APLs, max/dev, percentiles)
+rather than the raw :class:`~repro.noc.stats.LatencyStats`, so a pooled
+replay ships back only what the report reads.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.experiments.base import (
     ExperimentReport,
@@ -26,7 +22,6 @@ from repro.experiments.base import (
     standard_instance,
 )
 from repro.experiments.parallel import parallel_map
-from repro.experiments.resilience import RunReport
 from repro.noc.simulator import NoCSimulator
 from repro.noc.stats import LatencyStats
 from repro.noc.traffic import MappedWorkloadTraffic
@@ -36,14 +31,12 @@ __all__ = ["measured_apl_comparison"]
 
 
 def _stats_payload(stats: LatencyStats) -> dict:
-    """JSON-safe slice of one replay's measurements (ledger-journalable)."""
+    """The slice of one replay's measurements that the report reads."""
     return {
-        "apl_by_app": {str(app): apl for app, apl in stats.apl_by_app().items()},
+        "apl_by_app": stats.apl_by_app(),
         "max_apl": stats.max_apl(),
         "dev_apl": stats.dev_apl(),
-        "percentiles_by_app": {
-            str(app): p for app, p in stats.percentiles_by_app().items()
-        },
+        "percentiles_by_app": stats.percentiles_by_app(),
     }
 
 
@@ -81,8 +74,6 @@ def measured_apl_comparison(
     cycles: int = 20_000,
     fast: bool = False,
     workers: int = 1,
-    ledger=None,
-    max_cells: int | None = None,
 ) -> ExperimentReport:
     """Analytic vs measured per-application APLs for chosen algorithms.
 
@@ -90,35 +81,19 @@ def measured_apl_comparison(
     a fixed seed on the simulator's default (vector) engine, so
     ``workers > 1`` fans them across processes without changing a single
     measured number.
-
-    ``ledger`` journals each completed replay (keyed by algorithm name)
-    for crash-safe resume.
     """
     if fast:
         cycles = min(cycles, 4_000)
-    run_report = RunReport()
-    t0 = time.perf_counter()
     instance = standard_instance(config_name)
     results = run_algorithms(
         instance, fast=fast, seed_tag=config_name, algorithms=algorithms
     )
     cells = [(instance, results[alg].mapping, cycles, 13) for alg in algorithms]
-    try:
-        payloads = parallel_map(
-            _measure_cell,
-            cells,
-            workers=workers,
-            ledger=ledger,
-            cell_keys=list(algorithms),
-            max_cells=max_cells,
-            report=run_report,
-        )
-    finally:
-        run_report.wall_seconds = time.perf_counter() - t0
+    payloads = parallel_map(_measure_cell, cells, workers=workers)
     rows = []
     data = {}
     for alg, payload in zip(algorithms, payloads):
-        measured = {int(app): apl for app, apl in payload["apl_by_app"].items()}
+        measured = payload["apl_by_app"]
         analytic = results[alg].evaluation.apls
         for app, m_apl in sorted(measured.items()):
             rows.append([alg, f"app {app + 1}", float(analytic[app]), m_apl])
@@ -128,9 +103,7 @@ def measured_apl_comparison(
             "analytic_dev": results[alg].dev_apl,
             "measured_dev": payload["dev_apl"],
             "measured_by_app": measured,
-            "measured_percentiles": {
-                int(app): p for app, p in payload["percentiles_by_app"].items()
-            },
+            "measured_percentiles": payload["percentiles_by_app"],
         }
     text = format_table(
         ["algorithm", "application", "analytic APL", "measured APL"],
@@ -153,5 +126,4 @@ def measured_apl_comparison(
         f"measured APLs on {config_name}",
         text,
         data,
-        run_report=run_report,
     )

@@ -82,8 +82,8 @@ def _claims() -> list[Claim]:
         ),
         Claim(
             "fig8", "SSS beats Global on C1's worst app and balances APLs",
-            lambda d: d["fig8"].data["sss"].max_apl < d["fig8"].data["global"].max_apl
-            and d["fig8"].data["sss"].dev_apl < 0.1 * d["fig8"].data["global"].dev_apl,
+            lambda d: d["fig8"].data["sss"]["max_apl"] < d["fig8"].data["global"]["max_apl"]
+            and d["fig8"].data["sss"]["dev_apl"] < 0.1 * d["fig8"].data["global"]["dev_apl"],
         ),
         Claim(
             "fig9", "max-APL order: Global worst, SSS >= 5% better",

@@ -7,7 +7,8 @@ Layers (each usable on its own):
 - :mod:`repro.service.cache` — bounded LRU result cache and the
   per-mesh/parameter latency-model memo.
 - :mod:`repro.service.workers` — supervised worker pool for blocking
-  solves/simulations (PR 5 failure budget + backoff semantics).
+  solves/simulations (timeouts, retries with seeded backoff, and a
+  failure budget).
 - :mod:`repro.service.batcher` — micro-batching of simulation requests
   onto the vector engine's ``run_batch``.
 - :mod:`repro.service.admission` — admission control, deadlines, and

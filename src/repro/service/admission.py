@@ -26,9 +26,9 @@ read.  Single-flight cache fills deliberately *detach* the deadline
 runs to completion even when the requester that started it timed out.
 
 **Circuit breaker** (:class:`CircuitBreaker`) — per-backend failure
-accounting with the PR 5 failure-budget semantics (count failures,
-trip at a budget) plus the classic closed → open → half-open cycle.  A
-wedged compiled backend (the ``cc`` solver kernels) trips its breaker
+accounting with the worker pool's failure-budget semantics (count
+failures, trip at a budget) plus the classic closed → open → half-open
+cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its breaker
 and that service's solves run on the bit-identical pure-NumPy fallback
 instead of 503ing the world; after ``reset_after`` seconds the breaker
 goes half-open and lets probes through to the real backend again.
@@ -378,8 +378,8 @@ _STATE_VALUE = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
 class CircuitBreaker:
     """Per-backend failure budget with open/half-open/closed routing.
 
-    ``threshold`` consecutive failures (PR 5 failure-budget semantics:
-    every failed attempt is charged, success resets the count) open the
+    ``threshold`` consecutive failures (the worker pool's failure-budget
+    semantics: every failed attempt is charged, success resets the count) open the
     breaker; while open, :meth:`blocked` is True and callers route to
     the fallback backend.  After ``reset_after`` seconds the breaker
     turns half-open: traffic is let through to probe the real backend —

@@ -77,12 +77,7 @@ from repro.core import permkernels
 from repro.core.problem import Mapping, OBMInstance
 from repro.core.registry import ALGORITHMS
 from repro.core.workload import Application, Workload
-from repro.experiments.resilience import (
-    FailureBudgetExceeded,
-    RunReport,
-    config_fingerprint,
-    json_safe,
-)
+from repro.experiments.resilience import config_fingerprint, json_safe
 from repro.obs import reqtrace
 from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.reqtrace import SpanTracer
@@ -109,7 +104,7 @@ from repro.service.degrade import (
 )
 from repro.service.flightrec import FlightRecorder
 from repro.service.http import RequestError, read_request, response_bytes
-from repro.service.workers import WorkerPool
+from repro.service.workers import FailureBudgetExceeded, RunReport, WorkerPool
 
 __all__ = ["MapRequest", "MappingService", "RequestError", "serve", "run_service"]
 

@@ -23,11 +23,10 @@ Normalization rules (GUIDE §14 documents them for clients):
   rate-tuple)``; names are dropped entirely (they never affect the
   math).
 
-The fingerprint hashes the canonical payload through the same
-:func:`~repro.experiments.resilience.config_fingerprint` scheme the PR 5
-run ledger uses, so service cache keys and ledger fingerprints share one
-format and one set of invariants (JSON-canonical encoding, sorted keys,
-version-tagged).
+The fingerprint hashes the canonical payload through
+:func:`~repro.experiments.resilience.config_fingerprint` (JSON-canonical
+encoding, sorted keys, version-tagged), the one scheme every serve cache
+key uses.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class CanonicalProblem:
 
     @cached_property
     def fingerprint(self) -> str:
-        """PR 5 ledger-scheme fingerprint of the canonical payload."""
+        """:func:`config_fingerprint` of the canonical payload."""
         return config_fingerprint("serve.problem", problem=self.payload())
 
     @property

@@ -1,21 +1,18 @@
 """Supervised execution of blocking work for the asyncio service.
 
 The daemon's CPU-bound units (mapping solves, vector-engine batches) run
-off the event loop in worker threads, under the same supervision policy
-PR 5 gave experiment campaigns: a per-task timeout, a retry budget with
-seeded capped-exponential backoff (:func:`backoff_delays`), and a
-run-wide failure budget that raises
-:class:`~repro.experiments.resilience.FailureBudgetExceeded` rather than
-letting a sick backend grind every request into a timeout.  All
-accounting lands in a shared :class:`~repro.experiments.resilience.RunReport`
-(exposed by ``/healthz``) and the metrics registry.
+off the event loop in worker threads, under one supervision policy: a
+per-task timeout, a retry budget with seeded capped-exponential backoff
+(:func:`backoff_delays`), and a run-wide failure budget that raises
+:class:`FailureBudgetExceeded` rather than letting a sick backend grind
+every request into a timeout.  All accounting lands in a shared
+:class:`RunReport` (exposed by ``/healthz``) and the metrics registry.
 
 Threads, not processes: the work is NumPy-heavy (releases the GIL) and
 shares the in-process model memo; pickling problem instances across
 processes would cost more than it buys.  A *wedged* task cannot be
 preempted — on timeout its daemon thread is abandoned (counted as
-``pool_replacements``, the thread-pool analogue of PR 5 replacing a
-wedged process pool) and its semaphore slot is reclaimed so unrelated
+``pool_replacements``) and its semaphore slot is reclaimed so unrelated
 requests keep flowing.
 """
 
@@ -24,25 +21,135 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import logging
+import os
 import threading
+from dataclasses import asdict, dataclass, field
 
+from repro.experiments.resilience import json_safe
 from repro.obs import reqtrace
-from repro.experiments.resilience import (
-    FailureBudgetExceeded,
-    RunReport,
-    backoff_delays,
-    resolve_backoff,
-)
-from repro.experiments.parallel import (
-    resolve_failure_budget,
-    resolve_retries,
-    resolve_timeout,
-)
 from repro.service.admission import refuse_expired
+from repro.utils.rng import stable_seed
 
-__all__ = ["WorkerPool"]
+__all__ = ["FailureBudgetExceeded", "RunReport", "WorkerPool"]
 
 logger = logging.getLogger("repro.serve.workers")
+
+
+class FailureBudgetExceeded(RuntimeError):
+    """The run-wide budget of failed task attempts was spent."""
+
+    def __init__(self, budget: int, causes: list[str]) -> None:
+        detail = "; ".join(causes[-3:]) or "no recorded causes"
+        super().__init__(
+            f"run failure budget of {budget} attempt(s) exceeded (last causes: {detail})"
+        )
+        self.budget = budget
+        self.causes = causes
+
+
+@dataclass
+class RunReport:
+    """What the worker pool actually did: tasks, failures, retries, waits."""
+
+    cells_total: int = 0  #: tasks submitted
+    cells_resumed: int = 0  #: always 0; kept so ``/healthz`` keeps its shape
+    cells_computed: int = 0  #: tasks that returned a value
+    cells_failed: int = 0  #: exhausted their retry budget
+    retries: int = 0  #: failed attempts that were retried
+    backoff_seconds: float = 0.0  #: total time slept between retries
+    pool_replacements: int = 0  #: wedged threads abandoned after a timeout
+    degraded_serial: bool = False  #: always False; kept so ``/healthz`` keeps its shape
+    failure_causes: list[str] = field(default_factory=list)  #: recent causes (capped)
+    wall_seconds: float = 0.0  #: always 0.0; kept so ``/healthz`` keeps its shape
+
+    _MAX_CAUSES = 8
+
+    def record_failure(self, cause: BaseException) -> None:
+        self.failure_causes.append(f"{type(cause).__name__}: {cause}")
+        del self.failure_causes[: -self._MAX_CAUSES]
+
+    def as_dict(self) -> dict:
+        return json_safe(asdict(self))
+
+
+def resolve_timeout(timeout: float | None) -> float | None:
+    """Normalise a per-task timeout (env fallback ``REPRO_TASK_TIMEOUT``)."""
+    if timeout is None:
+        raw = os.environ.get("REPRO_TASK_TIMEOUT", "")
+        timeout = float(raw) if raw else None
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    return timeout
+
+
+def resolve_retries(retries: int | None) -> int:
+    """Normalise a per-task retry budget (env fallback ``REPRO_TASK_RETRIES``)."""
+    if retries is None:
+        retries = int(os.environ.get("REPRO_TASK_RETRIES", "0"))
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    return retries
+
+
+def resolve_failure_budget(budget: int | None) -> int | None:
+    """Normalise a run-wide failure budget (env fallback ``REPRO_FAILURE_BUDGET``)."""
+    if budget is None:
+        raw = os.environ.get("REPRO_FAILURE_BUDGET", "")
+        budget = int(raw) if raw else None
+    if budget is not None and budget < 0:
+        raise ValueError(f"failure_budget must be >= 0, got {budget}")
+    return budget
+
+
+#: Default capped exponential backoff: base 0.05s doubling to a 2s cap.
+DEFAULT_BACKOFF = (0.05, 2.0)
+
+
+def resolve_backoff(backoff=None) -> tuple[float, float]:
+    """Normalise a backoff knob to ``(base_seconds, cap_seconds)``.
+
+    ``None`` falls back to the ``REPRO_RETRY_BACKOFF`` environment
+    variable (``"base"`` or ``"base:cap"``; ``"0"`` disables), then to
+    :data:`DEFAULT_BACKOFF`.  A bare float is a base with the default
+    cap.
+    """
+    if backoff is None:
+        raw = os.environ.get("REPRO_RETRY_BACKOFF", "")
+        if raw:
+            parts = raw.split(":")
+            try:
+                base = float(parts[0])
+                cap = float(parts[1]) if len(parts) > 1 else max(base, DEFAULT_BACKOFF[1])
+            except ValueError:
+                raise ValueError(
+                    f"REPRO_RETRY_BACKOFF must be 'base' or 'base:cap', got {raw!r}"
+                ) from None
+            backoff = (base, cap)
+        else:
+            backoff = DEFAULT_BACKOFF
+    if isinstance(backoff, (int, float)):
+        backoff = (float(backoff), max(float(backoff), DEFAULT_BACKOFF[1]))
+    base, cap = float(backoff[0]), float(backoff[1])
+    if base < 0 or cap < base:
+        raise ValueError(f"backoff must satisfy 0 <= base <= cap, got {(base, cap)}")
+    return base, cap
+
+
+def backoff_delays(index: int, attempt: int, backoff: tuple[float, float]) -> float:
+    """Delay before retry ``attempt`` (1-based) of task ``index``.
+
+    Capped exponential with deterministic jitter: the raw delay
+    ``base * 2**(attempt-1)`` is clamped to ``cap`` and scaled by a
+    factor in ``[0.5, 1.0)`` derived from ``stable_seed`` — the same
+    (task, attempt) always waits the same time, but concurrent tasks
+    never thunder in lockstep.
+    """
+    base, cap = backoff
+    if base <= 0:
+        return 0.0
+    raw = min(cap, base * (2.0 ** (attempt - 1)))
+    jitter = (stable_seed("backoff", index, attempt) % 10**6) / 10**6
+    return raw * (0.5 + 0.5 * jitter)
 
 
 class WorkerPool:

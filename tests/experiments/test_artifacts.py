@@ -36,3 +36,25 @@ class TestWriteArtifacts:
         target = tmp_path / "nested" / "artifacts"
         write_artifacts(target, ["table2"])
         assert (target / "table2.txt").exists()
+
+    def test_fig8_json_is_deterministic(self, tmp_path):
+        # fig8's data must hold no wall-clock runtime, so two runs of the
+        # same commit write the same bytes.
+        write_artifacts(tmp_path / "a", ["fig8"], fast=True)
+        write_artifacts(tmp_path / "b", ["fig8"], fast=True)
+        assert (tmp_path / "a" / "fig8.json").read_bytes() == (
+            tmp_path / "b" / "fig8.json"
+        ).read_bytes()
+        doc = json.loads((tmp_path / "a" / "fig8.json").read_text())["data"]
+        assert set(doc["sss"]) == {"perm", "apls", "max_apl", "dev_apl"}
+        assert sorted(doc["sss"]["perm"]) == list(range(64))
+
+    def test_corrupted_artifact_quarantined_and_rewritten(self, tmp_path):
+        write_artifacts(tmp_path, ["fig3"], fast=True)
+        path = tmp_path / "fig3.json"
+        good = path.read_bytes()
+        path.write_bytes(good[:-2] + bytes([good[-2] ^ 0xFF]) + good[-1:])
+
+        write_artifacts(tmp_path, ["fig3"], fast=True)
+        assert (tmp_path / "fig3.json.corrupt").exists()  # damaged bytes kept
+        assert path.read_bytes() == good

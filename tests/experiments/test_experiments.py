@@ -88,8 +88,8 @@ class TestFigureShapes:
         report = fig8(fast=True)
         sss = report.data["sss"]
         glob = report.data["global"]
-        assert sss.max_apl < glob.max_apl
-        assert sss.dev_apl < 0.2 * glob.dev_apl
+        assert sss["max_apl"] < glob["max_apl"]
+        assert sss["dev_apl"] < 0.2 * glob["dev_apl"]
 
     @pytest.mark.slow
     def test_fig9_ordering(self):

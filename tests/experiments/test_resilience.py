@@ -1,34 +1,12 @@
-"""Unit tests for the crash-safety primitives: ledger, report, atomic IO.
-
-The integration-level drills (SIGKILL a worker mid-campaign, resume,
-compare bytes) live in ``test_chaos.py``; this module pins the building
-blocks those drills rest on.
-"""
+"""Tests of the canonical JSON encoding and config fingerprints."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import pytest
 
-from repro.experiments.resilience import (
-    RunLedger,
-    RunReport,
-    backoff_delays,
-    config_fingerprint,
-    json_safe,
-    resolve_backoff,
-)
-from repro.utils.atomicio import (
-    atomic_open,
-    atomic_write_text,
-    checksum_path,
-    quarantine,
-    sha256_of,
-    verify_checksum,
-    write_checksum,
-)
+from repro.experiments.resilience import config_fingerprint, json_safe
 
 
 class TestConfigFingerprint:
@@ -62,160 +40,3 @@ class TestJsonSafe:
 
     def test_non_string_keys_and_tuples(self):
         assert json_safe({1: (2, 3)}) == {"1": [2, 3]}
-
-
-class TestRunLedger:
-    def _make(self, path, **kw):
-        kw.setdefault("experiment", "fig9")
-        kw.setdefault("fingerprint", "f" * 16)
-        return RunLedger(path, **kw)
-
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        with self._make(path) as ledger:
-            value = ledger.record("C1", {"x": np.float64(1.5), "y": [1, 2]})
-        assert value == {"x": 1.5, "y": [1, 2]}  # canonical round-trip
-        with self._make(path) as ledger:
-            assert "C1" in ledger
-            assert len(ledger) == 1
-            assert ledger.get("C1") == value
-
-    def test_record_returns_canonical_form(self, tmp_path):
-        with self._make(tmp_path / "l.jsonl") as ledger:
-            out = ledger.record("k", {2: np.int64(7)})
-        # Keys stringified, numpy scalars native: the exact value a
-        # resumed run will read back.
-        assert out == {"2": 7}
-        assert type(out["2"]) is int
-
-    def test_fingerprint_mismatch_quarantines(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        with self._make(path, fingerprint="a" * 16) as ledger:
-            ledger.record("C1", 1)
-        reopened = self._make(path, fingerprint="b" * 16)
-        assert len(reopened) == 0
-        assert reopened.recovered_from is not None
-        assert reopened.recovered_from.name.endswith(".corrupt")
-        assert reopened.recovered_from.exists()
-        reopened.close()
-
-    def test_truncated_tail_healed(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        with self._make(path) as ledger:
-            ledger.record("C1", {"v": 1})
-            ledger.record("C2", {"v": 2})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-7])  # tear the last record mid-line
-        with self._make(path) as ledger:
-            assert "C1" in ledger and "C2" not in ledger
-            ledger.record("C2", {"v": 2})  # append lands on a clean line
-        with self._make(path) as ledger:
-            assert len(ledger) == 2
-
-    def test_mid_file_corruption_drops_tail(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        with self._make(path) as ledger:
-            for key in ("C1", "C2", "C3"):
-                ledger.record(key, {"k": key})
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2].replace('"k"', '"K"')  # break C2's hash binding
-        path.write_text("\n".join(lines) + "\n")
-        with self._make(path) as ledger:
-            # C2's entry no longer matches its sha256: it and everything
-            # after it are discarded; the clean prefix survives.
-            assert "C1" in ledger
-            assert "C2" not in ledger and "C3" not in ledger
-
-    def test_unterminated_last_line_is_dropped(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        with self._make(path) as ledger:
-            ledger.record("C1", 1)
-            ledger.record("C2", 2)
-        raw = path.read_bytes()
-        path.write_bytes(raw.rstrip(b"\n"))  # newline never became durable
-        with self._make(path) as ledger:
-            assert "C1" in ledger and "C2" not in ledger
-
-    def test_empty_file_is_fresh_not_corrupt(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        path.write_text("")
-        with self._make(path) as ledger:
-            assert len(ledger) == 0
-            ledger.record("C1", 1)
-        assert not (tmp_path / "l.jsonl.corrupt").exists()
-        with self._make(path) as ledger:
-            assert "C1" in ledger
-
-
-class TestRunReport:
-    def test_summary_and_dict(self):
-        report = RunReport(cells_total=8, cells_resumed=3, cells_computed=5)
-        report.retries = 2
-        report.backoff_seconds = 0.5
-        report.wall_seconds = 1.25
-        text = report.summary()
-        assert "5/8 cells computed" in text
-        assert "3 resumed" in text
-        assert "2 retried" in text
-        doc = report.as_dict()
-        json.dumps(doc)
-        assert RunReport(**doc).summary() == text  # sidecar round-trips
-
-    def test_failure_causes_capped(self):
-        report = RunReport()
-        for i in range(20):
-            report.record_failure(ValueError(f"boom {i}"))
-        assert len(report.failure_causes) == report._MAX_CAUSES
-        assert report.failure_causes[-1] == "ValueError: boom 19"
-
-
-class TestBackoffKnobs:
-    def test_resolve_default_and_tuple(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-        base, cap = resolve_backoff(None)
-        assert 0 < base <= cap
-        assert resolve_backoff((0.1, 1.0)) == (0.1, 1.0)
-        assert resolve_backoff(0.2)[0] == 0.2
-
-    def test_delays_deterministic_and_capped(self):
-        d1 = [backoff_delays(2, a, (0.5, 4.0)) for a in range(1, 9)]
-        d2 = [backoff_delays(2, a, (0.5, 4.0)) for a in range(1, 9)]
-        assert d1 == d2
-        assert all(d <= 4.0 for d in d1)
-        assert all(d >= 0.25 for d in d1)  # jitter floor is half the raw delay
-
-
-class TestAtomicIO:
-    def test_atomic_write_and_checksum(self, tmp_path):
-        path = tmp_path / "a.json"
-        atomic_write_text(path, '{"x": 1}\n', checksum=True)
-        assert path.read_text() == '{"x": 1}\n'
-        assert verify_checksum(path) is True
-        sidecar = checksum_path(path)
-        assert sidecar.read_text() == f"{sha256_of(path)}  a.json\n"
-
-    def test_failed_write_leaves_original_untouched(self, tmp_path):
-        path = tmp_path / "a.txt"
-        path.write_text("original")
-        with pytest.raises(RuntimeError):
-            with atomic_open(path) as fh:
-                fh.write("partial garbage")
-                raise RuntimeError("crash mid-write")
-        assert path.read_text() == "original"
-        assert list(tmp_path.iterdir()) == [path]  # no temp litter
-
-    def test_verify_detects_corruption(self, tmp_path):
-        path = tmp_path / "a.txt"
-        atomic_write_text(path, "good bytes", checksum=True)
-        path.write_text("evil bytes")
-        assert verify_checksum(path) is False
-        assert verify_checksum(tmp_path / "missing.txt") is None
-
-    def test_quarantine_moves_file_and_sidecar(self, tmp_path):
-        path = tmp_path / "a.txt"
-        atomic_write_text(path, "damaged", checksum=True)
-        target = quarantine(path)
-        assert target == tmp_path / "a.txt.corrupt"
-        assert target.exists() and not path.exists()
-        assert not checksum_path(path).exists()
-        assert (tmp_path / "a.txt.corrupt.sha256").exists()

@@ -17,12 +17,11 @@ from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
 from repro.core.problem import OBMInstance
 from repro.core.registry import ALGORITHMS
 from repro.core.workload import Application, Workload
-from repro.experiments.resilience import FailureBudgetExceeded
 from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import MappedWorkloadTraffic
 from repro.obs.metrics import MetricsRegistry
 from repro.service.batcher import SimulationBatcher
-from repro.service.workers import WorkerPool
+from repro.service.workers import FailureBudgetExceeded, WorkerPool
 
 
 def run(coro):

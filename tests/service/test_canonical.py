@@ -142,7 +142,7 @@ class TestValidation:
             canonicalize(spec)
 
     def test_fingerprint_matches_ledger_scheme(self):
-        """Cache keys reuse the PR 5 run-ledger fingerprint format."""
+        """Cache keys use the ``config_fingerprint`` format (16 hex digits)."""
         canon = canonicalize({"mesh": 4, "apps": [{"cache_rates": [1.0], "mem_rates": [0.5]}]})
         fp = canon.problem.fingerprint
         assert len(fp) == 16 and int(fp, 16) >= 0

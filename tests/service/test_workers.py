@@ -1,15 +1,21 @@
-"""Supervision tests for the service worker pool (PR 5 semantics, async)."""
+"""Supervision tests for the service worker pool and its knobs."""
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 
 import pytest
 
-from repro.experiments.resilience import FailureBudgetExceeded, RunReport
-from repro.service.workers import WorkerPool
+from repro.service.workers import (
+    FailureBudgetExceeded,
+    RunReport,
+    WorkerPool,
+    backoff_delays,
+    resolve_backoff,
+)
 
 
 def run(coro):
@@ -143,3 +149,81 @@ class TestWorkerPool:
         run(scenario())
         assert max(peak) <= 2
         assert pool.report.cells_computed == 8
+
+
+class TestRunReport:
+    def test_as_dict_round_trips(self):
+        report = RunReport(cells_total=8, cells_computed=5)
+        report.retries = 2
+        report.backoff_seconds = 0.5
+        doc = report.as_dict()
+        json.dumps(doc)
+        assert RunReport(**doc) == report
+        assert doc["cells_computed"] == 5 and doc["retries"] == 2
+
+    def test_failure_causes_capped(self):
+        report = RunReport()
+        for i in range(20):
+            report.record_failure(ValueError(f"boom {i}"))
+        assert len(report.failure_causes) == report._MAX_CAUSES
+        assert report.failure_causes[-1] == "ValueError: boom 19"
+
+
+class TestBackoffKnobs:
+    def test_resolve_default_and_tuple(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
+        base, cap = resolve_backoff(None)
+        assert 0 < base <= cap
+        assert resolve_backoff((0.1, 1.0)) == (0.1, 1.0)
+        assert resolve_backoff(0.2)[0] == 0.2
+
+    def test_delays_deterministic_and_capped(self):
+        d1 = [backoff_delays(2, a, (0.5, 4.0)) for a in range(1, 9)]
+        d2 = [backoff_delays(2, a, (0.5, 4.0)) for a in range(1, 9)]
+        assert d1 == d2
+        assert all(d <= 4.0 for d in d1)
+        assert all(d >= 0.25 for d in d1)  # jitter floor is half the raw delay
+
+    def test_delays_cap_and_disable(self):
+        for attempt in range(1, 12):
+            assert backoff_delays(0, attempt, (0.1, 2.0)) <= 2.0
+        assert backoff_delays(0, 5, (0.0, 2.0)) == 0.0
+        assert backoff_delays(3, 1, (1.0, 8.0)) != backoff_delays(4, 1, (1.0, 8.0))
+
+    def test_env_knob(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5:8")
+        assert resolve_backoff(None) == (0.5, 8.0)
+        assert WorkerPool(1).backoff == (0.5, 8.0)
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        assert resolve_backoff(None)[0] == 0.0
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "junk")
+        with pytest.raises(ValueError):
+            resolve_backoff(None)
+        with pytest.raises(ValueError):
+            resolve_backoff((2.0, 1.0))  # cap below base
+
+
+class TestSupervisionKnobs:
+    def test_env_fallbacks(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
+        pool = WorkerPool(1, backoff=0.0)
+        assert (pool.retries, pool.timeout) == (2, 1.5)
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "-1")
+        with pytest.raises(ValueError):
+            WorkerPool(1)
+
+    def test_invalid_knobs_rejected(self):
+        with pytest.raises(ValueError):
+            WorkerPool(1, timeout=0)
+        with pytest.raises(ValueError):
+            WorkerPool(1, retries=-1)
+        with pytest.raises(ValueError):
+            WorkerPool(1, failure_budget=-1)
+
+    def test_failure_budget_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAILURE_BUDGET", "1")
+        pool = WorkerPool(1, backoff=0.0)
+        assert pool.failure_budget == 1
+        monkeypatch.delenv("REPRO_FAILURE_BUDGET")
+        assert WorkerPool(1, backoff=0.0).failure_budget is None
