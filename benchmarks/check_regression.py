@@ -6,8 +6,6 @@ solvers and the vector engine's compiled ``cc`` kernel, each measured by
 rest, each quantity against a limit written below:
 
 * the C1 raw-simulator fast path (absolute seconds);
-* the vector engine's Python modes, forced with ``mode=``: ``scalar`` at
-  batch 1 and ``dense`` at batch 32, each as a speedup over the fast path;
 * the cost of packet tracing on the fast path, and of request-span
   tracing in the serve daemon;
 * the daemon at 4x saturation: goodput and accepted p99;
@@ -15,8 +13,9 @@ rest, each quantity against a limit written below:
   ``reference`` sweep (``cc`` only where the C kernels load).
 
 Engine timings come from interleaved rounds in one process, best-of-N
-per configuration, and every round asserts that the engines stay
-bit-identical, so a speedup can never come from computing less.  The
+per configuration, and every round asserts that the traced run stays
+bit-identical to the untraced one, so a ratio can never come from
+computing less.  The
 solver rounds assert the same of the backends' mappings.
 
 Usage::
@@ -37,8 +36,6 @@ from pathlib import Path
 #: 30% for ratios, 60% for absolute seconds, which follow the host.
 LIMITS = {
     "engine.fastpath_seconds": ("max", 1.142),  # 0.714 s x 1.6
-    "vector_engine.single_sim.speedup": ("min", 0.959),  # 1.37x x 0.7
-    "vector_engine.soa_batch.dense.speedup.batch_32": ("min", 3.98),  # 5.69x x 0.7
     "obs_overhead.overhead_ratio": ("max", 1.443),  # 1.11 x 1.3
     "service.obs_overhead.overhead_ratio": ("max", 1.196),  # 0.92 x 1.3
     "service.overload.goodput_ratio": ("min", 0.932),  # 1.332 x 0.7
@@ -48,7 +45,6 @@ LIMITS = {
 }
 
 ROUNDS = 3  # interleaved engine and solver rounds (best-of-N)
-BATCH = 32
 
 
 def _scenario():
@@ -59,8 +55,8 @@ def _scenario():
     instance = standard_instance("C1")
     mapping = sort_select_swap(instance).mapping
 
-    def make(seed=13):
-        return MappedWorkloadTraffic(instance, mapping, generate_replies=True, seed=seed)
+    def make():
+        return MappedWorkloadTraffic(instance, mapping, generate_replies=True, seed=13)
 
     return instance.mesh, make
 
@@ -75,9 +71,8 @@ def _signature(res):
 
 
 def measure_engine() -> dict:
-    """Fast path, forced Python modes and packet tracing on C1, 500+4000 cycles."""
+    """Fast path and packet tracing on C1, 500+4000 cycles."""
     from repro.noc.simulator import NoCSimulator
-    from repro.noc.vector_engine import VectorEngine
     from repro.obs import Observability, ObservabilityConfig, SamplerConfig, TraceConfig
 
     mesh, make = _scenario()
@@ -86,20 +81,12 @@ def measure_engine() -> dict:
         sim = NoCSimulator(mesh, make(), obs=obs, engine="fastpath")
         return sim.run(warmup=500, measure=4_000)
 
-    def scalar():
-        return VectorEngine(mesh, [make()], mode="scalar").run(warmup=500, measure=4_000)[0]
-
     def traced():
         config = ObservabilityConfig(trace=TraceConfig(), sample=SamplerConfig(every=200))
         return fast(Observability(config))
 
-    def dense():
-        traffics = [make(13 + i) for i in range(BATCH)]
-        return VectorEngine(mesh, traffics, mode="dense").run(warmup=500, measure=4_000)[0]
-
     fast()  # warm imports/allocator outside the timed rounds
-    scalar()
-    timed = [("fast", fast), ("scalar", scalar), ("trace", traced), ("dense", dense)]
+    timed = [("fast", fast), ("trace", traced)]
     t = {key: [] for key, _ in timed}
     for _ in range(ROUNDS):
         for key, fn in timed:
@@ -109,15 +96,10 @@ def measure_engine() -> dict:
             if key == "fast":
                 ref_sig = _signature(result)
             else:
-                # the dense batch returns its seed-13 member
                 assert _signature(result) == ref_sig, f"{key} diverged from fastpath"
     best = {k: min(v) for k, v in t.items()}
     return {
         "engine.fastpath_seconds": round(best["fast"], 3),
-        "vector_engine.single_sim.speedup": round(best["fast"] / best["scalar"], 2),
-        "vector_engine.soa_batch.dense.speedup.batch_32": round(
-            best["fast"] / (best["dense"] / BATCH), 2
-        ),
         "obs_overhead.overhead_ratio": round(best["trace"] / best["fast"], 2),
     }
 

@@ -105,6 +105,31 @@ def _parse_stall(spec: str):
         ) from exc
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=`` for integers ``>= low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _parse_probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return value
+
+
 def _parse_apps(spec: str) -> frozenset[int]:
     try:
         return frozenset(int(a) for a in spec.split(",") if a.strip())
@@ -468,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_sim)
     p_sim.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="sss")
-    p_sim.add_argument("--warmup", type=int, default=1_000)
-    p_sim.add_argument("--measure", type=int, default=5_000)
-    p_sim.add_argument("--seed", type=int, default=0, help="traffic seed")
+    p_sim.add_argument("--warmup", type=_int_at_least(0), default=1_000)
+    p_sim.add_argument("--measure", type=_int_at_least(1), default=5_000)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0, help="traffic seed")
     p_sim.add_argument(
         "--invariants", action="store_true",
         help="enable runtime invariant checking (conservation, credits, watchdog)",
@@ -484,12 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="router stall window TILE:START:END; repeatable",
     )
     p_sim.add_argument(
-        "--drop-rate", type=float, default=0.0,
+        "--drop-rate", type=_parse_probability, default=0.0,
         help="per-link-traversal flit drop probability",
     )
-    p_sim.add_argument("--max-retries", type=int, default=3)
+    p_sim.add_argument("--max-retries", type=_int_at_least(0), default=3)
     p_sim.add_argument(
-        "--fault-seed", type=int, default=0, help="seed of the drop generator"
+        "--fault-seed", type=_int_at_least(0), default=0, help="seed of the drop generator"
     )
     g_obs = p_sim.add_argument_group(
         "observability (off unless an output path is given)"

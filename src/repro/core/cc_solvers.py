@@ -11,7 +11,7 @@ through ``ctypes`` (`repro.noc.cc_kernel` binds the engine's).  ``ctypes``
 releases the GIL for the duration of every call, so the serve worker
 pool's threads scale solves and cycle loops across cores.  Without a
 compiler the solvers run the batched NumPy fallback in
-`repro.core.permkernels`, and the engine its Python modes.
+`repro.core.permkernels`, and simulations run on the fast path.
 
 Bit-identity: the solver loops are transliterations of the per-window SSS
 reference (`repro.core.sss._SwapState.try_window` in sweep order) and of
@@ -25,11 +25,10 @@ own NumPy ``Generator`` through its ``bitgen_t`` pointer, reproducing
 ``Generator.integers(n)`` (Lemire's bounded ``uint32`` draw) and
 ``Generator.random()`` draw for draw, so the generator is left in the
 same state as the Python loop leaves it; both loops take ``exp`` from
-the C library (``math.exp`` in Python).  The cycle kernel is a
-transliteration of the engine's object-exact scalar sweep (see
-`repro.noc.vector_engine`).  The golden
-and hypothesis suites exercise these kernels directly whenever a
-compiler is present.
+the C library (``math.exp`` in Python).  The cycle kernel steps
+routers in the object engine's order (see ``csrc/noc_cycle.c`` and
+`repro.noc.vector_engine`).  The golden and hypothesis suites exercise
+these kernels directly whenever a compiler is present.
 
 Environment knobs:
 

@@ -1,12 +1,24 @@
-/* Cycle kernel of repro.noc.vector_engine (mode "cc").
+/* Cycle kernel of repro.noc.vector_engine.
 
-   A transliteration of the engine's object-exact scalar cycle
-   (VectorEngine._step_scalar with _switch_scalar(fused_alloc=True)):
-   link arrivals, then NI injection, then one ascending pass over the
-   routers in which each router routes, allocates output VCs greedily and
-   arbitrates its switch (with live credit reads) before the next router
-   starts.  The Python side owns every array; this file keeps no state
-   between calls.  Bound through ctypes by repro.noc.cc_kernel, whose
+   Steps a batch of simulations one cycle at a time in the object
+   engine's order (repro.noc.network): link arrivals, then NI injection,
+   then one ascending pass over the routers in which each router routes,
+   allocates output VCs greedily and arbitrates its switch (with live
+   credit reads) before the next router starts.
+
+   Why the fused ascending sweep is object-exact: the object engine visits
+   routers in ascending tile order, so each router's switch candidates are
+   gathered only after every earlier router has committed, and same-cycle
+   upstream credit returns are visible exactly as they are there.  Running
+   route and VC allocation inline in that same pass changes nothing,
+   because a commit of router g never writes anything a later router's
+   route or allocation reads: routes are pure table lookups, output-VC
+   ownership (otaken) is per router, and flits sent to a neighbour arrive
+   in a future cycle's lane.  Candidacy credit reads still happen after
+   every earlier router's commits.
+
+   The Python side owns every array; this file keeps no state between
+   calls.  Bound through ctypes by repro.noc.cc_kernel, whose
    ctypes.Structure mirrors noc_state field for field. */
 
 #include <stdint.h>

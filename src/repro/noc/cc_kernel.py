@@ -3,9 +3,9 @@
 The kernel (``repro/csrc/noc_cycle.c``) is built into the same shared
 object as the solver kernels by `repro.core.cc_solvers.load_library`, so
 `repro.core.permkernels.warmup` builds it too.  :func:`library` decides
-whether an engine may use it: only when the solver backend resolves to
-``cc`` (``REPRO_CC=0``, ``force_backend("numpy"|"reference")`` or a
-missing compiler select the engine's Python modes instead).
+whether the vector engine can run at all: only when the solver backend
+resolves to ``cc`` (``REPRO_CC=0``, ``force_backend("numpy"|"reference")``
+or a missing compiler send simulations to the fast path instead).
 
 :class:`CycleKernel` owns the state only the kernel needs — the link
 pipeline ring, array-backed NI queues, per-pid columns and the delivered
@@ -13,8 +13,8 @@ log — and points a ``noc_state`` struct at those arrays and at the
 engine's own channel state.  One call runs a whole window (or the
 drain); the counters advance in place, and the delivered pids land
 back in the engine's lists.  The kernel keeps the ejection column
-itself (``p_ej``), so in this mode the table's ``ej`` list stays unset.
-``ctypes`` releases the GIL for the call.
+itself (``p_ej``); the packet table has none.  ``ctypes`` releases the
+GIL for the call.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def library():
     """The shared library with the cycle kernel bound, or ``None``.
 
     ``None`` unless the solver-kernel backend resolves to ``cc`` and the
-    library loads; callers then run the engine's Python modes.
+    library loads; simulations then run on the fast path.
     """
     if permkernels.resolve_backend() != "cc":
         return None

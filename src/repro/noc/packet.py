@@ -125,24 +125,22 @@ class PacketTable:
     """Structure-of-arrays packet records for the vector engine.
 
     One row per packet, identified by its row index (the *pid*).  The
-    append side and the random-write side (``ej`` at ejection time) are
-    plain Python lists — at the few-packets-
-    per-cycle granularity the engine appends at, list ops beat NumPy
-    scalar writes several-fold.  The four columns the engine's kernels
-    index (``dst``/``length``/``tclass``/``created``) additionally carry
-    NumPy mirrors, grown geometrically and synced by :meth:`flush` (once
-    per simulated cycle in the dense mode, once per window in the
-    compiled one), so no per-packet NumPy write ever happens.
+    columns are plain Python lists — at the few-packets-per-cycle
+    granularity generators append at, list appends beat NumPy scalar
+    writes several-fold.  The four columns the cycle kernel indexes
+    (``dst``/``length``/``tclass``/``created``) additionally carry NumPy
+    mirrors, grown geometrically and synced by :meth:`flush` (once per
+    window), so no per-packet NumPy write ever happens.
 
     The table holds no :class:`Packet` objects: traffic generators
     append rows (:meth:`~repro.noc.traffic.TrafficGenerator.emit`), and
-    only the fast path builds objects from them.
-    The vector engine's compiled mode leaves ``ej`` unset: its kernel
-    keeps the ejection stamps in an array of its own.
+    only the fast path builds objects from them.  The table has no
+    ejection column: the vector engine's kernel keeps the ejection
+    stamps in an array of its own.
     """
 
     __slots__ = (
-        "src", "dst", "tclass", "length", "created", "app", "ej",
+        "src", "dst", "tclass", "length", "created", "app",
         "dst_a", "len_a", "cls_a", "created_a", "_cap", "_synced",
     )
 
@@ -159,7 +157,6 @@ class PacketTable:
         self.length: list[int] = []
         self.created: list[int] = []
         self.app: list[int] = []
-        self.ej: list[int] = []  #: ejection cycle, -1 until delivered
         self._cap = capacity
         self._synced = 0
         for _, mirror in self._MIRRORED:
@@ -179,12 +176,11 @@ class PacketTable:
         self.length.append(length)
         self.created.append(created)
         self.app.append(app)
-        self.ej.append(-1)
         return pid
 
     def clear(self) -> None:
         """Drop every row; the mirrors keep their capacity."""
-        for name in ("src", "dst", "tclass", "length", "created", "app", "ej"):
+        for name in ("src", "dst", "tclass", "length", "created", "app"):
             getattr(self, name).clear()
         self._synced = 0
 

@@ -8,11 +8,13 @@ paper's Garnet runs: given a mapping, it *measures* what the analytic
 
 Two engines produce bit-identical results (the golden equivalence suite
 pins them).  A run uses the vector engine
-(:mod:`repro.noc.vector_engine`) unless it needs per-event hooks —
-faults, invariants or observability — which only the fast path
-(:class:`~repro.noc.network.Network`) has; ``engine="fastpath"`` asks
-for the fast path outright.  ``result.engine`` says which one ran, and
-``sim.network`` is the fast path's network (``None`` on a vector run).
+(:mod:`repro.noc.vector_engine`) when its compiled cycle kernel loads
+and the run needs no per-event hooks — faults, invariants or
+observability — which only the fast path
+(:class:`~repro.noc.network.Network`) has; otherwise, or with
+``engine="fastpath"``, it uses the fast path.  ``result.engine`` says
+which one ran, and ``sim.network`` is the fast path's network (``None``
+on a vector run).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.latency import Mesh
+from repro.noc import cc_kernel
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.power import ActivityCounts, PowerBreakdown, PowerModel, PowerParams
 from repro.noc.stats import FaultStats, LatencyStats
@@ -91,6 +94,8 @@ class NoCSimulator:
         self.obs = Observability.coerce(obs)
         if self.obs is not None or faults is not None or invariants:
             engine = "fastpath"  # only the fast path has per-event hooks
+        elif cc_kernel.library() is None:
+            engine = "fastpath"  # the vector engine is the compiled kernel
         self.engine = engine
         self.network = None
         if engine == "fastpath":

@@ -270,7 +270,6 @@ class MappedWorkloadTraffic(TrafficGenerator):
         rng = self._rng
         src_c, dst_c, cls_c = table.src, table.dst, table.tclass
         len_c, created_c, app_c = table.length, table.created, table.app
-        ej_c = table.ej
         tile, app, nearest = self._tile_l, self._app_l, self._nearest_l
         n_tiles = self.n_tiles
         pending = self._pending if self.generate_replies else None
@@ -289,7 +288,6 @@ class MappedWorkloadTraffic(TrafficGenerator):
             len_c.append(1)  # requests are single-flit (Table 2)
             created_c.append(now)
             app_c.append(app[thread])
-            ej_c.append(-1)
             if pending is not None:
                 if memory:
                     due = now + est[src][dst] + self.memory_latency
@@ -310,4 +308,3 @@ class MappedWorkloadTraffic(TrafficGenerator):
                 len_c.append(5)  # replies carry a 64 B line + head
                 created_c.append(now)
                 app_c.append(app_id)
-                ej_c.append(-1)

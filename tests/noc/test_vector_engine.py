@@ -4,20 +4,24 @@ The vector engine must be *bit-identical* to the fast path: same delivered
 latency histogram, per-app APLs, activity counts, power and delivery
 totals, for the same seeds.  These tests pin that across all C1-C8 paper
 configurations, router/network variants (arbitration, VC classes, link
-depth, routing function), saturation (which exercises the credit-hazard
-sequential sweep), every engine mode (the compiled ``cc`` kernel that
-``auto`` selects wherever a C compiler exists, and the Python ``scalar``
-and ``dense`` modes), and batched execution (a batch entry must equal its
-own single run).  With ``REPRO_CC=0`` the ``auto`` cases run the Python
-modes instead.  Also covers NoCSimulator's engine selection and the
+depth, routing function), saturation, and batched execution (a batch
+entry must equal its own single run), plus a hypothesis property over
+small meshes and network configurations.  The engine is the compiled
+cycle kernel: tests that build it directly skip where no C compiler
+exists (with a compiler, a failed build fails them).  Without the kernel
+every run takes the fast path, which the no-kernel tests pin by forcing
+the NumPy backend.  Also covers NoCSimulator's engine selection and the
 simulate_batch API surface.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import permkernels
 from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
@@ -30,8 +34,18 @@ from repro.noc.router import RouterConfig
 from repro.noc.routing import Port
 from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import MappedWorkloadTraffic, UniformRandomTraffic
-from repro.noc.vector_engine import VectorEngine, simulate_batch
+from repro.noc.vector_engine import VectorEngine, run_batch, simulate_batch
 from repro.workloads.parsec import parsec_config
+
+#: a C compiler exists, so the compiled cycle kernel must load
+HAS_COMPILER = permkernels.backend_info()["cc_compiler"] is not None
+#: the engine a hook-free NoCSimulator run must report
+DEFAULT_ENGINE = "vector" if HAS_COMPILER else "fastpath"
+
+needs_kernel = pytest.mark.skipif(
+    not HAS_COMPILER,
+    reason="the vector engine is the compiled cycle kernel; no C compiler here",
+)
 
 
 def _signature(res):
@@ -48,30 +62,6 @@ def _signature(res):
         res.packets_offered,
         res.packets_delivered,
     )
-
-
-def _auto_mode(batch: int) -> str:
-    """The mode ``auto`` must select for ``batch`` instances.
-
-    The compiled kernel wherever a C compiler exists (a failed build then
-    fails the test instead of quietly running Python); without one, the
-    Python mode for the batch size.
-    """
-    if permkernels.backend_info()["cc_compiler"] is not None:
-        return "cc"
-    return "scalar" if batch == 1 else "dense"
-
-
-def _engine(mesh, traffics, network_config=None, *, mode="auto", **kwargs):
-    """A VectorEngine, checked to run the mode ``mode`` stands for."""
-    engine = VectorEngine(mesh, traffics, network_config, mode=mode, **kwargs)
-    assert engine.mode == (_auto_mode(len(traffics)) if mode == "auto" else mode)
-    return engine
-
-
-def _assert_vector_engine(res):
-    """The result came from the vector engine."""
-    assert res.engine == "vector"
 
 
 def _mapped_traffic_factory(name: str, seed: int = 13):
@@ -94,10 +84,8 @@ def test_vector_matches_fastpath_on_paper_configs(name):
     )
     vec = NoCSimulator(inst.mesh, make(), engine="vector").run(warmup=200, measure=800)
     assert _signature(vec) == _signature(fast)
-    _assert_vector_engine(vec)
+    assert vec.engine == DEFAULT_ENGINE
     assert fast.engine == "fastpath"
-    # NoCSimulator builds its engine with mode "auto", as here.
-    _engine(inst.mesh, [make()])
 
 
 _VARIANTS = {
@@ -122,40 +110,26 @@ def test_vector_matches_fastpath_on_network_variants(variant):
     )
     vec = NoCSimulator(mesh, make(), cfg, engine="vector").run(warmup=200, measure=1000)
     assert _signature(vec) == _signature(fast)
-    _assert_vector_engine(vec)
-    # NoCSimulator builds its engine with mode "auto", as here.
-    _engine(mesh, [make()], cfg)
+    assert vec.engine == DEFAULT_ENGINE
 
 
-@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
-def test_vector_matches_fastpath_under_saturation(mode):
+@needs_kernel
+def test_vector_matches_fastpath_under_saturation():
     """0.35 flits/node/cycle x 5-flit packets saturates the 4x4 mesh, so
-    credits hit zero and the dense path must take its exact sequential
-    sweep (the scalar path and the compiled kernel arbitrate contention
-    every cycle)."""
+    credits hit zero and same-cycle upstream credit returns decide which
+    channels may move."""
     mesh = Mesh.square(4)
 
     def make():
         return UniformRandomTraffic(mesh.n_tiles, 0.35, length=5, seed=11)
 
     fast = NoCSimulator(mesh, make(), engine="fastpath").run(warmup=100, measure=500)
-    vec = _engine(mesh, [make()], mode=mode).run(warmup=100, measure=500)[0]
+    vec = VectorEngine(mesh, [make()]).run(warmup=100, measure=500)[0]
     assert _signature(vec) == _signature(fast)
 
 
-def test_dense_mode_matches_scalar_mode_single_instance():
-    inst, make = _mapped_traffic_factory("C1")
-    scalar = VectorEngine(inst.mesh, [make()], mode="scalar").run(
-        warmup=200, measure=800
-    )[0]
-    dense = VectorEngine(inst.mesh, [make()], mode="dense").run(
-        warmup=200, measure=800
-    )[0]
-    assert _signature(dense) == _signature(scalar)
-
-
-@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
-def test_batch_entries_match_single_runs(mode):
+@needs_kernel
+def test_batch_entries_match_single_runs():
     """Each instance of a batch must be bit-identical to running it alone
     (and hence to the fast path): batching is a pure throughput axis."""
     inst, _ = _mapped_traffic_factory("C1")
@@ -167,7 +141,7 @@ def test_batch_entries_match_single_runs(mode):
         )
 
     seeds = (13, 14, 15)
-    batch = _engine(inst.mesh, [make(s) for s in seeds], mode=mode).run(
+    batch = VectorEngine(inst.mesh, [make(s) for s in seeds]).run(
         warmup=200, measure=800
     )
     for seed, res in zip(seeds, batch):
@@ -175,13 +149,83 @@ def test_batch_entries_match_single_runs(mode):
             warmup=200, measure=800
         )
         assert _signature(res) == _signature(single)
-        _assert_vector_engine(res)
+        assert res.engine == "vector"
 
 
-@pytest.mark.parametrize("batch", [1, 2])
-def test_numpy_backend_selects_python_mode(batch):
-    """Forcing the NumPy solver backend moves ``auto`` off the compiled
-    kernel onto the Python mode for the batch size, with the same bytes."""
+def _small_instance(side: int = 4) -> OBMInstance:
+    model = MeshLatencyModel(Mesh.square(side), LatencyParams())
+    workload = parsec_config("C1", threads_per_app=model.n_tiles // 4)
+    return OBMInstance(model, workload)
+
+
+@functools.lru_cache(maxsize=None)
+def _mapped_instance(rows: int, cols: int):
+    """C1 on a ``rows x cols`` mesh (a quarter of the tiles per app), SSS-mapped."""
+    model = MeshLatencyModel(Mesh(rows, cols), LatencyParams())
+    inst = OBMInstance(model, parsec_config("C1", threads_per_app=model.n_tiles // 4))
+    return inst, sort_select_swap(inst).mapping
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(2, 4),
+    cols=st.integers(2, 4),
+    routing=st.sampled_from(["xy", "yx", "west_first"]),
+    vcs=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (4, 2), (4, 4)]),
+    arbitration=st.sampled_from(["round_robin", "oldest_first"]),
+    link_latency=st.integers(1, 2),
+    mapped=st.booleans(),
+    rate=st.floats(0.01, 0.5),
+    length=st.integers(1, 5),
+    batch=st.integers(1, 3),
+    measure=st.integers(50, 400),
+    seed=st.integers(0, 2**16),
+)
+@needs_kernel
+def test_batch_members_match_their_fastpath_runs(
+    rows, cols, routing, vcs, arbitration, link_latency, mapped, rate, length,
+    batch, measure, seed,
+):
+    """Kernel against fast path, the one engine pair left, on random small
+    meshes and network configurations, up to saturation.  Uniform traffic
+    injects ``rate`` packets of ``length`` flits per node per cycle; mapped
+    traffic gives its busiest thread a ``rate`` request probability, and
+    its 5-flit replies fill every traffic class's VC partition."""
+    mesh = Mesh(rows, cols)
+    vcs_per_port, vc_classes = vcs
+    cfg = NetworkConfig(
+        router=RouterConfig(
+            vcs_per_port=vcs_per_port, vc_classes=vc_classes, arbitration=arbitration
+        ),
+        link_latency=link_latency,
+        routing=routing,
+    )
+
+    def make(b):
+        if not mapped:
+            return UniformRandomTraffic(mesh.n_tiles, rate, length=length, seed=seed + b)
+        inst, mapping = _mapped_instance(rows, cols)
+        peak = float((inst.workload.cache_rates + inst.workload.mem_rates).max())
+        return MappedWorkloadTraffic(
+            inst, mapping, cycles_per_unit=peak / rate, generate_replies=True,
+            seed=seed + b,
+        )
+
+    results = VectorEngine(mesh, [make(b) for b in range(batch)], cfg).run(
+        warmup=20, measure=measure
+    )
+    for b, res in enumerate(results):
+        fast = NoCSimulator(mesh, make(b), cfg, engine="fastpath").run(
+            warmup=20, measure=measure
+        )
+        assert _signature(res) == _signature(fast)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_without_kernel_batches_take_the_fast_path(batch):
+    """With the NumPy solver backend forced the kernel does not load, so
+    run_batch runs each traffic through the fast path, with the same
+    bytes as the kernel's batch."""
     inst, _ = _mapped_traffic_factory("C1")
     mapping = sort_select_swap(inst).mapping
 
@@ -194,19 +238,50 @@ def test_numpy_backend_selects_python_mode(batch):
         ]
 
     with permkernels.force_backend("numpy"):
-        engine = VectorEngine(inst.mesh, traffics())
-        python_run = engine.run(warmup=200, measure=800)
-    assert engine.mode == ("scalar" if batch == 1 else "dense")
-    default_run = _engine(inst.mesh, traffics()).run(warmup=200, measure=800)
-    assert [_signature(r) for r in python_run] == [_signature(r) for r in default_run]
+        fallback = run_batch(inst.mesh, traffics(), warmup=200, measure=800)
+    default = run_batch(inst.mesh, traffics(), warmup=200, measure=800)
+    assert [r.engine for r in fallback] == ["fastpath"] * batch
+    assert [r.engine for r in default] == [DEFAULT_ENGINE] * batch
+    assert [_signature(r) for r in fallback] == [_signature(r) for r in default]
 
 
-@pytest.mark.parametrize("mode", ["auto", "scalar", "dense"])
-def test_drain_limit_raises(mode):
+def test_without_kernel_simulate_batch_takes_the_fast_path():
+    inst = _small_instance()
+    mapping = sort_select_swap(inst).mapping
+    pairs, seeds = [(inst, mapping), (inst, mapping)], [3, 4]
+    with permkernels.force_backend("numpy"):
+        fallback = simulate_batch(pairs, seeds=seeds, warmup=100, measure=400)
+    default = simulate_batch(pairs, seeds=seeds, warmup=100, measure=400)
+    assert [r.engine for r in fallback] == ["fastpath", "fastpath"]
+    assert [_signature(r) for r in fallback] == [_signature(r) for r in default]
+
+
+def test_without_kernel_simulator_takes_the_fast_path():
+    inst, make = _mapped_traffic_factory("C1")
+    with permkernels.force_backend("numpy"):
+        sim = NoCSimulator(inst.mesh, make())
+        fallback = sim.run(warmup=200, measure=800)
+    assert sim.engine == "fastpath"
+    assert sim.network is not None
+    assert fallback.engine == "fastpath"
+    default = NoCSimulator(inst.mesh, make()).run(warmup=200, measure=800)
+    assert _signature(fallback) == _signature(default)
+
+
+def test_vector_engine_requires_the_kernel():
+    mesh = Mesh.square(4)
+    traffic = UniformRandomTraffic(mesh.n_tiles, 0.05, seed=1)
+    with permkernels.force_backend("numpy"):
+        with pytest.raises(RuntimeError, match="compiled cycle kernel is unavailable"):
+            VectorEngine(mesh, [traffic])
+
+
+@needs_kernel
+def test_drain_limit_raises():
     """A network still holding flits past the drain budget is an error."""
     mesh = Mesh.square(4)
     traffic = UniformRandomTraffic(mesh.n_tiles, 0.2, length=5, seed=1)
-    engine = _engine(mesh, [traffic], mode=mode)
+    engine = VectorEngine(mesh, [traffic])
     engine._window(50, None)
     with pytest.raises(RuntimeError, match="failed to drain"):
         engine._drain(max_cycles=0)
@@ -217,13 +292,6 @@ def test_unknown_engine_rejected():
     traffic = UniformRandomTraffic(mesh.n_tiles, 0.05, seed=1)
     with pytest.raises(ValueError, match="unknown engine"):
         NoCSimulator(mesh, traffic, engine="warp")
-
-
-def test_unknown_mode_rejected():
-    mesh = Mesh.square(4)
-    traffic = UniformRandomTraffic(mesh.n_tiles, 0.05, seed=1)
-    with pytest.raises(ValueError, match="unknown mode"):
-        VectorEngine(mesh, [traffic], mode="simd")
 
 
 def test_empty_traffic_list_rejected():
@@ -271,22 +339,17 @@ def test_fastpath_on_request():
     _assert_fastpath_run(_c1_sim(engine="fastpath"))
 
 
+@needs_kernel
 def test_vector_engine_used_when_nothing_attached():
     sim = _c1_sim()
     assert sim.engine == "vector"
     assert sim.network is None
-    _assert_vector_engine(sim.run(warmup=100, measure=300))
+    assert sim.run(warmup=100, measure=300).engine == "vector"
 
 
 # ---------------------------------------------------------------------------
 # simulate_batch API surface
 # ---------------------------------------------------------------------------
-
-
-def _small_instance(side: int = 4) -> OBMInstance:
-    model = MeshLatencyModel(Mesh.square(side), LatencyParams())
-    workload = parsec_config("C1", threads_per_app=model.n_tiles // 4)
-    return OBMInstance(model, workload)
 
 
 def test_simulate_batch_empty_returns_empty():

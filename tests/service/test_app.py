@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.noc import cc_kernel
 from repro.service.app import MappingService
 
 
@@ -196,4 +197,6 @@ class TestFallbackSurfacing:
 
     def test_no_fallback_on_the_batched_path(self, client, spec2):
         doc = client.map({**spec2, "simulate": True, "sim": SIM_FAST})
-        assert doc["result"]["measured"]["engine"] == "vector"
+        # Without the compiled cycle kernel every run takes the fast path.
+        engine = "vector" if cc_kernel.library() is not None else "fastpath"
+        assert doc["result"]["measured"]["engine"] == engine

@@ -18,8 +18,6 @@ spec.loader.exec_module(check_regression)
 #: Each limit is a recorded baseline x (1 +/- tolerance); none may loosen.
 EXPECTED = {
     "engine.fastpath_seconds": ("max", 1.142),
-    "vector_engine.single_sim.speedup": ("min", 0.959),
-    "vector_engine.soa_batch.dense.speedup.batch_32": ("min", 3.98),
     "obs_overhead.overhead_ratio": ("max", 1.443),
     "service.obs_overhead.overhead_ratio": ("max", 1.196),
     "service.overload.goodput_ratio": ("min", 0.932),
@@ -53,9 +51,9 @@ def test_each_quantity_flags_a_synthetic_regression(name):
 
 class TestCheckLogic:
     def test_regression_detected(self, capsys):
-        measured = {**AT_LIMIT, "vector_engine.single_sim.speedup": 0.5}
+        measured = {**AT_LIMIT, "service.overload.goodput_ratio": 0.5}
         failures = check_regression.check(measured)
-        assert failures == ["vector_engine.single_sim.speedup: 0.5 (need >= 0.959)"]
+        assert failures == ["service.overload.goodput_ratio: 0.5 (need >= 0.932)"]
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_serve_tracing_guard_skips_when_not_measured(self, capsys):

@@ -18,6 +18,7 @@ from repro.io import (
     workload_from_dict,
     workload_to_dict,
 )
+from repro.noc import cc_kernel
 
 
 @pytest.fixture
@@ -135,7 +136,9 @@ class TestCLI:
              "global", "--warmup", "100", "--measure", "400"]
         )
         assert code == 0
-        assert "engine: vector" in capsys.readouterr().out.splitlines()
+        # Without the compiled cycle kernel the run takes the fast path.
+        engine = "vector" if cc_kernel.library() is not None else "fastpath"
+        assert f"engine: {engine}" in capsys.readouterr().out.splitlines()
 
     def test_simulate_command_with_faults(self, capsys):
         code = main(
@@ -148,6 +151,28 @@ class TestCLI:
         assert "fault injection" in out
         assert "link down events: 1" in out
         assert "stall windows: 1" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--measure", "0"],
+            ["--measure", "-5"],
+            ["--warmup", "-1"],
+            ["--seed", "-1"],
+            ["--fault-seed", "-1"],
+            ["--drop-rate", "1.5"],
+            ["--drop-rate", "nan"],
+            ["--max-retries", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_simulate_rejects_bad_values_before_solving(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mesh", "4", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flags[0]}" in captured.err
+        assert "max-APL" not in captured.out  # rejected before any solve
 
     def test_simulate_rejects_malformed_fault_specs(self):
         with pytest.raises(SystemExit):
