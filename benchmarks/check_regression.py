@@ -9,14 +9,14 @@ rest, each quantity against a limit written below:
 * the cost of packet tracing on the fast path, and of request-span
   tracing in the serve daemon;
 * the daemon at 4x saturation: goodput and accepted p99;
-* the per-backend SSS sweep: ``numpy`` and ``cc`` against the per-window
-  ``reference`` sweep (``cc`` only where the C kernels load).
+* the compiled SSS sweep: ``cc`` against the per-window ``reference``
+  sweep (only where the C kernels load).
 
 Engine timings come from interleaved rounds in one process, best-of-N
 per configuration, and every round asserts that the traced run stays
 bit-identical to the untraced one, so a ratio can never come from
-computing less.  The
-solver rounds assert the same of the backends' mappings.
+computing less.  The solver rounds assert the same of the two backends'
+mappings.
 
 Usage::
 
@@ -40,7 +40,6 @@ LIMITS = {
     "service.obs_overhead.overhead_ratio": ("max", 1.196),  # 0.92 x 1.3
     "service.overload.goodput_ratio": ("min", 0.932),  # 1.332 x 0.7
     "service.overload.p99_ratio": ("max", 2.262),  # 1.74 x 1.3
-    "solvers.sss_numpy_speedup": ("min", 1.771),  # 2.53x x 0.7
     "solvers.sss_compiled_speedup": ("min", 13.27),  # 18.95x x 0.7
 }
 
@@ -105,17 +104,20 @@ def measure_engine() -> dict:
 
 
 def measure_solvers() -> dict:
-    """Interleaved best-of-N ``sort_select_swap`` on C1 per kernel backend.
+    """Interleaved best-of-N ``sort_select_swap`` on C1, ``cc`` vs ``reference``.
 
-    Raises AssertionError if a backend's mapping diverges from the
-    ``reference`` sweep -- the bit-identity the solver goldens pin.
+    Empty where the C kernels do not load.  Raises AssertionError if the
+    ``cc`` mapping diverges from the ``reference`` sweep -- the
+    bit-identity the solver goldens pin.
     """
     from repro.core import permkernels
     from repro.core.sss import sort_select_swap
     from repro.experiments.base import standard_instance
 
     instance = standard_instance("C1")
-    backends = ["reference", "numpy"] + (["cc"] if permkernels.backend_info()["cc"] else [])
+    if not permkernels.backend_info()["cc"]:
+        return {}
+    backends = ["reference", "cc"]
 
     def solve(backend: str):
         with permkernels.force_backend(backend):
@@ -135,8 +137,7 @@ def measure_solvers() -> dict:
             else:
                 assert perm == ref_perm, f"{backend} backend diverged from the reference sweep"
     best = {b: min(v) for b, v in times.items()}
-    names = {"numpy": "solvers.sss_numpy_speedup", "cc": "solvers.sss_compiled_speedup"}
-    return {names[b]: round(best["reference"] / best[b], 2) for b in backends[1:]}
+    return {"solvers.sss_compiled_speedup": round(best["reference"] / best["cc"], 2)}
 
 
 def measure() -> dict:

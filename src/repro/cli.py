@@ -31,6 +31,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.core.bounds import max_apl_lower_bound
@@ -105,8 +106,8 @@ def _parse_stall(spec: str):
         ) from exc
 
 
-def _int_at_least(low: int):
-    """An argparse ``type=`` for integers ``>= low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse ``type=`` for integers ``>= low`` (and ``<= high``)."""
 
     def parse(text: str) -> int:
         try:
@@ -115,6 +116,26 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {value}")
+        return value
+
+    return parse
+
+
+def _float_at_least(low: float, *, strict: bool = False):
+    """An argparse ``type=`` for finite numbers ``>= low`` (``> low`` if strict)."""
+    op = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {op} {low}, got {text!r}"
+            )
         return value
 
     return parse
@@ -467,7 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--mesh", type=int, default=8, help="mesh side length (default 8)")
+        # Side 2 is the smallest mesh with four distinct corner MC tiles.
+        p.add_argument(
+            "--mesh", type=_int_at_least(2), default=8,
+            help="mesh side length (default 8)",
+        )
         p.add_argument(
             "--workload", default="C1",
             help="paper configuration name (C1..C8) or a workload JSON path",
@@ -536,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a per-window time-series CSV here",
     )
     g_obs.add_argument(
-        "--trace-every", type=int, default=1, metavar="N",
+        "--trace-every", type=_int_at_least(1), default=1, metavar="N",
         help="trace every Nth submitted packet (default 1 = all)",
     )
     g_obs.add_argument(
@@ -544,11 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="only trace these application ids (comma-separated)",
     )
     g_obs.add_argument(
-        "--trace-buffer", type=int, default=262_144, metavar="N",
+        "--trace-buffer", type=_int_at_least(1), default=262_144, metavar="N",
         help="trace ring-buffer capacity in events (default 262144)",
     )
     g_obs.add_argument(
-        "--sample-every", type=int, default=200, metavar="K",
+        "--sample-every", type=_int_at_least(1), default=200, metavar="K",
         help="time-series sampling period in cycles (default 200)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
@@ -597,49 +622,51 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the mapping-as-a-service HTTP daemon"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8177)
+    p_serve.add_argument("--port", type=_int_at_least(0, 65_535), default=8177)
     p_serve.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=_int_at_least(1), default=256,
         help="bounded LRU result-cache capacity (default 256 entries)",
     )
     p_serve.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
+        "--batch-window", type=_float_at_least(0.0), default=0.005, metavar="SECONDS",
         help="micro-batch coalescing window for simulation requests",
     )
     p_serve.add_argument(
-        "--max-batch", type=int, default=32,
+        "--max-batch", type=_int_at_least(1), default=32,
         help="flush a simulation batch at this size even inside the window",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_int_at_least(1), default=2,
         help="concurrent blocking solves/simulations (default 2)",
     )
     p_serve.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_float_at_least(0.0, strict=True), default=None,
+        metavar="SECONDS",
         help="per-task timeout before a worker is abandoned "
         "(default REPRO_TASK_TIMEOUT or none)",
     )
     p_serve.add_argument(
-        "--retries", type=int, default=None,
+        "--retries", type=_int_at_least(0), default=None,
         help="per-task retry budget (default REPRO_TASK_RETRIES or 0)",
     )
     p_serve.add_argument(
-        "--failure-budget", type=int, default=None,
+        "--failure-budget", type=_int_at_least(0), default=None,
         help="total failed attempts tolerated before the service answers "
         "503 (default REPRO_FAILURE_BUDGET or unlimited)",
     )
     p_serve.add_argument(
-        "--max-inflight", type=int, default=None,
+        "--max-inflight", type=_int_at_least(1), default=None,
         help="admission tokens: concurrent requests past the door "
         "(default workers * 4)",
     )
     p_serve.add_argument(
-        "--max-queue", type=int, default=128,
+        "--max-queue", type=_int_at_least(0), default=128,
         help="bounded admission queue; a full queue sheds with 429 + "
         "Retry-After (default 128)",
     )
     p_serve.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
+        "--default-deadline", type=_float_at_least(0.0, strict=True), default=None,
+        metavar="SECONDS",
         help="server-side deadline for requests that carry no 'timeout' "
         "field (default: none)",
     )
@@ -650,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pressure, 'off' never degrades, a level name forces it",
     )
     p_serve.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
+        "--drain-timeout", type=_float_at_least(0.0), default=10.0, metavar="SECONDS",
         help="max wait for in-flight requests on POST /shutdown before "
         "stopping anyway (default 10)",
     )
@@ -674,11 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the span trace JSONL here on shutdown (implies --trace)",
     )
     p_serve.add_argument(
-        "--trace-buffer", type=int, default=65_536,
+        "--trace-buffer", type=_int_at_least(1), default=65_536,
         help="span ring-buffer capacity (default 65536 events)",
     )
     p_serve.add_argument(
-        "--flight-recorder", type=int, default=64, metavar="N",
+        "--flight-recorder", type=_int_at_least(0), default=64, metavar="N",
         help="keep forensic records of the last N requests for "
         "/debug/requests (default 64)",
     )

@@ -350,11 +350,10 @@ def simulated_annealing(
     ``final_temperature_fraction`` of itself over ``n_iters`` iterations.
 
     Swap moves run in the compiled kernel when
-    :func:`~repro.core.permkernels.resolve_backend` is ``cc`` and the
-    library loads; the ``numpy`` and ``reference`` backends, and every
-    cluster-move run, use the Python loop.  The kernel draws from the
-    same generator, so results and the generator's final state are
-    identical either way.
+    :func:`~repro.core.permkernels.compiled_library` returns the library;
+    the ``reference`` backend, and every cluster-move run, use the Python
+    loop.  The kernel draws from the same generator, so results and the
+    generator's final state are identical either way.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be positive")
@@ -371,9 +370,7 @@ def simulated_annealing(
     rng = as_rng(seed)
     t0 = time.perf_counter()
 
-    lib = None
-    if move == "swap" and permkernels.resolve_backend() == "cc":
-        lib, _ = cc_solvers.load_library()
+    lib = permkernels.compiled_library() if move == "swap" else None
 
     best_perm = None
     best_value = np.inf

@@ -10,8 +10,9 @@ compiler (``cc -O2 -fPIC -shared -lm``), and binds the solver entry points
 through ``ctypes`` (`repro.noc.cc_kernel` binds the engine's).  ``ctypes``
 releases the GIL for the duration of every call, so the serve worker
 pool's threads scale solves and cycle loops across cores.  Without a
-compiler the solvers run the batched NumPy fallback in
-`repro.core.permkernels`, and simulations run on the fast path.
+compiler the solvers run the pure-Python loops the kernels transliterate
+(the ``reference`` backend of `repro.core.permkernels`), and simulations
+run on the fast path.
 
 Bit-identity: the solver loops are transliterations of the per-window SSS
 reference (`repro.core.sss._SwapState.try_window` in sweep order) and of
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 #: Stack-buffer limits baked into the C source; the dispatcher falls back
-#: to another backend beyond them (never hit by the paper's workloads).
+#: to the Python loop beyond them (never hit by the paper's workloads).
 CC_MAX_APPS = 64
 CC_MAX_WINDOW = 8
 

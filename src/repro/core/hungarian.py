@@ -13,11 +13,11 @@ instances in the test suite, including degenerate (tied) costs.
 
 The solve dispatches through the solver-kernel backends of
 `repro.core.permkernels`: the self-compiled C kernel
-(`repro.core.cc_solvers`) or the vectorised NumPy form — both
-transliterations of :func:`_solve_reference` with the identical reduced
-cost expression and ascending-column first-minimum tie-break, so
-degenerate instances pick the same assignment on every backend (pinned
-by the property suite).
+(`repro.core.cc_solvers`) when it loads, else :func:`_solve_reference`,
+which the kernel transliterates with the identical reduced cost
+expression and ascending-column first-minimum tie-break, so degenerate
+instances pick the same assignment on both backends (pinned by the
+property suite).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import cc_solvers
+from repro.core import cc_solvers, permkernels
 from repro.obs import reqtrace
 
 __all__ = ["AssignmentResult", "solve_assignment"]
@@ -80,20 +80,15 @@ def solve_assignment(cost: np.ndarray) -> AssignmentResult:
 
 
 def _solve(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
-    """Backend-dispatching solve; every path is bit-identical."""
-    # Local import: permkernels imports nothing from this module, but the
-    # function-level import keeps the module graph acyclic-by-construction.
-    from repro.core.permkernels import resolve_backend
-
-    backend = resolve_backend()
-    if backend == "reference":
+    """Backend-dispatching solve; both paths are bit-identical."""
+    lib = permkernels.compiled_library()
+    if lib is None:
         return _solve_reference(cost, n, m)
-    lib = cc_solvers.load_library()[0] if backend == "cc" else None
-    if lib is not None:
-        col_of_row = _solve_cc(lib, cost, n, m)
-    else:
-        col_of_row = _solve_numpy(cost, n, m)
-    total = float(cost[np.arange(n), col_of_row].sum())
+    return _result(cost, _solve_cc(lib, cost, n, m))
+
+
+def _result(cost: np.ndarray, col_of_row: np.ndarray) -> AssignmentResult:
+    total = float(cost[np.arange(col_of_row.size), col_of_row].sum())
     col_of_row.setflags(write=False)
     return AssignmentResult(col_of_row=col_of_row, total_cost=total)
 
@@ -115,21 +110,23 @@ def _solve_cc(lib, cost: np.ndarray, n: int, m: int) -> np.ndarray:
     return col_of_row
 
 
-def _solve_numpy(cost: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Vectorised Dijkstra steps over a visited mask — the NumPy fallback.
+def _solve_reference(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
+    """The pure-Python solve: one Dijkstra search per row over a visited mask.
 
-    Identical float semantics to :func:`_solve_reference`: the reduced
-    cost for every unvisited column is the same left-to-right expression,
-    and ``argmin`` over masked values picks the same ascending-column
-    first minimum as the reference's ``remaining`` subset scan.
+    ``argmin`` over the unvisited columns' shortest distances picks the
+    ascending-column first minimum, the tie-break the C kernel copies.
     """
     col_of_row = np.full(n, -1, dtype=np.int64)
     row_of_col = np.full(m, -1, dtype=np.int64)
-    u = np.zeros(n)
-    v = np.zeros(m)
+    u = np.zeros(n)  # row potentials
+    v = np.zeros(m)  # column potentials
+    # `parent[j]` is the row from which column j was reached in the current
+    # shortest-path tree; used to trace the augmenting path back.
     parent = np.full(m, -1, dtype=np.int64)
 
     for cur_row in range(n):
+        # Dijkstra over columns: find the cheapest augmenting path from
+        # cur_row to an unassigned column under reduced costs.
         shortest = np.full(m, np.inf)
         in_row_tree = np.zeros(n, dtype=bool)
         unvisited = np.ones(m, dtype=bool)
@@ -153,63 +150,6 @@ def _solve_numpy(cost: np.ndarray, n: int, m: int) -> np.ndarray:
             else:
                 i = int(row_of_col[j])
 
-        u[cur_row] += min_val
-        others = in_row_tree.copy()
-        others[cur_row] = False
-        if others.any():
-            rows = np.flatnonzero(others)
-            u[rows] += min_val - shortest[col_of_row[rows]]
-        cols = np.flatnonzero(~unvisited)
-        v[cols] -= min_val - shortest[cols]
-
-        j = sink
-        while True:
-            i = int(parent[j])
-            row_of_col[j] = i
-            col_of_row[i], j = j, col_of_row[i]
-            if i == cur_row:
-                break
-    return col_of_row
-
-
-def _solve_reference(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    row_of_col = np.full(m, -1, dtype=np.int64)
-    u = np.zeros(n)  # row potentials
-    v = np.zeros(m)  # column potentials
-    # `parent[j]` is the row from which column j was reached in the current
-    # shortest-path tree; used to trace the augmenting path back.
-    parent = np.full(m, -1, dtype=np.int64)
-
-    for cur_row in range(n):
-        # Dijkstra over columns: find the cheapest augmenting path from
-        # cur_row to an unassigned column under reduced costs.
-        shortest = np.full(m, np.inf)
-        in_row_tree = np.zeros(n, dtype=bool)
-        in_col_tree = np.zeros(m, dtype=bool)
-        remaining = np.arange(m)
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            in_row_tree[i] = True
-            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
-            better = reduced < shortest[remaining]
-            improved = remaining[better]
-            shortest[improved] = reduced[better]
-            parent[improved] = i
-            pos = int(np.argmin(shortest[remaining]))
-            j = int(remaining[pos])
-            min_val = shortest[j]
-            if not np.isfinite(min_val):  # pragma: no cover - finite input
-                raise ValueError("assignment problem is infeasible")
-            in_col_tree[j] = True
-            remaining = np.delete(remaining, pos)
-            if row_of_col[j] == -1:
-                sink = j
-            else:
-                i = int(row_of_col[j])
-
         # Update dual potentials so all reduced costs stay non-negative.
         u[cur_row] += min_val
         others = in_row_tree.copy()
@@ -217,7 +157,7 @@ def _solve_reference(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
         if others.any():
             rows = np.flatnonzero(others)
             u[rows] += min_val - shortest[col_of_row[rows]]
-        cols = np.flatnonzero(in_col_tree)
+        cols = np.flatnonzero(~unvisited)
         v[cols] -= min_val - shortest[cols]
 
         # Augment: flip matched/unmatched edges along the path to the sink.
@@ -228,7 +168,4 @@ def _solve_reference(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break
-
-    total = float(cost[np.arange(n), col_of_row].sum())
-    col_of_row.setflags(write=False)
-    return AssignmentResult(col_of_row=col_of_row, total_cost=total)
+    return _result(cost, col_of_row)

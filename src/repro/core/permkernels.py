@@ -12,24 +12,25 @@ Two things live here:
   to :func:`repro.core.metrics.evaluate_mapping` / the old
   ``_batched_metrics``: same expressions, same reduction order.
 
-* The solver kernel **backend dispatch**.  The SSS swap sweep (and the
-  Hungarian solve in `repro.core.hungarian` and simulated annealing's
-  swap moves in `repro.core.baselines`) run through one of:
+* The solver kernel **backend dispatch**.  The SSS swap sweep, the
+  Hungarian solve in `repro.core.hungarian`, simulated annealing's swap
+  moves in `repro.core.baselines` and the vector engine's cycle loop
+  (`repro.noc.cc_kernel`) run on one of two backends:
 
   - ``cc`` — the self-compiled ctypes C kernels
     (`repro.core.cc_solvers`) when a C compiler is present,
-  - ``numpy`` — a batched multi-window NumPy fallback, always available,
-  - ``reference`` — the original per-window / per-column pure-Python
-    paths, selectable only via :func:`force_backend` (tests and the
-    regression benchmarks use it as the measurement baseline).
+  - ``reference`` — the pure-Python per-window / per-column loops the
+    kernels transliterate; without the library the vector engine is
+    unavailable and simulations take the fast path.
 
-  Resolution is ``cc`` when its library loads, else ``numpy``;
-  ``REPRO_CC=0`` disables the C build and so forces ``numpy``.
-  :func:`force_backend` overrides the choice for one context — a
-  ``with`` block in one thread or task — so callers that share a process
-  (two serve daemons, a test next to a daemon) never see each other's
-  choice.  The C kernels release the GIL, so the serve worker pool's
-  threads scale solves across cores.
+  Resolution is ``cc`` when its library loads, else ``reference``;
+  ``REPRO_CC=0`` disables the C build and so forces ``reference``.
+  :func:`compiled_library` is the one place that answers "compiled or
+  Python" for all four call sites.  :func:`force_backend` overrides the
+  choice for one context — a ``with`` block in one thread or task — so
+  callers that share a process (two serve daemons, a test next to a
+  daemon) never see each other's choice.  The C kernels release the GIL,
+  so the serve worker pool's threads scale solves across cores.
 """
 
 from __future__ import annotations
@@ -47,19 +48,14 @@ from repro.core.workload import Workload
 __all__ = [
     "PermutationBatchEvaluator",
     "resolve_backend",
+    "compiled_library",
     "force_backend",
     "backend_info",
     "warmup",
-    "sweep_pass_inplace",
 ]
 
 _FORCED: ContextVar[str | None] = ContextVar("repro_forced_backend", default=None)
-_VALID_BACKENDS = ("cc", "numpy", "reference")
-
-
-def _cc_available() -> bool:
-    lib, _ = cc_solvers.load_library()
-    return lib is not None
+_VALID_BACKENDS = ("cc", "reference")
 
 
 def resolve_backend() -> str:
@@ -67,19 +63,29 @@ def resolve_backend() -> str:
     forced = _FORCED.get()
     if forced is not None:
         return forced
-    return "cc" if _cc_available() else "numpy"
+    return "cc" if cc_solvers.load_library()[0] is not None else "reference"
+
+
+def compiled_library():
+    """The loaded C library when the backend resolves to ``cc``, else ``None``.
+
+    ``None`` means the caller runs its Python loop.
+    """
+    if _FORCED.get() == "reference":
+        return None
+    return cc_solvers.load_library()[0]
 
 
 @contextmanager
 def force_backend(name: str):
     """Pin the kernel backend for the duration of the ``with`` block.
 
-    Accepts any of ``cc | numpy | reference``.  The pin lives in a
-    context variable, so it covers only the current thread or task:
-    tests and benchmarks compare backends in one process with it, and
-    the serve daemon enters ``numpy`` inside a solve while that
-    service's ``cc`` breaker is open.  All backends are bit-identical,
-    so a pin changes cost, never bytes.
+    Accepts ``cc`` or ``reference``.  The pin lives in a context
+    variable, so it covers only the current thread or task: tests and
+    benchmarks compare backends in one process with it, and the serve
+    daemon enters ``reference`` inside a solve while that service's
+    ``cc`` breaker is open.  Both backends are bit-identical, so a pin
+    changes cost, never bytes.
     """
     if name not in _VALID_BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {_VALID_BACKENDS}")
@@ -106,7 +112,7 @@ _warmed: dict | None = None
 
 
 def warmup() -> dict:
-    """Compile/build the selected backend eagerly; returns backend_info().
+    """Build and bind the C library eagerly; returns backend_info().
 
     The serve daemon calls this at startup so the first cache-miss request
     never pays the one-off C build (the same shared object carries the
@@ -117,144 +123,11 @@ def warmup() -> dict:
     with _warm_lock:
         if _warmed is not None:
             return _warmed
-        sorted_tiles = np.arange(4, dtype=np.int64)
-        perms = np.array(
-            [[0, 1], [1, 0]], dtype=np.int64
-        )
-        perm = np.arange(4, dtype=np.int64)
-        tile_thread = np.arange(4, dtype=np.int64)
-        numerators = np.zeros(1)
-        ones = np.ones(4)
-        sweep_pass_inplace(
-            sorted_tiles, 2, 1, perms, perm, tile_thread, numerators,
-            ones, ones, ones.copy(), ones.copy(),
-            np.zeros(4, dtype=np.int64), np.ones(1),
-            np.zeros(1, dtype=np.int64),
-        )
         from repro.core.hungarian import solve_assignment
 
         solve_assignment(np.array([[0.0, 1.0], [1.0, 0.0]]))
         _warmed = backend_info()
         return _warmed
-
-
-# ---------------------------------------------------------------------------
-# Swap-sweep dispatch
-# ---------------------------------------------------------------------------
-
-
-def sweep_pass_inplace(
-    sorted_tiles: np.ndarray,
-    w: int,
-    max_step: int,
-    perms: np.ndarray,
-    perm: np.ndarray,
-    tile_thread: np.ndarray,
-    numerators: np.ndarray,
-    c: np.ndarray,
-    m: np.ndarray,
-    tc: np.ndarray,
-    tm: np.ndarray,
-    app_of_thread: np.ndarray,
-    safe_volumes: np.ndarray,
-    active: np.ndarray,
-    backend: str | None = None,
-) -> tuple[int, int]:
-    """One full ``(step, start)`` greedy sweep, mutating the mapping state.
-
-    Exactly replicates the per-window reference
-    (`repro.core.sss._SwapState.try_window` called in sweep order):
-    identical accept decisions, identical float accumulation.  Returns
-    ``(windows_tried, windows_accepted)``.
-    """
-    backend = backend or resolve_backend()
-    if backend == "cc" and (
-        numerators.shape[0] <= cc_solvers.CC_MAX_APPS
-        and w <= cc_solvers.CC_MAX_WINDOW
-    ):
-        lib, _ = cc_solvers.load_library()
-        if lib is not None:
-            counts = np.zeros(2, dtype=np.int64)
-            cc_solvers.cc_sweep_pass(
-                lib,
-                np.ascontiguousarray(sorted_tiles), w, max_step,
-                np.ascontiguousarray(perms), perm, tile_thread, numerators,
-                np.ascontiguousarray(c), np.ascontiguousarray(m),
-                np.ascontiguousarray(tc), np.ascontiguousarray(tm),
-                np.ascontiguousarray(app_of_thread),
-                np.ascontiguousarray(safe_volumes),
-                np.ascontiguousarray(active), counts,
-            )
-            return int(counts[0]), int(counts[1])
-    return _numpy_sweep_pass(
-        sorted_tiles, w, max_step, perms, perm, tile_thread, numerators,
-        c, m, tc, tm, app_of_thread, safe_volumes, active,
-    )
-
-
-def _numpy_sweep_pass(
-    sorted_tiles, w, max_step, perms, perm, tile_thread, numerators,
-    c, m, tc, tm, app_of_thread, safe_volumes, active,
-) -> tuple[int, int]:
-    """Batched multi-window NumPy sweep — the always-available fallback.
-
-    Optimistic batching: all windows of one step are scored at once under
-    the *frozen* current state.  Rejections never mutate state, so every
-    window decided before the first acceptance is decided exactly as the
-    sequential sweep would; the first accepted window is applied and the
-    scan restarts just after it.  This preserves the greedy accept order
-    and the first-minimum argmin tie-break bit for bit while replacing
-    thousands of tiny NumPy dispatches with a handful of batched ones.
-    """
-    n = sorted_tiles.shape[0]
-    n_perms = perms.shape[0]
-    n_apps = numerators.shape[0]
-    aw = np.arange(w)
-    tried = 0
-    accepted = 0
-    for step in range(1, max_step + 1):
-        span = (w - 1) * step
-        n_windows = n - span
-        if n_windows <= 0:
-            continue
-        windows = sorted_tiles[np.arange(n_windows)[:, None] + step * aw[None, :]]
-        pos = 0
-        while pos < n_windows:
-            win = windows[pos:]
-            batch = win.shape[0]
-            threads = tile_thread[win]
-            cost = (
-                c[threads][:, :, None] * tc[win][:, None, :]
-                + m[threads][:, :, None] * tm[win][:, None, :]
-            )
-            base = cost[:, aw, aw]
-            deltas = cost[:, aw[None, :], perms] - base[:, None, :]
-            apps = app_of_thread[threads]
-            app_delta = np.zeros((batch, n_perms, n_apps))
-            rows = np.arange(batch)
-            # Ascending-position accumulation == np.add.at's scatter order
-            # in the per-window reference (indices are unique per a).
-            for a in range(w):
-                app_delta[rows, :, apps[:, a]] += deltas[:, :, a]
-            candidate = (numerators[None, None, :] + app_delta) / safe_volumes
-            max_apls = candidate[:, :, active].max(axis=2)
-            best = np.argmin(max_apls, axis=1)
-            accepts = np.flatnonzero(best != 0)
-            if accepts.size == 0:
-                tried += batch
-                break
-            k = int(accepts[0])
-            tried += k + 1
-            accepted += 1
-            b = int(best[k])
-            win_tiles = win[k]
-            win_threads = threads[k]
-            new_tiles = win_tiles[perms[b]]
-            perm[win_threads] = new_tiles
-            tile_thread[new_tiles] = win_threads
-            numerators += app_delta[k, b]
-            pos += k + 1
-    return tried, accepted
 
 
 # ---------------------------------------------------------------------------

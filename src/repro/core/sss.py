@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core import permkernels
+from repro.core import cc_solvers, permkernels
 from repro.core.metrics import evaluate_mapping
 from repro.core.problem import Mapping, OBMInstance
 from repro.core.results import MappingResult
@@ -234,6 +234,23 @@ class _SwapState:
         self.tile_thread[new_tiles] = threads
         self.numerators += app_delta[best]
 
+    def sweep_compiled(self, lib, sorted_tiles: np.ndarray, max_step: int) -> None:
+        """One whole ``(step, start)`` sweep in the C kernel.
+
+        Bit-identical to :meth:`try_window` called in sweep order: same
+        accept decisions, same float accumulation, same counters.
+        """
+        counts = np.zeros(2, dtype=np.int64)
+        c = np.ascontiguousarray
+        cc_solvers.cc_sweep_pass(
+            lib, c(sorted_tiles), self.perms.shape[1], max_step, c(self.perms),
+            self.perm, self.tile_thread, self.numerators, c(self.c), c(self.m),
+            c(self.tc), c(self.tm), c(self.app_of_thread),
+            c(self._safe_volumes), c(self.active), counts,
+        )
+        self.windows_tried += int(counts[0])
+        self.windows_accepted += int(counts[1])
+
     def recompute(self) -> None:
         """Refresh numerators from scratch (clears float drift)."""
         wl = self.instance.workload
@@ -246,16 +263,15 @@ def _swap_phase(
     perm: np.ndarray,
     config: SSSConfig,
     tc_order: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Step 3's sliding-window sweep over the sorted tile list.
 
-    The whole ``(pass, step, start)`` sweep runs as one fused kernel call
-    per pass (`repro.core.permkernels.sweep_pass_inplace` — the
-    self-compiled C backend or the batched NumPy fallback), bit-identical
-    to the per-window reference loop, which ``backend="reference"`` keeps
-    selectable for tests and the regression benchmarks.  ``recompute()``
-    still runs between passes so float drift clears on the same cadence.
+    Each pass runs as one C kernel call (:meth:`_SwapState.sweep_compiled`)
+    when `repro.core.permkernels.compiled_library` returns the library and
+    the instance fits the kernel's buffers, else as the per-window
+    :meth:`_SwapState.try_window` loop; both give the same bits.
+    ``recompute()`` runs between passes so float drift clears on the same
+    cadence.
 
     Returns the new permutation plus the swap-acceptance counters
     (windows evaluated, windows where a non-identity permutation won).
@@ -265,25 +281,18 @@ def _swap_phase(
     max_step = config.max_step if config.max_step is not None else max(1, n // w)
     sorted_tiles = _tc_sorted_tiles(instance) if tc_order is None else tc_order
     state = _SwapState(instance, perm, w)
-    backend = backend or permkernels.resolve_backend()
-    if backend == "reference":
-        for _ in range(config.swap_passes):
+    lib = permkernels.compiled_library()
+    if state.numerators.size > cc_solvers.CC_MAX_APPS or w > cc_solvers.CC_MAX_WINDOW:
+        lib = None
+    for _ in range(config.swap_passes):
+        if lib is not None:
+            state.sweep_compiled(lib, sorted_tiles, max_step)
+        else:
             for step in range(1, max_step + 1):
                 span = (w - 1) * step
                 for start in range(n - span):
                     positions = start + step * np.arange(w)
                     state.try_window(sorted_tiles[positions])
-            state.recompute()
-        return state.perm, state.windows_tried, state.windows_accepted
-    for _ in range(config.swap_passes):
-        tried, accepted = permkernels.sweep_pass_inplace(
-            sorted_tiles, w, max_step, state.perms, state.perm,
-            state.tile_thread, state.numerators, state.c, state.m,
-            state.tc, state.tm, state.app_of_thread, state._safe_volumes,
-            state.active, backend=backend,
-        )
-        state.windows_tried += tried
-        state.windows_accepted += accepted
         state.recompute()
     return state.perm, state.windows_tried, state.windows_accepted
 

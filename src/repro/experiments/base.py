@@ -42,10 +42,10 @@ ALGORITHM_ORDER = ("Global", "MC", "SA", "SSS")
 #: "allowed to have similar runtime as SSS" (Section V.B.5).  3k SA
 #: iterations matched SSS's wall-clock when both ran in Python.  Measured
 #: on a 2-vCPU x86-64 VM (median over C1..C8), 3k iterations now take
-#: ~0.56 ms against SSS's ~1.8 ms with the compiled kernels (~0.3x), and
-#: ~46 ms against ~14 ms on the NumPy fallback (~3x).  The budget stays
-#: because it pins Figure 9 and the benchmark campaign's digest; Figure 12
-#: sweeps SA far beyond it.
+#: ~0.6 ms against SSS's ~2.6 ms with the compiled kernels (~0.25x), and
+#: ~66 ms against ~45 ms on the Python reference backend (~1.5x).  The
+#: budget stays because it pins Figure 9 and the benchmark campaign's
+#: digest; Figure 12 sweeps SA far beyond it.
 FULL_BUDGETS = {"mc_samples": 10_000, "sa_iters": 3_000, "random_samples": 10_000}
 FAST_BUDGETS = {"mc_samples": 400, "sa_iters": 1_500, "random_samples": 400}
 

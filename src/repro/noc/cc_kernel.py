@@ -3,9 +3,10 @@
 The kernel (``repro/csrc/noc_cycle.c``) is built into the same shared
 object as the solver kernels by `repro.core.cc_solvers.load_library`, so
 `repro.core.permkernels.warmup` builds it too.  :func:`library` decides
-whether the vector engine can run at all: only when the solver backend
-resolves to ``cc`` (``REPRO_CC=0``, ``force_backend("numpy"|"reference")``
-or a missing compiler send simulations to the fast path instead).
+whether the vector engine can run at all: only when
+`repro.core.permkernels.compiled_library` returns the library
+(``REPRO_CC=0``, ``force_backend("reference")`` or a missing compiler
+send simulations to the fast path instead).
 
 :class:`CycleKernel` owns the state only the kernel needs — the link
 pipeline ring, array-backed NI queues, per-pid columns and the delivered
@@ -23,7 +24,7 @@ import ctypes
 
 import numpy as np
 
-from repro.core import cc_solvers, permkernels
+from repro.core import permkernels
 from repro.core.cc_solvers import _I64, _U8, _ptr
 
 __all__ = ["CycleKernel", "library"]
@@ -64,9 +65,7 @@ def library():
     ``None`` unless the solver-kernel backend resolves to ``cc`` and the
     library loads; simulations then run on the fast path.
     """
-    if permkernels.resolve_backend() != "cc":
-        return None
-    lib, _ = cc_solvers.load_library()
+    lib = permkernels.compiled_library()
     if lib is None:
         return None
     if lib.noc_window.argtypes is None:

@@ -16,7 +16,7 @@ the kernel then admits each cycle's rows into array-backed NI queues
 and steps the network.  ``ctypes`` releases the GIL for the call.
 
 The engine runs only where the kernel loads: ``REPRO_CC=0``,
-``permkernels.force_backend("numpy" | "reference")`` or a missing C
+``permkernels.force_backend("reference")`` or a missing C
 compiler make :class:`VectorEngine` raise ``RuntimeError``.  There
 :func:`run_batch` and :func:`simulate_batch` run each traffic through
 the fast path instead (``result.engine == "fastpath"``), with the same

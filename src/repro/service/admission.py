@@ -28,10 +28,11 @@ runs to completion even when the requester that started it timed out.
 **Circuit breaker** (:class:`CircuitBreaker`) — per-backend failure
 accounting with the worker pool's failure-budget semantics (count
 failures, trip at a budget) plus the classic closed → open → half-open
-cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its breaker
-and that service's solves run on the bit-identical pure-NumPy fallback
-instead of 503ing the world; after ``reset_after`` seconds the breaker
-goes half-open and lets probes through to the real backend again.
+cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its
+breaker and that service's solves run on the bit-identical pure-Python
+``reference`` backend instead of 503ing the world; after ``reset_after``
+seconds the breaker goes half-open and lets probes through to the real
+backend again.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ pressure or an infeasible deadline the degradation ladder
 (:mod:`repro.service.degrade`) trades fidelity for survival:
 full → bounds-only → cached-nearest → shed.  A per-service circuit
 breaker routes this service's solves around wedged C solver kernels to
-the bit-identical NumPy fallback.
+the bit-identical pure-Python ``reference`` backend.
 
 Caching semantics
 -----------------
@@ -315,7 +315,7 @@ class MappingService:
         #: Shape → ``(solve_key, fingerprint)`` of its freshest solve.
         self.nearest = LRUCache(cache_size)
         # One breaker, at its default threshold and cooldown, guards the C
-        # solver kernels; with the kernels resolved to numpy there is
+        # solver kernels; with the kernels resolved to reference there is
         # nothing to guard.
         self.breaker = (
             CircuitBreaker("cc", registry=self.registry)
@@ -713,12 +713,12 @@ class MappingService:
         Calling :meth:`CircuitBreaker.blocked` here is what moves an open
         breaker to half-open after its cooldown, so probes hit the C
         kernels again.  While it is open, this service's solves run on
-        the NumPy fallback and are *not* charged to the breaker; other
+        the ``reference`` backend and are *not* charged to the breaker; other
         services in the process keep their own backend.
         """
         breaker, backend = self.breaker, None
         if breaker is not None and breaker.blocked():
-            breaker, backend = None, "numpy"
+            breaker, backend = None, "reference"
         return self.pool.run(self._solve_sync, req, backend, breaker=breaker)
 
     def _solve_sync(self, req: MapRequest, backend: str | None = None) -> dict:
@@ -861,7 +861,7 @@ class MappingService:
 
         Called once at daemon startup so the first cache-miss request
         never pays the one-off C kernel build.  A failure is logged and
-        swallowed — the solvers fall back to the batched NumPy path on
+        swallowed — the solvers fall back to the pure-Python path on
         their own.
         """
         try:

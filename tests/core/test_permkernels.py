@@ -2,22 +2,24 @@
 
 Three bit-identity contracts, fuzzed with hypothesis:
 
-* :func:`repro.core.permkernels.sweep_pass_inplace` (every backend) is
-  the fused form of the per-window ``_SwapState.try_window`` sweep —
-  same accept decisions, same float accumulation, same counters — on
-  random workloads including zero-traffic padding apps and across the
-  multi-pass ``recompute()`` float-drift cadence.
+* The C sweep (``_SwapState.sweep_compiled``) is the fused form of the
+  per-window ``_SwapState.try_window`` sweep — same accept decisions,
+  same float accumulation, same counters — on random workloads
+  including zero-traffic padding apps and across the multi-pass
+  ``recompute()`` float-drift cadence.
 * :class:`repro.core.permkernels.PermutationBatchEvaluator` reproduces
   per-permutation :func:`repro.core.metrics.evaluate_mapping` bitwise.
-* Every Hungarian backend returns the assignment of the pure-Python
-  reference, including on heavily tied (degenerate) cost matrices.
+* The C Hungarian returns the assignment of the pure-Python reference,
+  including on heavily tied (degenerate) cost matrices.
 * The compiled simulated-annealing loop returns what the Python loop
   returns and leaves the caller's generator in the same state: its
   bounded draw is ``Generator.integers(n)`` draw for draw on every
   BitGenerator, and ``n == 1`` consumes nothing.
 
-Plus the deterministic tie-break contracts of Monte Carlo and
-exhaustive search that ride on the batch evaluator.
+The kernel contracts compare ``cc`` against ``reference`` and skip, with
+the loader's reason, where the C kernels do not load.  Plus the
+deterministic tie-break contracts of Monte Carlo and exhaustive search
+that ride on the batch evaluator.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from repro.core.sss import _SwapState, _window_perms
 from repro.core.workload import Application, Workload
 from repro.utils.rng import as_rng
 
-# NumPy runs everywhere; the C kernels join wherever they load.
-BACKENDS = ["numpy"]
-if permkernels.backend_info()["cc"]:
-    BACKENDS.append("cc")
+_INFO = permkernels.backend_info()
+needs_cc = pytest.mark.skipif(
+    not _INFO["cc"], reason=f"C kernels unavailable: {_INFO['cc_reason']}"
+)
 
 
 def fuzz_instance(seed: int, side: int, n_apps: int, idle_apps: int) -> OBMInstance:
@@ -107,7 +109,7 @@ def _sa_outcome(backend, instance, rng, **kwargs):
     )
 
 
-@pytest.mark.skipif("cc" not in BACKENDS, reason="C kernels unavailable")
+@needs_cc
 class TestAnnealKernel:
     # 3 * 2**30 + 1 rejects about a quarter of Lemire draws; 2**32 is the
     # full-range plain uint32 branch.
@@ -139,7 +141,7 @@ class TestAnnealKernel:
                 backend, instance, np.random.Generator(bit_generator(2024)),
                 n_iters=4_000, restarts=3,
             )
-            for backend in ("numpy", "cc")
+            for backend in ("reference", "cc")
         ]
         assert outcomes[0] == outcomes[1]
 
@@ -163,12 +165,13 @@ class TestAnnealKernel:
         )
         outcomes = [
             _sa_outcome(backend, instance, np.random.default_rng(seed), **kwargs)
-            for backend in ("numpy", "cc")
+            for backend in ("reference", "cc")
         ]
         assert outcomes[0] == outcomes[1]
 
 
 class TestSweepKernel:
+    @needs_cc
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
@@ -192,23 +195,16 @@ class TestSweepKernel:
             _reference_sweep(ref, sorted_tiles, window, max_step)
             ref.recompute()
 
-        for backend in BACKENDS:
-            state = _SwapState(instance, perm0, window)
-            for _ in range(passes):
-                tried, accepted = permkernels.sweep_pass_inplace(
-                    sorted_tiles, window, max_step, state.perms, state.perm,
-                    state.tile_thread, state.numerators, state.c, state.m,
-                    state.tc, state.tm, state.app_of_thread,
-                    state._safe_volumes, state.active, backend=backend,
-                )
-                state.windows_tried += tried
-                state.windows_accepted += accepted
-                state.recompute()
-            assert state.perm.tolist() == ref.perm.tolist(), backend
-            assert state.tile_thread.tolist() == ref.tile_thread.tolist(), backend
-            assert state.numerators.tobytes() == ref.numerators.tobytes(), backend
-            assert state.windows_tried == ref.windows_tried, backend
-            assert state.windows_accepted == ref.windows_accepted, backend
+        lib, _ = cc_solvers.load_library()
+        state = _SwapState(instance, perm0, window)
+        for _ in range(passes):
+            state.sweep_compiled(lib, sorted_tiles, max_step)
+            state.recompute()
+        assert state.perm.tolist() == ref.perm.tolist()
+        assert state.tile_thread.tolist() == ref.tile_thread.tolist()
+        assert state.numerators.tobytes() == ref.numerators.tobytes()
+        assert state.windows_tried == ref.windows_tried
+        assert state.windows_accepted == ref.windows_accepted
 
     def test_window_perms_identity_first(self):
         for w in (2, 3, 4):
@@ -280,6 +276,7 @@ class TestBatchEvaluator:
 
 
 class TestHungarianBackends:
+    @needs_cc
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
@@ -293,11 +290,10 @@ class TestHungarianBackends:
         rng = np.random.default_rng(seed)
         cost = rng.integers(0, levels, size=(n, n + extra_cols)).astype(float)
         want = hungarian._solve_reference(cost, n, n + extra_cols)
-        for backend in BACKENDS:
-            with permkernels.force_backend(backend):
-                got = hungarian.solve_assignment(cost)
-            assert got.col_of_row.tolist() == want.col_of_row.tolist(), backend
-            assert float(got.total_cost).hex() == float(want.total_cost).hex(), backend
+        with permkernels.force_backend("cc"):
+            got = hungarian.solve_assignment(cost)
+        assert got.col_of_row.tolist() == want.col_of_row.tolist()
+        assert float(got.total_cost).hex() == float(want.total_cost).hex()
 
 
 class TestMonteCarloTieBreak:
@@ -359,15 +355,22 @@ class TestExhaustiveSearch:
 
 class TestBackendPlumbing:
     def test_force_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with permkernels.force_backend("fortran"):
-                pass
+        for name in ("fortran", "numpy"):
+            with pytest.raises(ValueError):
+                with permkernels.force_backend(name):
+                    pass
 
     def test_resolve_backend_honours_force(self):
-        with permkernels.force_backend("numpy"):
-            assert permkernels.resolve_backend() == "numpy"
+        with permkernels.force_backend("cc"):
+            assert permkernels.resolve_backend() == "cc"
         with permkernels.force_backend("reference"):
             assert permkernels.resolve_backend() == "reference"
+
+    def test_compiled_library_follows_the_backend(self):
+        with permkernels.force_backend("reference"):
+            assert permkernels.compiled_library() is None
+        with permkernels.force_backend("cc"):
+            assert permkernels.compiled_library() is cc_solvers.load_library()[0]
 
     def test_force_is_scoped_to_the_calling_thread(self):
         natural = permkernels.resolve_backend()
@@ -382,19 +385,20 @@ class TestBackendPlumbing:
         assert seen == [natural]
         assert permkernels.resolve_backend() == natural
 
-    def test_env_off_selects_numpy(self, monkeypatch):
-        """``REPRO_CC=0`` is the one switch that forces the NumPy sweep."""
+    def test_env_off_selects_reference(self, monkeypatch):
+        """``REPRO_CC=0`` is the one switch that forces the Python loops."""
         monkeypatch.setenv("REPRO_CC", "0")
         monkeypatch.setattr(cc_solvers, "_loaded", False)
         monkeypatch.setattr(cc_solvers, "_lib", None)
         monkeypatch.setattr(cc_solvers, "_lib_error", None)
-        assert permkernels.resolve_backend() == "numpy"
+        assert permkernels.resolve_backend() == "reference"
+        assert permkernels.compiled_library() is None
         assert permkernels.backend_info()["cc"] is False
 
     def test_backend_info_shape(self):
         info = permkernels.backend_info()
         assert set(info) == {"backend", "cc", "cc_compiler", "cc_reason"}
-        assert info["backend"] in ("cc", "numpy")
+        assert info["backend"] in ("cc", "reference")
 
     def test_warmup_idempotent(self):
         first = permkernels.warmup()

@@ -37,13 +37,12 @@ CONFIGS = [f"C{i}" for i in range(1, 9)]
 
 
 def _backends() -> list:
-    """NumPy, the C kernels, and the pure-Python reference paths.
+    """The C kernels and the pure-Python reference paths.
 
     ``cc`` is skipped only where no C compiler exists: with a compiler
     present, a broken build fails the fixture instead of skipping.
     """
     return [
-        "numpy",
         pytest.param(
             "cc",
             marks=pytest.mark.skipif(

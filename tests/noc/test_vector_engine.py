@@ -237,7 +237,7 @@ def test_without_kernel_batches_take_the_fast_path(batch):
             for i in range(batch)
         ]
 
-    with permkernels.force_backend("numpy"):
+    with permkernels.force_backend("reference"):
         fallback = run_batch(inst.mesh, traffics(), warmup=200, measure=800)
     default = run_batch(inst.mesh, traffics(), warmup=200, measure=800)
     assert [r.engine for r in fallback] == ["fastpath"] * batch
@@ -249,7 +249,7 @@ def test_without_kernel_simulate_batch_takes_the_fast_path():
     inst = _small_instance()
     mapping = sort_select_swap(inst).mapping
     pairs, seeds = [(inst, mapping), (inst, mapping)], [3, 4]
-    with permkernels.force_backend("numpy"):
+    with permkernels.force_backend("reference"):
         fallback = simulate_batch(pairs, seeds=seeds, warmup=100, measure=400)
     default = simulate_batch(pairs, seeds=seeds, warmup=100, measure=400)
     assert [r.engine for r in fallback] == ["fastpath", "fastpath"]
@@ -258,7 +258,7 @@ def test_without_kernel_simulate_batch_takes_the_fast_path():
 
 def test_without_kernel_simulator_takes_the_fast_path():
     inst, make = _mapped_traffic_factory("C1")
-    with permkernels.force_backend("numpy"):
+    with permkernels.force_backend("reference"):
         sim = NoCSimulator(inst.mesh, make())
         fallback = sim.run(warmup=200, measure=800)
     assert sim.engine == "fastpath"
@@ -271,7 +271,7 @@ def test_without_kernel_simulator_takes_the_fast_path():
 def test_vector_engine_requires_the_kernel():
     mesh = Mesh.square(4)
     traffic = UniformRandomTraffic(mesh.n_tiles, 0.05, seed=1)
-    with permkernels.force_backend("numpy"):
+    with permkernels.force_backend("reference"):
         with pytest.raises(RuntimeError, match="compiled cycle kernel is unavailable"):
             VectorEngine(mesh, [traffic])
 

@@ -289,10 +289,10 @@ class TestCircuitBreaker:
 
     def test_service_holds_one_cc_breaker(self):
         """A service guards the C kernels with one ``cc`` breaker, and
-        holds none when the kernels resolve to numpy."""
+        holds none when the kernels resolve to reference."""
         from repro.service.app import MappingService
 
-        with permkernels.force_backend("numpy"):
+        with permkernels.force_backend("reference"):
             assert MappingService().breaker is None
         with permkernels.force_backend("cc"):
             service = MappingService()
@@ -308,12 +308,12 @@ class TestCircuitBreaker:
     not permkernels.backend_info()["cc"], reason="C solver kernels unavailable"
 )
 class TestPerServiceBackend:
-    def test_tripped_breaker_moves_only_its_own_service_to_numpy(
+    def test_tripped_breaker_moves_only_its_own_service_to_reference(
         self, make_service, monkeypatch
     ):
         """Two services in one process: A's open ``cc`` breaker sends A's
-        solves to NumPy while B keeps calling the C kernel, and both
-        return the same bytes."""
+        solves to the Python loops while B keeps calling the C kernel, and
+        both return the same bytes."""
         calls = []
         real_sweep = cc_solvers.cc_sweep_pass
 

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.core import cc_solvers
+
 
 def _unique_spec(index: int) -> dict:
     """A distinct (never-cached) two-app problem per index."""
@@ -280,6 +282,16 @@ class TestReadiness:
         assert status == 200
         assert payload["status"] == "ready"
         assert "backend" in payload
+
+    def test_ready_service_reports_reference_without_kernels(
+        self, make_service, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CC", "0")
+        monkeypatch.setattr(cc_solvers, "_loaded", False)
+        monkeypatch.setattr(cc_solvers, "_lib", None)
+        monkeypatch.setattr(cc_solvers, "_lib_error", None)
+        status, payload = make_service().get("/readyz")
+        assert (status, payload["backend"]) == (200, "reference")
 
     def test_starting_service_answers_503(self, make_service):
         client = make_service()

@@ -22,7 +22,6 @@ EXPECTED = {
     "service.obs_overhead.overhead_ratio": ("max", 1.196),
     "service.overload.goodput_ratio": ("min", 0.932),
     "service.overload.p99_ratio": ("max", 2.262),
-    "solvers.sss_numpy_speedup": ("min", 1.771),
     "solvers.sss_compiled_speedup": ("min", 13.27),
 }
 
@@ -73,18 +72,13 @@ class TestCheckLogic:
         measured = {k: v for k, v in AT_LIMIT.items() if not k.startswith("solvers.")}
         assert check_regression.check(measured) == []
         out = capsys.readouterr().out
-        assert out.count("skip") == 2 and "solvers.sss_numpy_speedup" in out
+        assert out.count("skip") == 1 and "solvers.sss_compiled_speedup" in out
 
     def test_solver_speedup_regression_detected(self):
-        measured = {
-            **AT_LIMIT,
-            "solvers.sss_numpy_speedup": 1.0,
-            "solvers.sss_compiled_speedup": 2.0,
-        }
+        measured = {**AT_LIMIT, "solvers.sss_compiled_speedup": 2.0}
         failures = check_regression.check(measured)
-        assert len(failures) == 2
-        assert any("sss_numpy_speedup" in f for f in failures)
-        assert any("sss_compiled_speedup" in f for f in failures)
+        assert len(failures) == 1
+        assert "sss_compiled_speedup" in failures[0]
 
     def test_solver_compiled_guard_skips_without_compiled_backend(self, capsys):
         """Without the C kernels the solver probe yields no compiled

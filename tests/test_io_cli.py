@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.problem import Mapping
 from repro.core.sss import sort_select_swap
 from repro.core.workload import Application, Workload
@@ -163,6 +163,11 @@ class TestCLI:
             ["--drop-rate", "1.5"],
             ["--drop-rate", "nan"],
             ["--max-retries", "-1"],
+            ["--mesh", "0"],
+            ["--mesh", "1"],
+            ["--trace-every", "0"],
+            ["--sample-every", "0"],
+            ["--trace-buffer", "0"],
         ],
         ids=" ".join,
     )
@@ -173,6 +178,54 @@ class TestCLI:
         captured = capsys.readouterr()
         assert f"argument {flags[0]}" in captured.err
         assert "max-APL" not in captured.out  # rejected before any solve
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["map"], ["evaluate", "mapping.json"], ["bound", "--json"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_mesh_below_two_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mesh", "0"])
+        assert exc.value.code == 2
+        assert "argument --mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--cache-size", "0"],
+            ["--max-batch", "0"],
+            ["--max-queue", "-1"],
+            ["--trace-buffer", "0"],
+            ["--batch-window", "-1"],
+            ["--batch-window", "nan"],
+            ["--port", "-1"],
+            ["--port", "65536"],
+            ["--drain-timeout", "-1"],
+            ["--drain-timeout", "inf"],
+            ["--flight-recorder", "-1"],
+            ["--retries", "-1"],
+            ["--failure-budget", "-1"],
+            ["--max-inflight", "0"],
+            ["--task-timeout", "0"],
+            ["--default-deadline", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_serve_rejects_bad_values_at_parse_time(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+
+    def test_serve_accepts_the_boundary_values(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--max-queue", "0", "--batch-window", "0",
+             "--drain-timeout", "0", "--flight-recorder", "0", "--workers", "1"]
+        )
+        assert (args.port, args.max_queue, args.flight_recorder) == (0, 0, 0)
+        assert (args.batch_window, args.drain_timeout, args.workers) == (0.0, 0.0, 1)
 
     def test_simulate_rejects_malformed_fault_specs(self):
         with pytest.raises(SystemExit):
