@@ -293,14 +293,13 @@ def _cmd_serve_report(path, args) -> int:
         [
             r.get("trace_id"), r.get("status"), r.get("cache") or "-",
             r.get("algorithm") or "-", r.get("batch_occupancy") or "-",
-            r.get("retries", 0),
             "-" if r.get("duration_us") is None else r["duration_us"] / 1000.0,
             r.get("error") or "-",
         ]
         for r in requests
     ]
     print(format_table(
-        ["trace", "status", "cache", "algo", "batch", "retries", "ms", "error"],
+        ["trace", "status", "cache", "algo", "batch", "ms", "error"],
         rows, float_fmt="{:.2f}",
     ))
     timed = [r for r in requests if r.get("duration_us") is not None]
@@ -464,8 +463,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         workers=args.workers,
         task_timeout=args.task_timeout,
-        retries=args.retries,
-        failure_budget=args.failure_budget,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         default_deadline=args.default_deadline,
@@ -642,17 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--task-timeout", type=_float_at_least(0.0, strict=True), default=None,
         metavar="SECONDS",
-        help="per-task timeout before a worker is abandoned "
-        "(default REPRO_TASK_TIMEOUT or none)",
-    )
-    p_serve.add_argument(
-        "--retries", type=_int_at_least(0), default=None,
-        help="per-task retry budget (default REPRO_TASK_RETRIES or 0)",
-    )
-    p_serve.add_argument(
-        "--failure-budget", type=_int_at_least(0), default=None,
-        help="total failed attempts tolerated before the service answers "
-        "503 (default REPRO_FAILURE_BUDGET or unlimited)",
+        help="per-task timeout before a worker thread is abandoned and "
+        "the request answers 504 (default: none)",
     )
     p_serve.add_argument(
         "--max-inflight", type=_int_at_least(1), default=None,

@@ -33,8 +33,10 @@ these kernels directly whenever a compiler is present.
 
 Environment knobs:
 
-* ``REPRO_CC=0`` (or ``off``) disables the backend entirely;
-  ``REPRO_CC=<path>`` selects a specific compiler binary.
+* ``REPRO_CC=0`` (or ``off``, ``none``, ``false``) disables the backend
+  entirely; ``REPRO_CC=1`` (or ``on``, ``true``, ``yes``), like an unset
+  variable, searches for ``cc``/``gcc``/``clang``; any other value names
+  a specific compiler binary.
 * ``REPRO_CC_CACHE=<dir>`` overrides where the shared object is built
   (default: a per-user directory under the system temp dir).  The build
   is keyed by a hash of source + compiler so upgrades rebuild cleanly.
@@ -93,18 +95,25 @@ _lib_error: str | None = None
 _loaded = False
 
 
-def compiler_path() -> str | None:
-    """The C compiler this backend would use, or ``None`` when disabled/absent."""
+def _resolve_compiler() -> tuple[str | None, str | None]:
+    """``(compiler, None)``, or ``(None, reason)`` when disabled or absent."""
     env = os.environ.get("REPRO_CC", "").strip()
-    if env.lower() in ("0", "off", "none", "false"):
-        return None
-    if env:
-        return shutil.which(env) or (env if os.path.exists(env) else None)
+    word = env.lower()
+    if word in ("0", "off", "none", "false"):
+        return None, f"disabled by REPRO_CC={env!r}"
+    if env and word not in ("1", "on", "true", "yes"):
+        found = shutil.which(env) or (env if os.path.exists(env) else None)
+        return (found, None) if found else (None, f"REPRO_CC={env!r} names no compiler")
     for name in ("cc", "gcc", "clang"):
         found = shutil.which(name)
         if found:
-            return found
-    return None
+            return found, None
+    return None, "no C compiler found (set REPRO_CC, or install cc/gcc/clang)"
+
+
+def compiler_path() -> str | None:
+    """The C compiler this backend would use, or ``None`` when disabled/absent."""
+    return _resolve_compiler()[0]
 
 
 def _cache_dir() -> str:
@@ -189,10 +198,8 @@ def load_library():
     with _lock:
         if _loaded:
             return _lib, _lib_error
-        compiler = compiler_path()
-        if compiler is None:
-            _lib_error = "no C compiler found (set REPRO_CC, or install cc/gcc/clang)"
-        else:
+        compiler, _lib_error = _resolve_compiler()
+        if compiler is not None:
             try:
                 _lib = _bind(_build(compiler))
             except Exception as exc:  # pragma: no cover - toolchain-specific

@@ -59,7 +59,6 @@ __all__ = [
     "TraceContext",
     "span",
     "annotate",
-    "note",
     "count",
     "observe",
     "current_trace_id",
@@ -161,14 +160,6 @@ def annotate(**attrs) -> None:
         active[0].root_attrs.update(attrs)
 
 
-def note(key: str, amount: int = 1) -> None:
-    """Bump a per-trace accounting note (e.g. retries) — no-op when off."""
-    active = _ACTIVE.get()
-    if active is not None:
-        ctx = active[0]
-        ctx.notes[key] = ctx.notes.get(key, 0) + amount
-
-
 def count(name: str, amount: int = 1, help: str = "", **labels) -> None:
     """Increment a counter on the active tracer's registry (no-op when off).
 
@@ -201,7 +192,7 @@ def observe(name: str, value: float, bounds=SECONDS_BUCKETS, help: str = "", **l
 class TraceContext:
     """One request's trace: an id, a span-id allocator, collected spans."""
 
-    __slots__ = ("tracer", "trace_id", "spans", "spans_dropped", "notes",
+    __slots__ = ("tracer", "trace_id", "spans", "spans_dropped",
                  "root_attrs", "_next_span", "_root", "_token")
 
     def __init__(self, tracer: "SpanTracer", trace_id: int) -> None:
@@ -209,7 +200,6 @@ class TraceContext:
         self.trace_id = trace_id
         self.spans: list[dict] = []  #: completed spans (flight-recorder copy)
         self.spans_dropped = 0
-        self.notes: dict[str, int] = {}
         self.root_attrs: dict = {}
         self._next_span = 0
 

@@ -6,9 +6,8 @@ Layers (each usable on its own):
   cache-key fingerprint scheme.
 - :mod:`repro.service.cache` — bounded LRU result cache and the
   per-mesh/parameter latency-model memo.
-- :mod:`repro.service.workers` — supervised worker pool for blocking
-  solves/simulations (timeouts, retries with seeded backoff, and a
-  failure budget).
+- :mod:`repro.service.workers` — bounded worker pool that runs each
+  blocking solve/simulation once (optional per-task timeout).
 - :mod:`repro.service.batcher` — micro-batching of simulation requests
   onto the vector engine's ``run_batch``.
 - :mod:`repro.service.admission` — admission control, deadlines, and

@@ -26,9 +26,8 @@ read.  Single-flight cache fills deliberately *detach* the deadline
 runs to completion even when the requester that started it timed out.
 
 **Circuit breaker** (:class:`CircuitBreaker`) — per-backend failure
-accounting with the worker pool's failure-budget semantics (count
-failures, trip at a budget) plus the classic closed → open → half-open
-cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its
+accounting (count consecutive failed worker tasks, trip at a threshold)
+plus the classic closed → open → half-open cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its
 breaker and that service's solves run on the bit-identical pure-Python
 ``reference`` backend instead of 503ing the world; after ``reset_after``
 seconds the breaker goes half-open and lets probes through to the real
@@ -165,7 +164,7 @@ class ShedError(RuntimeError):
 
     ``status`` is the HTTP status the shed maps to: 429 for backpressure
     the client caused (queue full), 503 for server-side conditions
-    (draining, unhealthy worker pool).
+    (draining).
     """
 
     def __init__(self, reason: str, retry_after: int, status: int = 503) -> None:
@@ -377,14 +376,14 @@ _STATE_VALUE = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
 
 
 class CircuitBreaker:
-    """Per-backend failure budget with open/half-open/closed routing.
+    """Per-backend failure threshold with open/half-open/closed routing.
 
-    ``threshold`` consecutive failures (the worker pool's failure-budget
-    semantics: every failed attempt is charged, success resets the count) open the
-    breaker; while open, :meth:`blocked` is True and callers route to
-    the fallback backend.  After ``reset_after`` seconds the breaker
-    turns half-open: traffic is let through to probe the real backend —
-    one success closes the breaker, one failure re-opens it.
+    ``threshold`` consecutive failures (every failed worker task is
+    charged, a success resets the count) open the breaker; while open,
+    :meth:`blocked` is True and callers route to the fallback backend.
+    After ``reset_after`` seconds the breaker turns half-open: traffic is
+    let through to probe the real backend — one success closes the
+    breaker, one failure re-opens it.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ Endpoints
     Prometheus text exposition of the service registry: request latency
     percentiles, cache hit/miss counters, batch occupancy, queue depth.
 ``GET /healthz``
-    Liveness plus the supervision :class:`RunReport`, cache counters,
+    Liveness plus the worker pool's :class:`RunReport`, cache counters,
     admission state, and circuit-breaker snapshot.
 ``GET /readyz``
     Readiness: 503 until kernel warmup finishes and while draining.
@@ -104,7 +104,7 @@ from repro.service.degrade import (
 )
 from repro.service.flightrec import FlightRecorder
 from repro.service.http import RequestError, read_request, response_bytes
-from repro.service.workers import FailureBudgetExceeded, RunReport, WorkerPool
+from repro.service.workers import RunReport, WorkerPool
 
 __all__ = ["MapRequest", "MappingService", "RequestError", "serve", "run_service"]
 
@@ -250,8 +250,6 @@ class MappingService:
         max_batch: int = 32,
         workers: int = 2,
         task_timeout: float | None = None,
-        retries: int | None = None,
-        failure_budget: int | None = None,
         batch_runner=None,
         trace: bool = False,
         trace_clock: str = "wall",
@@ -285,8 +283,6 @@ class MappingService:
         self.pool = WorkerPool(
             workers,
             timeout=task_timeout,
-            retries=retries,
-            failure_budget=failure_budget,
             report=self.report,
             registry=self.registry,
         )
@@ -346,8 +342,6 @@ class MappingService:
         """Server-side refusal reasons, checked before any queueing."""
         if self.draining:
             return "draining", 503
-        if self.pool.budget_exhausted:
-            return "pool_unhealthy", 503
         return None
 
     def mark_ready(self) -> None:
@@ -834,7 +828,6 @@ class MappingService:
             "trace_id": ctx.trace_id,
             "status": status,
             **{key: attrs.get(key) for key in _RECORD_ATTRS},
-            "retries": ctx.notes.get("retries", 0),
             "error": payload.get("error") if isinstance(payload, dict) else None,
             # the root span is the last to end; its wall clock is the
             # request's end-to-end duration
@@ -874,12 +867,7 @@ class MappingService:
 
     def health(self) -> dict:
         return {
-            "status": "degraded"
-            if (
-                self.pool.failure_budget is not None
-                and self.report.cells_failed > 0
-            )
-            else "ok",
+            "status": "ok",
             "cache": {
                 "entries": len(self.cache),
                 "hits": self.cache.hits,
@@ -981,9 +969,6 @@ async def serve(
                 "error": "request timed out", "retry_after": retry_after,
             }
             headers_out["Retry-After"] = str(retry_after)
-        except FailureBudgetExceeded as exc:
-            status, payload = 503, {"error": str(exc)}
-            headers_out["Retry-After"] = str(service.admission.retry_after())
         except asyncio.IncompleteReadError:
             writer.close()
             return

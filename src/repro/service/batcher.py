@@ -15,7 +15,7 @@ requests that may legally share a ``run_batch`` call: same mesh shape
 and same warmup/measure windows.  The first request of a group arms a
 micro-batch window (``window`` seconds); the flush fires when the window
 expires or the group reaches ``max_batch``, whichever comes first, and
-runs the batch on the supervised :class:`~repro.service.workers.WorkerPool`.
+runs the batch once on the :class:`~repro.service.workers.WorkerPool`.
 Requests whose future was cancelled (client gone, request timed out)
 are dropped at flush time instead of simulating for nobody.
 """

@@ -1,8 +1,8 @@
 """The service flight recorder: the last N completed requests, in full.
 
 A bounded ring of per-request forensic records — canonical fingerprint,
-cache outcome, retries, status, error, and the request's complete span
-tree as collected by :mod:`repro.obs.reqtrace`.  The ring is dumped by
+cache outcome, status, error, and the request's complete span tree as
+collected by :mod:`repro.obs.reqtrace`.  The ring is dumped by
 ``GET /debug/requests``, logged on any 5xx response, and rendered
 offline by ``python -m repro trace serve-report``.
 
@@ -19,7 +19,7 @@ from collections import deque
 __all__ = ["FlightRecorder", "FLIGHT_SCHEMA", "FLIGHT_SCHEMA_VERSION"]
 
 FLIGHT_SCHEMA = "repro-serve-requests"
-FLIGHT_SCHEMA_VERSION = 1
+FLIGHT_SCHEMA_VERSION = 2
 
 
 class FlightRecorder:

@@ -395,6 +395,27 @@ class TestBackendPlumbing:
         assert permkernels.compiled_library() is None
         assert permkernels.backend_info()["cc"] is False
 
+    @pytest.mark.parametrize("word", ["1", "on", "TRUE", "yes"])
+    def test_env_on_words_search_the_default_compilers(self, monkeypatch, word):
+        """``REPRO_CC=1`` means "use a compiler", not a binary named ``1``."""
+        monkeypatch.setattr(
+            cc_solvers.shutil, "which",
+            lambda name: f"/toolchain/bin/{name}" if name in ("gcc", "clang") else None,
+        )
+        monkeypatch.setenv("REPRO_CC", word)
+        assert cc_solvers.compiler_path() == "/toolchain/bin/gcc"
+
+    def test_env_naming_no_compiler_gives_a_reason_quoting_it(self, monkeypatch):
+        monkeypatch.setattr(cc_solvers.shutil, "which", lambda name: None)
+        monkeypatch.setenv("REPRO_CC", "no-such-cc")
+        assert cc_solvers.compiler_path() is None
+        monkeypatch.setattr(cc_solvers, "_loaded", False)
+        monkeypatch.setattr(cc_solvers, "_lib", None)
+        monkeypatch.setattr(cc_solvers, "_lib_error", None)
+        lib, reason = cc_solvers.load_library()
+        assert lib is None
+        assert "REPRO_CC='no-such-cc'" in reason
+
     def test_backend_info_shape(self):
         info = permkernels.backend_info()
         assert set(info) == {"backend", "cc", "cc_compiler", "cc_reason"}

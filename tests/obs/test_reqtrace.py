@@ -42,7 +42,6 @@ class TestDisabledPath:
         assert not reqtrace.is_active()
         assert reqtrace.current_trace_id() is None
         reqtrace.annotate(k=1)
-        reqtrace.note("retries")
         reqtrace.count("some_counter", 3)
         reqtrace.observe("some_histogram", 0.5)
 
@@ -73,14 +72,11 @@ class TestSpanNesting:
         assert spans["failing"]["attrs"]["error"] == "RuntimeError"
         assert spans["serve.request"]["attrs"]["error"] == "RuntimeError"
 
-    def test_annotate_and_note_land_on_the_context(self):
+    def test_annotate_lands_on_the_context(self):
         tracer = SpanTracer(clock="logical")
         with tracer.trace("serve.request") as ctx:
             reqtrace.annotate(cache="hit")
-            reqtrace.note("retries")
-            reqtrace.note("retries")
         assert ctx.root_attrs["cache"] == "hit"
-        assert ctx.notes == {"retries": 2}
 
     def test_set_attaches_attributes_visible_in_the_event(self):
         tracer = SpanTracer(clock="logical")

@@ -21,7 +21,7 @@ from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import MappedWorkloadTraffic
 from repro.obs.metrics import MetricsRegistry
 from repro.service.batcher import SimulationBatcher
-from repro.service.workers import FailureBudgetExceeded, WorkerPool
+from repro.service.workers import WorkerPool
 
 
 def run(coro):
@@ -44,7 +44,7 @@ def recording_runner(record):
 
 class TestCoalescing:
     def make(self, record, **kw):
-        pool = WorkerPool(2, backoff=0.0)
+        pool = WorkerPool(2)
         kw.setdefault("window", 0.02)
         return SimulationBatcher(pool, runner=recording_runner(record), **kw)
 
@@ -128,7 +128,7 @@ class TestCoalescing:
     def test_batch_occupancy_metric_is_observed(self):
         registry = MetricsRegistry()
         record = []
-        pool = WorkerPool(2, backoff=0.0)
+        pool = WorkerPool(2)
         batcher = SimulationBatcher(
             pool, window=0.02, registry=registry, runner=recording_runner(record)
         )
@@ -146,8 +146,8 @@ class TestCoalescing:
 
 
 class TestSupervision:
-    def test_wedged_runner_trips_budget_without_stalling_others(self):
-        """ISSUE satellite: the chaos pattern at the batcher level."""
+    def test_wedged_runner_times_out_without_stalling_others(self):
+        """A wedged batch answers its members with a timeout; other batches run."""
         release = threading.Event()
         record = []
 
@@ -157,7 +157,7 @@ class TestSupervision:
             record.append(list(traffics))
             return [("ok", t) for t in traffics]
 
-        pool = WorkerPool(2, timeout=0.1, retries=0, backoff=0.0, failure_budget=1)
+        pool = WorkerPool(2, timeout=0.1)
         batcher = SimulationBatcher(pool, window=0.005, runner=runner)
 
         async def scenario():
@@ -168,17 +168,12 @@ class TestSupervision:
             healthy = await batcher.submit(FakeMesh, "fine", warmup=9, measure=9)
             with pytest.raises(asyncio.TimeoutError):
                 await wedge
-            # That consumed the whole budget (1): the next failure
-            # surfaces as FailureBudgetExceeded to its requesters.
-            bad = asyncio.ensure_future(
-                batcher.submit(FakeMesh, "wedge", warmup=1, measure=1)
-            )
-            with pytest.raises(FailureBudgetExceeded):
-                await bad
-            return healthy
+            # The wedged batch's slot was reclaimed: later batches still run.
+            later = await batcher.submit(FakeMesh, "later", warmup=9, measure=9)
+            return healthy, later
 
         try:
-            assert run(scenario()) == ("ok", "fine")
+            assert run(scenario()) == (("ok", "fine"), ("ok", "later"))
         finally:
             release.set()
         assert pool.report.pool_replacements >= 1
@@ -188,7 +183,7 @@ class TestSupervision:
         def runner(mesh, traffics, *, warmup, measure):
             raise RuntimeError("engine exploded")
 
-        pool = WorkerPool(1, retries=0, backoff=0.0)
+        pool = WorkerPool(1)
         batcher = SimulationBatcher(pool, window=0.005, runner=runner)
 
         async def scenario():
@@ -219,7 +214,7 @@ class TestBitIdenticalToSerial:
     def test_concurrent_clients_get_serial_results(self):
         instance, mapping = self.make_traffic(0)
         seeds = [0, 1, 2, 3]
-        pool = WorkerPool(2, backoff=0.0)
+        pool = WorkerPool(2)
         batcher = SimulationBatcher(pool, window=0.05)
 
         async def scenario():

@@ -110,3 +110,40 @@ def test_cached_replay_is_also_bit_identical(client):
     assert second["meta"]["cache"] == "hit"
     assert second["meta"]["sim_cache"] == "hit"
     assert canonical_bytes(second["result"]) == canonical_bytes(first["result"])
+
+
+def test_failed_batch_answers_500_and_a_resend_matches_the_direct_run(
+    make_service, monkeypatch
+):
+    """A batch that ran and then raised is a 500, never a rerun on spent traffic.
+
+    Rerunning would reuse the generators the failed run already advanced
+    and answer 200 with APLs no direct run produces.
+    """
+    from repro.noc.vector_engine import run_batch
+
+    monkeypatch.setenv("REPRO_TASK_RETRIES", "1")  # a former retry knob: no effect
+    runs = []
+
+    def runs_then_raises_once(mesh, traffics, *, warmup, measure):
+        results = run_batch(mesh, traffics, warmup=warmup, measure=measure)
+        runs.append(len(traffics))
+        if len(runs) == 1:
+            raise RuntimeError("batch failed after running")
+        return results
+
+    client = make_service(batch_runner=runs_then_raises_once)
+    request = {
+        "workload": "C1",
+        "mesh": 8,
+        "simulate": True,
+        "sim": {"warmup": WARMUP, "measure": MEASURE, "seed": SEED},
+    }
+    status, payload = client.post("/map", request, timeout=300.0)
+    assert (status, payload) == (500, {"error": "RuntimeError: batch failed after running"})
+    assert runs == [1]
+    doc = client.map(request, timeout=300.0)
+    assert doc["meta"]["sim_cache"] == "miss"
+    assert runs == [1, 1]
+    expected = reference_response("C1")["measured"]
+    assert canonical_bytes(doc["result"]["measured"]) == canonical_bytes(expected)

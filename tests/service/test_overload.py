@@ -1,4 +1,4 @@
-"""Overload chaos: bursts, wedged workers, deadlines, and graceful drain.
+"""Overload chaos: bursts, wedged and failing workers, deadlines, and graceful drain.
 
 The daemon's survival contract under hostile conditions: shed with
 retry hints instead of 500ing, never let expired or doomed work occupy
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core import cc_solvers
+from repro.core import cc_solvers, permkernels
 
 
 def _unique_spec(index: int) -> dict:
@@ -143,30 +143,70 @@ class TestSaturationBurst:
 
 
 class TestWedgedWorkers:
-    def test_wedged_solves_time_out_then_trip_the_pool(self, make_service, spec2):
-        client = make_service(
-            task_timeout=0.1, retries=0, failure_budget=1, max_queue=4
-        )
+    def test_wedged_solve_times_out_then_the_next_problem_is_served(self, make_service):
+        permkernels.warmup()  # keep a first-time kernel build out of the timeout
+        client = make_service(task_timeout=0.5, max_queue=4)
+        service = client.service
+        real_solve = service._solve_sync
+        release = threading.Event()
+        wedged = []
 
-        def wedge(*args, **kwargs):
-            time.sleep(30)
+        def wedge_first(*args, **kwargs):
+            if not wedged:
+                wedged.append(True)
+                release.wait(30)
+            return real_solve(*args, **kwargs)
 
-        client.service._solve_sync = wedge
-        s1, h1, _ = client.request_full("POST", "/map", _unique_spec(1))
-        assert s1 == 504  # abandoned thread -> timeout, not a 500
-        assert "retry-after" in h1
-        s2, _h2, _ = client.request_full("POST", "/map", _unique_spec(2))
-        assert s2 == 503  # failure budget exhausted mid-request
-        # The pool is now unhealthy: shedding happens at the door.
-        s3, h3, p3 = client.request_full("POST", "/map", _unique_spec(3))
-        assert s3 == 503
-        assert p3["reason"] == "pool_unhealthy"
-        assert int(h3["retry-after"]) >= 1
-        registry = client.service.registry
-        assert registry.counter("serve_worker_wedged_total").value >= 2
-        assert (
-            registry.counter("serve_shed_total", reason="pool_unhealthy").value == 1
-        )
+        service._solve_sync = wedge_first
+        try:
+            s1, h1, _ = client.request_full("POST", "/map", _unique_spec(1))
+            assert s1 == 504  # abandoned thread -> timeout, not a 500
+            assert "retry-after" in h1
+            # The slot was reclaimed and nothing refuses at the door: the
+            # next unique problem gets a worker.
+            s2, _h2, p2 = client.request_full("POST", "/map", _unique_spec(2))
+            assert s2 == 200, p2
+        finally:
+            release.set()
+        registry = service.registry
+        assert registry.counter("serve_worker_wedged_total").value == 1
+        _, health = client.get("/healthz")
+        assert health["status"] == "ok"
+        assert health["report"]["pool_replacements"] == 1
+        assert health["report"]["cells_failed"] == 1
+
+
+class TestFailedTasks:
+    """A worker task runs once; its failure is a 500 naming the error."""
+
+    def test_failed_solve_is_attempted_once_and_answers_500(
+        self, make_service, monkeypatch
+    ):
+        # Former environment twins of the retry and failure-budget flags:
+        # they must change nothing.
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        monkeypatch.setenv("REPRO_FAILURE_BUDGET", "0")
+        client = make_service()
+        service = client.service
+        real_solve = service._solve_sync
+        calls = []
+
+        def fails_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("solver exploded")
+            return real_solve(*args, **kwargs)
+
+        service._solve_sync = fails_first
+        status, payload = client.post("/map", _unique_spec(1))
+        assert (status, payload) == (500, {"error": "RuntimeError: solver exploded"})
+        assert len(calls) == 1
+        if service.breaker is not None:  # absent when kernels resolve to reference
+            assert service.breaker.failures == 1
+        assert service.report.cells_failed == 1
+        status, payload = client.post("/map", _unique_spec(2))
+        assert status == 200, payload
+        assert len(calls) == 2
 
 
 class TestDeadlines:

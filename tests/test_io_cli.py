@@ -205,8 +205,6 @@ class TestCLI:
             ["--drain-timeout", "-1"],
             ["--drain-timeout", "inf"],
             ["--flight-recorder", "-1"],
-            ["--retries", "-1"],
-            ["--failure-budget", "-1"],
             ["--max-inflight", "0"],
             ["--task-timeout", "0"],
             ["--default-deadline", "-1"],
@@ -226,6 +224,14 @@ class TestCLI:
         )
         assert (args.port, args.max_queue, args.flight_recorder) == (0, 0, 0)
         assert (args.batch_window, args.drain_timeout, args.workers) == (0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("flag", ["--retries", "--failure-budget"])
+    def test_serve_has_no_retry_or_failure_budget_flag(self, flag, capsys):
+        """A worker task runs once; ``--task-timeout`` is the one supervision flag."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_simulate_rejects_malformed_fault_specs(self):
         with pytest.raises(SystemExit):
