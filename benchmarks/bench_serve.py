@@ -165,7 +165,10 @@ def measure_overload(rounds: int = 2) -> dict:
     cannot absorb the load, and the offered load stays at 4x capacity
     for the whole window.  Every shed must be a 429/503 with
     Retry-After (never a 500), and accepted attempts must stay fast —
-    degradation, not collapse.  Interleaved rounds, best round by
+    degradation, not collapse.  Goodput counts every 200, and under
+    this load most of them are ``bounds_only`` answers (the certified
+    bound of the request's own problem, no solve); ``degraded`` reports
+    how many.  Interleaved rounds, best round by
     accepted-p99 ratio.  Also imported by ``check_regression.py`` to
     guard ``service.overload``.
     """

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from repro.core.bounds import max_apl_lower_bound
@@ -659,10 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
         "field (default: none)",
     )
     p_serve.add_argument(
-        "--degrade", choices=["off", "auto", "bounds_only", "cached_nearest"],
+        "--degrade", choices=["off", "auto", "bounds_only"],
         default="auto",
-        help="degradation ladder mode: 'auto' follows load/deadline "
-        "pressure, 'off' never degrades, a level name forces it",
+        help="degradation ladder mode: 'auto' answers with the certified "
+        "bound alone under admission pressure or a deadline too short for "
+        "a solve, 'off' never degrades, 'bounds_only' always does "
+        "(requests with \"bounds\": false or \"degrade\": false are "
+        "always solved)",
     )
     p_serve.add_argument(
         "--drain-timeout", type=_float_at_least(0.0), default=10.0, metavar="SECONDS",
@@ -703,6 +707,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _dispatch(argv)
+        # Flush here, not at interpreter exit, so a closed pipe is caught.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... | head``): stop quietly.  Point
+        # stdout at devnull so the exit-time flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(argv) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "experiments":

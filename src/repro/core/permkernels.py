@@ -82,10 +82,8 @@ def force_backend(name: str):
 
     Accepts ``cc`` or ``reference``.  The pin lives in a context
     variable, so it covers only the current thread or task: tests and
-    benchmarks compare backends in one process with it, and the serve
-    daemon enters ``reference`` inside a solve while that service's
-    ``cc`` breaker is open.  Both backends are bit-identical, so a pin
-    changes cost, never bytes.
+    benchmarks compare backends in one process with it.  Both backends
+    are bit-identical, so a pin changes cost, never bytes.
     """
     if name not in _VALID_BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {_VALID_BACKENDS}")

@@ -10,10 +10,9 @@ Layers (each usable on its own):
   blocking solve/simulation once (optional per-task timeout).
 - :mod:`repro.service.batcher` — micro-batching of simulation requests
   onto the vector engine's ``run_batch``.
-- :mod:`repro.service.admission` — admission control, deadlines, and
-  the one circuit breaker over the C solver kernels.
-- :mod:`repro.service.degrade` — the degradation ladder and the shape
-  key of stale serving.
+- :mod:`repro.service.admission` — admission control and deadlines.
+- :mod:`repro.service.degrade` — the two-level degradation ladder
+  (``full`` and ``bounds_only``).
 - :mod:`repro.service.flightrec` — the ring of recent request records.
 - :mod:`repro.service.http` — HTTP/1.1 request parsing and response
   framing.

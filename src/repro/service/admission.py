@@ -1,7 +1,7 @@
-"""Admission control, deadline propagation, and the circuit breaker.
+"""Admission control and deadline propagation.
 
 The serving layer's overload contract mirrors the paper's mapping
-contract: bound the worst case instead of letting tails collapse.  Three
+contract: bound the worst case instead of letting tails collapse.  Two
 mechanisms, composed by :mod:`repro.service.app`:
 
 **Admission control** (:class:`AdmissionController`) — a token pool of
@@ -24,14 +24,6 @@ HTTP layer's 504 path handles it — rather than doing work nobody will
 read.  Single-flight cache fills deliberately *detach* the deadline
 (:func:`detach_deadline`): a fill serves every future duplicate, so it
 runs to completion even when the requester that started it timed out.
-
-**Circuit breaker** (:class:`CircuitBreaker`) — per-backend failure
-accounting (count consecutive failed worker tasks, trip at a threshold)
-plus the classic closed → open → half-open cycle.  A wedged compiled backend (the ``cc`` solver kernels) trips its
-breaker and that service's solves run on the bit-identical pure-Python
-``reference`` backend instead of 503ing the world; after ``reset_after``
-seconds the breaker goes half-open and lets probes through to the real
-backend again.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from collections import deque
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExpired",
     "EwmaEstimate",
@@ -363,97 +354,3 @@ class AdmissionController:
         self.inflight -= 1
         self._set_gauges()
 
-
-# ----------------------------------------------------------------------
-# Circuit breakers
-# ----------------------------------------------------------------------
-
-STATE_CLOSED = "closed"
-STATE_HALF_OPEN = "half-open"
-STATE_OPEN = "open"
-
-_STATE_VALUE = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
-
-
-class CircuitBreaker:
-    """Per-backend failure threshold with open/half-open/closed routing.
-
-    ``threshold`` consecutive failures (every failed worker task is
-    charged, a success resets the count) open the breaker; while open,
-    :meth:`blocked` is True and callers route to the fallback backend.
-    After ``reset_after`` seconds the breaker turns half-open: traffic is
-    let through to probe the real backend — one success closes the
-    breaker, one failure re-opens it.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        threshold: int = 3,
-        reset_after: float = 30.0,
-        registry=None,
-        clock=time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if reset_after <= 0:
-            raise ValueError(f"reset_after must be positive, got {reset_after}")
-        self.name = name
-        self.threshold = threshold
-        self.reset_after = reset_after
-        self.failures = 0
-        self.trips = 0
-        self.state = STATE_CLOSED
-        self._opened_at: float | None = None
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._registry = registry
-        self._set_gauge()
-
-    def _set_gauge(self) -> None:
-        if self._registry is not None:
-            self._registry.gauge(
-                "serve_breaker_state",
-                "circuit-breaker state (0 closed, 1 half-open, 2 open)",
-                backend=self.name,
-            ).set(_STATE_VALUE[self.state])
-
-    def _transition(self, state: str) -> None:
-        previous, self.state = self.state, state
-        self._set_gauge()
-        if state == STATE_OPEN and previous != STATE_OPEN:
-            self.trips += 1
-
-    def blocked(self) -> bool:
-        """True while traffic should route around this backend."""
-        with self._lock:
-            if self.state != STATE_OPEN:
-                return False
-            if self._clock() - self._opened_at >= self.reset_after:
-                # Cool-down over: go half-open and let probes through.
-                self._transition(STATE_HALF_OPEN)
-                return False
-            return True
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-            if self.state == STATE_HALF_OPEN or self.failures >= self.threshold:
-                self._opened_at = self._clock()
-                self._transition(STATE_OPEN)
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.failures = 0
-            if self.state != STATE_CLOSED:
-                self._transition(STATE_CLOSED)
-
-    def snapshot(self) -> dict:
-        return {
-            "state": self.state,
-            "failures": self.failures,
-            "trips": self.trips,
-            "threshold": self.threshold,
-            "reset_after": self.reset_after,
-        }

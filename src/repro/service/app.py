@@ -18,9 +18,10 @@ Endpoints
     percentiles, cache hit/miss counters, batch occupancy, queue depth.
 ``GET /healthz``
     Liveness plus the worker pool's :class:`RunReport`, cache counters,
-    admission state, and circuit-breaker snapshot.
+    admission state and degrade mode.
 ``GET /readyz``
-    Readiness: 503 until kernel warmup finishes and while draining.
+    Readiness: 503 until kernel warmup finishes and while draining;
+    once ready it names the resolved solver backend.
     The CI smoke job polls this before sending work.
 ``GET /debug/requests``
     The flight recorder: the last N completed requests with their span
@@ -44,10 +45,11 @@ Overload behaviour
 Admission control (:mod:`repro.service.admission`) bounds concurrency
 and queueing; excess work is shed with 429/503 + ``Retry-After``.  Under
 pressure or an infeasible deadline the degradation ladder
-(:mod:`repro.service.degrade`) trades fidelity for survival:
-full → bounds-only → cached-nearest → shed.  A per-service circuit
-breaker routes this service's solves around wedged C solver kernels to
-the bit-identical pure-Python ``reference`` backend.
+(:mod:`repro.service.degrade`) answers with the request's certified
+bound alone instead of a solve: full → bounds-only.  Every answer is
+about the request's own instance.  A wedged or failed worker task fails
+only the requests waiting on it; the solver backend resolved at
+start-up serves every solve.
 
 Caching semantics
 -----------------
@@ -83,7 +85,6 @@ from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.reqtrace import SpanTracer
 from repro.service.admission import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     DeadlineExpired,
     EwmaEstimate,
@@ -95,13 +96,7 @@ from repro.service.admission import (
 from repro.service.batcher import SimulationBatcher
 from repro.service.cache import LRUCache, ModelMemo
 from repro.service.canonical import CanonicalRequest, canonicalize
-from repro.service.degrade import (
-    LEVEL_BOUNDS,
-    LEVEL_FULL,
-    LEVEL_STALE,
-    DegradeController,
-    shape_key,
-)
+from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
 from repro.service.flightrec import FlightRecorder
 from repro.service.http import RequestError, read_request, response_bytes
 from repro.service.workers import RunReport, WorkerPool
@@ -119,9 +114,7 @@ _SIM_DEFAULTS = {
 }
 
 #: Root-span annotations copied into every flight record.
-_RECORD_ATTRS = (
-    "fingerprint", "algorithm", "cache", "batch_occupancy", "degraded", "breaker_trips",
-)
+_RECORD_ATTRS = ("fingerprint", "algorithm", "cache", "batch_occupancy", "degraded")
 
 
 def _roundtrip(doc: dict) -> dict:
@@ -207,11 +200,6 @@ class MapRequest:
         return config_fingerprint(
             "serve.sim", problem=self.fingerprint, algorithm=self.algorithm, sim=self.sim
         )
-
-    @property
-    def shape(self) -> tuple:
-        """The donor key for stale serving (see :func:`shape_key`)."""
-        return shape_key(self.canon.problem, self.algorithm, self.want_bounds)
 
     def result(self, entry: dict) -> dict:
         """The ``result`` document of a canonical solve entry, in request labels."""
@@ -308,16 +296,6 @@ class MappingService:
             health=self._admission_health,
         )
         self.degrade = DegradeController(degrade, registry=self.registry)
-        #: Shape → ``(solve_key, fingerprint)`` of its freshest solve.
-        self.nearest = LRUCache(cache_size)
-        # One breaker, at its default threshold and cooldown, guards the C
-        # solver kernels; with the kernels resolved to reference there is
-        # nothing to guard.
-        self.breaker = (
-            CircuitBreaker("cc", registry=self.registry)
-            if permkernels.resolve_backend() == "cc"
-            else None
-        )
         #: EWMA of one full solve's wall cost, feeding degrade decisions.
         self.solve_cost = EwmaEstimate()
         self._m_latency = self.registry.histogram(
@@ -508,9 +486,9 @@ class MappingService:
         """Serve one ``POST /map`` body; returns the response document.
 
         Stages: parse and canonicalize (:meth:`_parse`), admit, choose a
-        ladder level, then solve or look up at that level (:meth:`_full`,
-        :meth:`_bounds_only` or :meth:`_nearest`), each of which answers
-        through :meth:`_respond`, the one place a response is made.
+        ladder level, then solve or look up at that level (:meth:`_full`
+        or :meth:`_bounds_only`), each of which answers through
+        :meth:`_respond`, the one place a response is made.
         """
         t0 = time.perf_counter()
         with reqtrace.span("canonicalize"):
@@ -546,26 +524,21 @@ class MappingService:
                 pressure=self.admission.pressure,
                 remaining=None if deadline is None else deadline.remaining(),
                 estimate=self.solve_cost.value,
-                allow=req.allow_degrade,
+                # a request that declined the bound is never answered with it
+                allow=req.allow_degrade and req.want_bounds,
             )
-            answer = {
-                LEVEL_FULL: self._full,
-                LEVEL_BOUNDS: self._bounds_only,
-                LEVEL_STALE: self._nearest,
-            }[level]
-            doc = await answer(req)
-            if self.breaker is not None and self.breaker.trips:
-                reqtrace.annotate(breaker_trips=self.breaker.trips)
-            return doc
+            if level == LEVEL_BOUNDS:
+                return await self._bounds_only(req)
+            return await self._full(req)
 
-    def _respond(self, req: MapRequest, level: str, result: dict, cache: str, **meta) -> dict:
+    def _respond(self, req: MapRequest, level: str, result: dict, cache: str) -> dict:
         """Make the response: ``result``/``meta`` and the root-span marks.
 
         ``meta.cache``/``meta.degraded`` and the flight record's
         ``cache``/``degraded`` are written here from the same values, so
         they cannot disagree.
         """
-        meta = {"fingerprint": req.fingerprint, "cache": cache, **meta}
+        meta = {"fingerprint": req.fingerprint, "cache": cache}
         reqtrace.annotate(cache=cache)
         if level != LEVEL_FULL:
             result["degraded"] = meta["degraded"] = level
@@ -577,7 +550,9 @@ class MappingService:
 
     async def _full(self, req: MapRequest) -> dict:
         """Full fidelity — byte-identical to the pre-ladder daemon."""
-        entry, kind = await self._solved(req)
+        entry, kind = await self._cached(
+            req.solve_key, lambda: self.pool.run(self._solve_sync, req)
+        )
         doc = self._respond(req, LEVEL_FULL, req.result(entry), kind)
         if req.simulate:
             measured, doc["meta"]["sim_cache"] = await self._cached(
@@ -587,7 +562,7 @@ class MappingService:
         return doc
 
     async def _bounds_only(self, req: MapRequest) -> dict:
-        """Degraded rung 1: the certified bound alone, no solve."""
+        """The degraded level: the certified bound alone, no solve."""
         bounds, kind = await self._cached(
             req.bounds_key,
             lambda: self.pool.run(self._bounds_sync, req),
@@ -601,52 +576,6 @@ class MappingService:
             "bounds": bounds,
         }
         return self._respond(req, LEVEL_BOUNDS, result, kind)
-
-    async def _nearest(self, req: MapRequest) -> dict:
-        """Degraded rung 2: the freshest same-shape cached solve, marked stale.
-
-        Falls back to ``bounds_only`` when no donor entry is cached.  A
-        served stale answer schedules a background revalidation of the
-        real entry (stale-while-revalidate) when capacity allows.
-        """
-        donor = self.nearest.get(req.shape)
-        entry = None if donor is None else self.cache.get(donor[0])
-        if entry is None:
-            return await self._bounds_only(req)
-        doc = self._respond(
-            req, LEVEL_STALE, req.result(entry), "stale", stale_fingerprint=donor[1]
-        )
-        self._revalidate(req)
-        return doc
-
-    async def _solved(self, req: MapRequest) -> tuple[dict, str]:
-        """Solve or look up (single-flight); the entry donates to stale serving."""
-        entry, kind = await self._cached(req.solve_key, lambda: self._run_solve(req))
-        self.nearest.put(req.shape, (req.solve_key, req.fingerprint))
-        return entry, kind
-
-    def _revalidate(self, req: MapRequest) -> None:
-        """Fire-and-forget fill of the real entry behind a stale answer."""
-        solve_key = req.solve_key
-        # ``in`` rather than get(): a presence check is not a cache lookup
-        if solve_key in self._inflight or solve_key in self.cache:
-            return
-        if self.admission.inflight >= self.admission.max_inflight:
-            # Saturated: a revalidation would steal a worker from live
-            # traffic.  The next stale hit retries when pressure drops.
-            return
-        self.registry.counter(
-            "serve_revalidate_total", "background fills behind stale answers"
-        ).inc()
-
-        async def refill() -> None:
-            detach_deadline()
-            try:
-                await self._solved(req)
-            except Exception:  # noqa: BLE001 - best-effort background work
-                logger.debug("stale revalidation failed", exc_info=True)
-
-        asyncio.get_running_loop().create_task(refill())
 
     # -- single-flight cache -----------------------------------------------
 
@@ -701,29 +630,8 @@ class MappingService:
 
     # -- blocking work (pool threads) ----------------------------------------
 
-    def _run_solve(self, req: MapRequest):
-        """:meth:`_solve_sync` on a pool thread, guarded by the ``cc`` breaker.
-
-        Calling :meth:`CircuitBreaker.blocked` here is what moves an open
-        breaker to half-open after its cooldown, so probes hit the C
-        kernels again.  While it is open, this service's solves run on
-        the ``reference`` backend and are *not* charged to the breaker; other
-        services in the process keep their own backend.
-        """
-        breaker, backend = self.breaker, None
-        if breaker is not None and breaker.blocked():
-            breaker, backend = None, "reference"
-        return self.pool.run(self._solve_sync, req, backend, breaker=breaker)
-
-    def _solve_sync(self, req: MapRequest, backend: str | None = None) -> dict:
-        """Blocking solve in request labels; returns the canonical entry.
-
-        ``backend`` forces the solver kernels for this call only (the
-        pin is a context variable, scoped to this worker thread).
-        """
-        if backend is not None:
-            with permkernels.force_backend(backend):
-                return self._solve_sync(req)
+    def _solve_sync(self, req: MapRequest) -> dict:
+        """Blocking solve in request labels; returns the canonical entry."""
         t0 = time.perf_counter()
         with reqtrace.span("worker.solve", algorithm=req.algorithm) as solve_span:
             instance = self._request_instance(req)
@@ -890,7 +798,6 @@ class MappingService:
                 "shed": self.admission.shed_total,
                 "pressure": self.admission.pressure,
             },
-            "breakers": {} if self.breaker is None else {"cc": self.breaker.snapshot()},
             "degrade_mode": self.degrade.mode,
             "ready": self.ready,
             "draining": self.draining,

@@ -1,24 +1,22 @@
 """The graceful-degradation ladder: trade answer fidelity for survival.
 
 Under overload the daemon can keep answering within its latency contract
-by serving progressively cheaper answers instead of queueing full solves
-it cannot finish in time.  The ladder, from full fidelity down:
+by serving a cheaper answer instead of queueing full solves it cannot
+finish in time.  Every answer, degraded or not, is about the request's
+own instance.  The ladder has two levels:
 
 ``full``
     The normal path — solve (+ bounds + optional vector-measured APLs).
 ``bounds_only``
-    Skip the solver entirely and return just the certified max-APL lower
-    bound (closed-form, orders of magnitude cheaper than a solve).  The
-    bounds bytes are identical to a direct ``python -m repro bound
-    --json`` run — degraded answers stay *certified* answers.
-``cached_nearest``
-    No computation at all: serve the most recent cached solve of a
-    problem with the same shape (mesh, latency params, algorithm, and
-    per-app thread counts), clearly marked stale, with the donor's
-    fingerprint in ``meta`` — and schedule a background revalidation of
-    the real entry when capacity allows (stale-while-revalidate).
-``shed``
-    Refuse with 429/503 + ``Retry-After`` (handled by admission).
+    Skip the solver and return just the certified max-APL lower bound.
+    No permutation search runs, but the bound is not always cheaper
+    than the solve it replaces: on a 16x16 eight-app problem it costs
+    about four times an SSS solve.  The bounds bytes are identical to a
+    direct ``python -m repro bound --json`` run — degraded answers stay
+    *certified* answers.  A request that declined the bound
+    (``"bounds": false``) is never degraded to it.
+
+Admission's bounded queue is the only shed (429/503 + ``Retry-After``).
 
 :class:`DegradeController` picks the level from admission pressure and
 the request's remaining deadline vs the EWMA full-solve cost; requests
@@ -31,46 +29,28 @@ silently passed off as a full-fidelity one.
 
 from __future__ import annotations
 
-__all__ = [
-    "LEVEL_FULL",
-    "LEVEL_BOUNDS",
-    "LEVEL_STALE",
-    "DegradeController",
-    "shape_key",
-]
+__all__ = ["LEVEL_FULL", "LEVEL_BOUNDS", "DegradeController"]
 
 LEVEL_FULL = "full"
 LEVEL_BOUNDS = "bounds_only"
-LEVEL_STALE = "cached_nearest"
 
 #: Operator modes: "off" never degrades, "auto" follows load/deadline,
 #: a level name forces that level for every degradable request.
-MODES = ("off", "auto", LEVEL_BOUNDS, LEVEL_STALE)
+MODES = ("off", "auto", LEVEL_BOUNDS)
+
+#: Admission pressure at which ``auto`` answers ``bounds_only``.
+BOUNDS_PRESSURE = 0.5
+#: ``auto`` degrades when the deadline left is under this many EWMA solves.
+DEADLINE_MARGIN = 1.5
 
 
 class DegradeController:
     """Chooses a ladder level per request from load and deadline signals."""
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        *,
-        bounds_pressure: float = 0.5,
-        stale_pressure: float = 0.85,
-        deadline_margin: float = 1.5,
-        registry=None,
-    ) -> None:
+    def __init__(self, mode: str = "auto", *, registry=None) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown degrade mode {mode!r}; expected one of {MODES}")
-        if not 0.0 < bounds_pressure <= stale_pressure:
-            raise ValueError(
-                "need 0 < bounds_pressure <= stale_pressure, got "
-                f"{bounds_pressure} / {stale_pressure}"
-            )
         self.mode = mode
-        self.bounds_pressure = bounds_pressure
-        self.stale_pressure = stale_pressure
-        self.deadline_margin = deadline_margin
         self._registry = registry
 
     def level_for(
@@ -85,27 +65,25 @@ class DegradeController:
 
         ``pressure`` is admission-pipe occupancy in [0, 1]; ``remaining``
         the request's deadline budget; ``estimate`` the EWMA cost of a
-        full solve.  ``allow=False`` (client opted out) always yields
-        ``full`` — such a request is either served fully or shed.
+        full solve.  ``allow=False`` (client opted out, or declined the
+        bound) always yields ``full`` — such a request is either served
+        fully or shed.
         """
         if self.mode == "off" or not allow:
             return LEVEL_FULL
         if self.mode != "auto":
             return self.mode
-        level = LEVEL_FULL
+        if pressure >= BOUNDS_PRESSURE:
+            return LEVEL_BOUNDS
         if (
             remaining is not None
             and estimate is not None
-            and remaining < estimate * self.deadline_margin
+            and remaining < estimate * DEADLINE_MARGIN
         ):
             # The full answer cannot land inside the deadline: degrading
             # now beats accepting work that will time out on a worker.
-            level = LEVEL_BOUNDS
-        if pressure >= self.bounds_pressure:
-            level = LEVEL_BOUNDS
-        if pressure >= self.stale_pressure:
-            level = LEVEL_STALE
-        return level
+            return LEVEL_BOUNDS
+        return LEVEL_FULL
 
     def record(self, level: str) -> None:
         """Count one served degraded answer (no-op for ``full``)."""
@@ -115,22 +93,3 @@ class DegradeController:
                 "requests answered below full fidelity, by ladder level",
                 level=level,
             ).inc()
-
-
-def shape_key(problem, algorithm: str, want_bounds: bool) -> tuple:
-    """The shape of a canonical problem: the donor key for stale serving.
-
-    A shape is everything a cached permutation needs to be legally
-    translatable into the requester's labels: mesh dimensions, latency
-    params, algorithm, bounds flag, and the canonical per-app thread
-    counts.  The service keeps the freshest solve of each shape in a
-    bounded :class:`~repro.service.cache.LRUCache`.
-    """
-    return (
-        problem.rows,
-        problem.cols,
-        problem.params,
-        algorithm,
-        bool(want_bounds),
-        tuple(len(app) for app in problem.apps),
-    )

@@ -19,7 +19,7 @@ from collections import deque
 __all__ = ["FlightRecorder", "FLIGHT_SCHEMA", "FLIGHT_SCHEMA_VERSION"]
 
 FLIGHT_SCHEMA = "repro-serve-requests"
-FLIGHT_SCHEMA_VERSION = 2
+FLIGHT_SCHEMA_VERSION = 3
 
 
 class FlightRecorder:

@@ -3,10 +3,10 @@
 The daemon's CPU-bound units (mapping solves, certified bounds,
 vector-engine batches, single simulations) run off the event loop in
 worker threads.  Every unit is a pure function of its request, so each
-runs exactly once: a failure is charged to the ``cc`` breaker when one
-is given, recorded in the shared :class:`RunReport` (exposed by
-``/healthz``) and the metrics registry, and re-raised to the caller,
-which answers with a 5xx that names the error.  Nothing is retried.
+runs exactly once: a failure is recorded in the shared
+:class:`RunReport` (exposed by ``/healthz``) and the metrics registry,
+and re-raised to the caller, which answers with a 5xx that names the
+error.  Nothing is retried, and no failure changes how later tasks run.
 
 Threads, not processes: the work is NumPy-heavy (releases the GIL) and
 shares the in-process model memo; pickling problem instances across
@@ -130,22 +130,20 @@ class WorkerPool:
         """Run ``fn(*args)`` on a pool thread outside the task accounting.
 
         Startup warmups (solver-kernel compilation, cache priming) are not
-        served work: no timeout, no breaker charge, no task metrics — a
-        warmup failure propagates to the caller, which logs it and starts
-        the daemon anyway.
+        served work: no timeout, no task metrics — a warmup failure
+        propagates to the caller, which logs it and starts the daemon
+        anyway.
         """
         async with self._semaphore():
             return await self._spawn(fn, args)
 
-    async def run(self, fn, *args, breaker=None):
+    async def run(self, fn, *args):
         """Run ``fn(*args)`` off-loop exactly once; returns its value.
 
         An expired context deadline is refused *before* a worker slot is
         claimed (and re-checked after the semaphore wait) — expired work
-        never occupies a thread.  When ``breaker`` is given, a failure
-        charges it and a success resets it, so a wedged backend trips its
-        circuit.  A failure (including a timeout) is recorded and
-        re-raised.
+        never occupies a thread.  A failure (including a timeout) is
+        recorded and re-raised.
         """
         if self._registry is not None:
             self._m_tasks.inc()
@@ -165,14 +163,10 @@ class WorkerPool:
                     self.report.pool_replacements += 1
                     if self._registry is not None:
                         self._m_wedged.inc()
-                if breaker is not None:
-                    breaker.record_failure()
                 self.report.cells_failed += 1
                 self.report.record_failure(exc)
                 if self._registry is not None:
                     self._m_failures.inc()
                 raise
-            if breaker is not None:
-                breaker.record_success()
             self.report.cells_computed += 1
             return value

@@ -1,17 +1,14 @@
-"""Admission control, deadlines, and circuit breakers (PR 10 tentpole)."""
+"""Admission control and deadlines."""
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
-from repro.core import cc_solvers, permkernels
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     DeadlineExpired,
     EwmaEstimate,
@@ -248,102 +245,3 @@ class TestAdmission:
             assert await adm.wait_idle(0.05)
 
         run(main())
-
-
-class TestCircuitBreaker:
-    def test_threshold_opens_and_cooldown_half_opens(self):
-        clock = {"t": 0.0}
-        b = CircuitBreaker("x", threshold=2, reset_after=5.0, clock=lambda: clock["t"])
-        assert not b.blocked()
-        b.record_failure()
-        assert b.state == "closed"
-        b.record_failure()
-        assert b.state == "open"
-        assert b.blocked()
-        clock["t"] = 5.0
-        assert not b.blocked()  # half-open: probes flow again
-        assert b.state == "half-open"
-
-    def test_half_open_failure_reopens_success_closes(self):
-        clock = {"t": 0.0}
-        b = CircuitBreaker("x", threshold=2, reset_after=5.0, clock=lambda: clock["t"])
-        b.record_failure(); b.record_failure()
-        clock["t"] = 5.0
-        assert not b.blocked()
-        b.record_failure()  # half-open probe failed
-        assert b.state == "open"
-        assert b.trips == 2
-        clock["t"] = 10.0
-        assert not b.blocked()
-        b.record_success()
-        assert b.state == "closed"
-        assert not b.blocked()
-
-    def test_state_gauge_exported(self):
-        registry = MetricsRegistry()
-        b = CircuitBreaker("cc", threshold=1, registry=registry)
-        gauge = registry.gauge("serve_breaker_state", backend="cc")
-        assert gauge.value == 0
-        b.record_failure()
-        assert gauge.value == 2
-
-    def test_service_holds_one_cc_breaker(self):
-        """A service guards the C kernels with one ``cc`` breaker, and
-        holds none when the kernels resolve to reference."""
-        from repro.service.app import MappingService
-
-        with permkernels.force_backend("reference"):
-            assert MappingService().breaker is None
-        with permkernels.force_backend("cc"):
-            service = MappingService()
-        breaker = service.breaker
-        assert breaker.name == "cc"
-        for _ in range(breaker.threshold):
-            breaker.record_failure()
-        assert breaker.trips == 1
-        assert service.health()["breakers"]["cc"]["state"] == "open"
-
-
-@pytest.mark.skipif(
-    not permkernels.backend_info()["cc"], reason="C solver kernels unavailable"
-)
-class TestPerServiceBackend:
-    def test_tripped_breaker_moves_only_its_own_service_to_reference(
-        self, make_service, monkeypatch
-    ):
-        """Two services in one process: A's open ``cc`` breaker sends A's
-        solves to the Python loops while B keeps calling the C kernel, and
-        both return the same bytes."""
-        calls = []
-        real_sweep = cc_solvers.cc_sweep_pass
-
-        def counting_sweep(*args, **kwargs):
-            calls.append(1)
-            return real_sweep(*args, **kwargs)
-
-        monkeypatch.setattr(cc_solvers, "cc_sweep_pass", counting_sweep)
-        a = make_service()
-        b = make_service()
-        for _ in range(a.service.breaker.threshold):
-            a.service.breaker.record_failure()
-        spec = {
-            "mesh": 8,
-            "algorithm": "sss",
-            "apps": [
-                {
-                    "name": f"app{k}",
-                    "cache_rates": [1.0 + k + 0.1 * t for t in range(16)],
-                    "mem_rates": [0.1 * (k + 1)] * 16,
-                }
-                for k in range(4)
-            ],
-        }
-
-        result_a = a.map(spec)["result"]
-        assert calls == []
-        result_b = b.map(spec)["result"]
-        assert calls
-        assert json.dumps(result_a, sort_keys=True) == json.dumps(result_b, sort_keys=True)
-        assert a.service.breaker.state == "open"
-        assert b.service.breaker.state == "closed"
-        assert permkernels.resolve_backend() == "cc"

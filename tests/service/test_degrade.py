@@ -1,4 +1,4 @@
-"""The degradation ladder: level selection, stale index, served answers."""
+"""The degradation ladder: level selection and served answers."""
 
 from __future__ import annotations
 
@@ -7,15 +7,8 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import LRUCache
-from repro.service.canonical import canonicalize
-from repro.service.degrade import (
-    LEVEL_BOUNDS,
-    LEVEL_FULL,
-    LEVEL_STALE,
-    DegradeController,
-    shape_key,
-)
+from repro.service.admission import AdmissionController
+from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
 
 
 class TestLevelSelection:
@@ -32,13 +25,15 @@ class TestLevelSelection:
         assert c.level_for(pressure=0.0) == LEVEL_BOUNDS
 
     def test_auto_follows_pressure(self):
-        c = DegradeController("auto", bounds_pressure=0.5, stale_pressure=0.85)
+        c = DegradeController("auto")
         assert c.level_for(pressure=0.1) == LEVEL_FULL
         assert c.level_for(pressure=0.5) == LEVEL_BOUNDS
-        assert c.level_for(pressure=0.9) == LEVEL_STALE
+        # bounds_only is the bottom rung: past it, admission's queue sheds.
+        assert c.level_for(pressure=0.9) == LEVEL_BOUNDS
+        assert c.level_for(pressure=1.0) == LEVEL_BOUNDS
 
     def test_infeasible_deadline_degrades(self):
-        c = DegradeController("auto", deadline_margin=1.5)
+        c = DegradeController("auto")
         assert c.level_for(pressure=0.0, remaining=1.0, estimate=2.0) == LEVEL_BOUNDS
         assert c.level_for(pressure=0.0, remaining=10.0, estimate=2.0) == LEVEL_FULL
         # No estimate yet (cold service): assume feasible.
@@ -54,49 +49,9 @@ class TestLevelSelection:
         c.record(LEVEL_FULL)
         c.record(LEVEL_BOUNDS)
         c.record(LEVEL_BOUNDS)
-        c.record(LEVEL_STALE)
         assert registry.counter("serve_degraded_total", level=LEVEL_BOUNDS).value == 2
-        assert registry.counter("serve_degraded_total", level=LEVEL_STALE).value == 1
         # full is not a degradation and must not be counted
         assert registry.counter("serve_degraded_total", level=LEVEL_FULL).value == 0
-
-
-class TestNearestIndex:
-    """The stale-serving index: shape keys into a plain LRU of donors."""
-
-    def _canon(self, spec):
-        return canonicalize(spec)
-
-    def test_same_shape_different_rates_share_key(self, spec2):
-        a = self._canon(spec2).problem
-        b_spec = dict(spec2)
-        b_spec["apps"] = [
-            dict(app, cache_rates=[r * 1.5 for r in app["cache_rates"]])
-            for app in spec2["apps"]
-        ]
-        b = self._canon(b_spec).problem
-        assert a.fingerprint != b.fingerprint
-        assert shape_key(a, "sss", True) == shape_key(b, "sss", True)
-
-    def test_algorithm_and_bounds_split_shapes(self, spec2):
-        p = self._canon(spec2).problem
-        assert shape_key(p, "sss", True) != shape_key(p, "global", True)
-        assert shape_key(p, "sss", True) != shape_key(p, "sss", False)
-
-    def test_lru_bound(self):
-        idx = LRUCache(2)
-        idx.put(("a",), ("k1", "f1"))
-        idx.put(("b",), ("k2", "f2"))
-        idx.put(("c",), ("k3", "f3"))
-        assert idx.get(("a",)) is None
-        assert idx.get(("c",)) == ("k3", "f3")
-        assert len(idx) == 2
-
-    def test_freshest_donor_wins(self):
-        idx = LRUCache(256)
-        idx.put(("s",), ("old", "f-old"))
-        idx.put(("s",), ("new", "f-new"))
-        assert idx.get(("s",)) == ("new", "f-new")
 
 
 class TestDegradedServing:
@@ -135,62 +90,49 @@ class TestDegradedServing:
         assert "degraded" not in doc["result"]
         assert "degraded" not in doc["meta"]
 
-    def test_stale_serves_same_shape_donor(self, make_service, spec2):
-        client = make_service(degrade="cached_nearest")
-        # Prime a donor via opt-out (full solve fills cache + shape index).
-        donor = client.map({**spec2, "degrade": False})
-        donor_fp = donor["meta"]["fingerprint"]
+    def test_declined_bound_is_never_degraded(self, make_service, spec2):
+        """``"bounds": false`` declines the bound, so the ladder cannot
+        answer with it: the request is solved in full."""
+        client = make_service(degrade="bounds_only")
+        doc = client.map({**spec2, "bounds": False})
+        assert doc["result"]["perm"] is not None
+        assert doc["result"]["bounds"] is None
+        assert "degraded" not in doc["result"]
+        assert "degraded" not in doc["meta"]
 
-        # Same shape, different rates: a distinct problem.
-        warm_spec = dict(spec2)
-        warm_spec["apps"] = [
-            dict(app, cache_rates=[r * 1.25 for r in app["cache_rates"]])
-            for app in spec2["apps"]
-        ]
-        doc = client.map(warm_spec)
-        assert doc["meta"]["degraded"] == "cached_nearest"
-        assert doc["meta"]["cache"] == "stale"
-        assert doc["meta"]["stale_fingerprint"] == donor_fp
-        assert doc["meta"]["fingerprint"] != donor_fp
-        assert doc["result"]["degraded"] == "cached_nearest"
-        # The donor's mapping, translated into this request's labels.
-        assert sorted(doc["result"]["perm"]) == sorted(donor["result"]["perm"])
+    def test_saturated_answer_is_about_its_own_instance(
+        self, make_service, spec2, monkeypatch, tmp_path, capsys
+    ):
+        """At pressure 0.9 a same-shape problem gets its own certified
+        bound, never a cached solve of another problem."""
+        from repro.cli import main as cli_main
+        from repro.core.workload import Application, Workload
+        from repro.io import save_json, workload_to_dict
 
-    def test_stale_without_donor_falls_back_to_bounds(self, make_service, spec2):
-        client = make_service(degrade="cached_nearest")
-        doc = client.map(spec2)
+        client = make_service(degrade="auto")
+        client.map(spec2)  # a full solve of a same-shape problem is cached
+        monkeypatch.setattr(AdmissionController, "pressure", property(lambda self: 0.9))
+        other = {
+            **spec2,
+            "apps": [
+                dict(app, cache_rates=[3.0 * r for r in app["cache_rates"]])
+                for app in spec2["apps"]
+            ],
+        }
+        doc = client.map(other)
         assert doc["meta"]["degraded"] == "bounds_only"
-        assert doc["result"]["bounds"] is not None
+        assert "stale_fingerprint" not in doc["meta"]
+        assert doc["result"]["perm"] is None
 
-    def test_stale_schedules_revalidation(self, make_service, spec2):
-        import time
-
-        client = make_service(degrade="cached_nearest")
-        client.map({**spec2, "degrade": False})
-        warm_spec = dict(spec2)
-        warm_spec["apps"] = [
-            dict(app, mem_rates=[r * 2.0 for r in app["mem_rates"]])
-            for app in spec2["apps"]
-        ]
-        misses = client.service.registry.counter("serve_cache_misses_total")
-        misses_before = misses.value
-        doc = client.map(warm_spec)
-        assert doc["meta"]["degraded"] == "cached_nearest"
-        reval = client.service.registry.counter("serve_revalidate_total")
-        assert reval.value == 1
-        # The background fill lands the real entry: the next identical
-        # request is a genuine cache hit at full fidelity.
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            fresh = client.map({**warm_spec, "degrade": False})
-            if fresh["meta"]["cache"] in ("hit", "coalesced"):
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("revalidated entry never became a cache hit")
-        # One stale answer plus its refill is one lookup that missed: the
-        # refill's own.  Checking whether a refill is needed is not a lookup.
-        assert misses.value - misses_before == 1
+        workload = tmp_path / "other.json"
+        apps = tuple(
+            Application(a["name"], a["cache_rates"], a["mem_rates"]) for a in other["apps"]
+        )
+        save_json(workload_to_dict(Workload(apps, name="other")), workload)
+        argv = ["bound", "--workload", str(workload), "--mesh", "4", "--json"]
+        assert cli_main(argv) == 0
+        served = json.dumps(doc["result"]["bounds"], sort_keys=True, separators=(",", ":"))
+        assert served == capsys.readouterr().out.strip()
 
     def test_unloaded_auto_stays_full_fidelity(self, make_service, spec2):
         client = make_service(degrade="auto")

@@ -36,6 +36,22 @@ def _unique_spec(index: int) -> dict:
     }
 
 
+def _sweep_spec(index: int) -> dict:
+    """A distinct 8x8 four-app problem whose SSS solve runs the swap sweep."""
+    return {
+        "mesh": 8,
+        "algorithm": "sss",
+        "apps": [
+            {
+                "name": f"app{k}",
+                "cache_rates": [1.0 + k + 0.1 * t + 0.01 * index for t in range(16)],
+                "mem_rates": [0.1 * (k + 1)] * 16,
+            }
+            for k in range(4)
+        ],
+    }
+
+
 def _slow_solve(service, delay: float):
     """Wrap the service's solve so every fill takes at least ``delay``."""
     orig = service._solve_sync
@@ -176,6 +192,48 @@ class TestWedgedWorkers:
         assert health["report"]["cells_failed"] == 1
 
 
+    @pytest.mark.skipif(
+        not permkernels.backend_info()["cc"], reason="C solver kernels unavailable"
+    )
+    def test_wedged_solves_leave_the_solver_backend_alone(
+        self, make_service, monkeypatch
+    ):
+        """Timeouts say nothing about the C kernels: after three wedged
+        solves answer 504, the next unique problem still runs the C sweep."""
+        permkernels.warmup()
+        sweeps = []
+        real_sweep = cc_solvers.cc_sweep_pass
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(1)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cc_solvers, "cc_sweep_pass", counting_sweep)
+        client = make_service(task_timeout=0.3)
+        service = client.service
+        real_solve = service._solve_sync
+        release = threading.Event()
+        wedged = []
+
+        def wedge_three(*args, **kwargs):
+            if len(wedged) < 3:
+                wedged.append(True)
+                release.wait(30)
+                raise RuntimeError("abandoned solve released")
+            return real_solve(*args, **kwargs)
+
+        service._solve_sync = wedge_three
+        try:
+            for i in range(3):
+                status, payload = client.post("/map", _sweep_spec(i))
+                assert status == 504, payload
+            status, payload = client.post("/map", _sweep_spec(3))
+            assert status == 200, payload
+        finally:
+            release.set()
+        assert sweeps
+
+
 class TestFailedTasks:
     """A worker task runs once; its failure is a 500 naming the error."""
 
@@ -201,8 +259,6 @@ class TestFailedTasks:
         status, payload = client.post("/map", _unique_spec(1))
         assert (status, payload) == (500, {"error": "RuntimeError: solver exploded"})
         assert len(calls) == 1
-        if service.breaker is not None:  # absent when kernels resolve to reference
-            assert service.breaker.failures == 1
         assert service.report.cells_failed == 1
         status, payload = client.post("/map", _unique_spec(2))
         assert status == 200, payload
@@ -340,12 +396,11 @@ class TestReadiness:
         assert status == 503
         assert payload["status"] == "starting"
 
-    def test_healthz_reports_admission_and_breakers(self, client, spec2):
+    def test_healthz_reports_admission(self, client, spec2):
         client.map(spec2)
         _status, payload = client.get("/healthz")
         assert payload["admission"]["admitted"] == 1
         assert payload["admission"]["shed"] == 0
         assert payload["ready"] is True
         assert payload["draining"] is False
-        assert isinstance(payload["breakers"], dict)
         assert payload["degrade_mode"] == "auto"

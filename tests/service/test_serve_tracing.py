@@ -122,7 +122,7 @@ class TestFlightRecorder:
         status, dump = traced.get("/debug/requests")
         assert status == 200
         assert dump["schema"] == "repro-serve-requests"
-        assert dump["version"] == 2
+        assert dump["version"] == 3
         assert dump["enabled"] is True
         assert dump["recorded"] == 2
         kinds = [r["cache"] for r in dump["requests"]]

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.service.admission import CircuitBreaker
 from repro.service.workers import RunReport, WorkerPool
 
 
@@ -47,26 +46,6 @@ class TestWorkerPool:
         assert calls["n"] == 1
         assert (report.cells_total, report.cells_computed, report.cells_failed) == (1, 0, 1)
         assert report.failure_causes == ["KeyError: 'nope'"]
-
-    def test_failure_charges_the_breaker_once(self):
-        breaker = CircuitBreaker("cc", threshold=2)
-        pool = WorkerPool(1)
-
-        def boom():
-            raise RuntimeError("sick backend")
-
-        async def scenario():
-            with pytest.raises(RuntimeError):
-                await pool.run(boom, breaker=breaker)
-            assert breaker.snapshot()["failures"] == 1
-            # A later failure is the task's own error, never a pool-wide one.
-            with pytest.raises(RuntimeError):
-                await pool.run(boom, breaker=breaker)
-            assert breaker.state == "open"
-            return await pool.run(lambda: "fresh")
-
-        assert run(scenario()) == "fresh"
-        assert pool.report.cells_failed == 2
 
     def test_timeout_abandons_the_wedged_thread(self):
         pool = WorkerPool(2, timeout=0.05)

@@ -1,6 +1,10 @@
 """Tests of JSON serialisation and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,43 @@ class TestCLI:
             build_parser().parse_args(["serve", flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_serve_has_no_cached_nearest_level(self, capsys):
+        """The ladder has two levels; a stale-answer level is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--degrade", "cached_nearest"])
+        assert exc.value.code == 2
+        assert "argument --degrade" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_without_traceback(self, tmp_path):
+        """A reader that stops early (``... | head -1``) ends the command
+        quietly: no ``BrokenPipeError`` traceback on stderr."""
+        records = [
+            {"trace_id": i, "status": 200, "cache": "miss", "algorithm": "sss",
+             "duration_us": 1000 + i, "spans": []}
+            for i in range(3000)
+        ]
+        dump = tmp_path / "dump.json"
+        dump.write_text(json.dumps(
+            {"schema": "repro-serve-requests", "version": 3, "recorded": 3000,
+             "dropped": 0, "capacity": 3000, "requests": records}
+        ))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "serve-report", str(dump)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        # The report is far larger than a 64 KiB pipe buffer, so the
+        # writer is still printing when the reader goes away.
+        assert proc.stdout.readline().startswith(b"3000 recorded requests")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        proc.wait(60)
+        assert "Traceback" not in err, err
+        assert "BrokenPipeError" not in err, err
 
     def test_simulate_rejects_malformed_fault_specs(self):
         with pytest.raises(SystemExit):
