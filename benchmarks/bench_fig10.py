@@ -1,12 +1,12 @@
 """Figure 10: normalized g-APL of the four algorithms."""
 
-from conftest import BENCH_WORKERS, run_once
+from conftest import run_once
 
 from repro.experiments.figures import fig10
 
 
 def test_fig10(benchmark, report_printer):
-    report = run_once(benchmark, fig10, workers=BENCH_WORKERS)
+    report = run_once(benchmark, fig10)
     report_printer(report)
     losses = report.data["losses"]
     # Paper: all within 6% of Global; SSS best (< 3.82%).

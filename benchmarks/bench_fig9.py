@@ -1,12 +1,12 @@
 """Figure 9: max-APL of the four algorithms across C1-C8."""
 
-from conftest import BENCH_WORKERS, run_once
+from conftest import run_once
 
 from repro.experiments.figures import fig9
 
 
 def test_fig9(benchmark, report_printer):
-    report = run_once(benchmark, fig9, workers=BENCH_WORKERS)
+    report = run_once(benchmark, fig9)
     report_printer(report)
     imp = report.data["improvements"]
     # Paper: MC 8.74%, SA 9.44%, SSS 10.42% below Global.

@@ -5,7 +5,7 @@ algorithms' C1 mappings are replayed through the cycle-level NoC with
 request/reply traffic and the measured per-application APLs compared.
 """
 
-from conftest import BENCH_WORKERS, run_once
+from conftest import run_once
 
 from repro.experiments.measured import measured_apl_comparison
 
@@ -17,7 +17,6 @@ def test_measured_apls(benchmark, report_printer):
         "C1",
         algorithms=("Global", "SSS"),
         cycles=20_000,
-        workers=BENCH_WORKERS,
     )
     report_printer(report)
     glob, sss = report.data["Global"], report.data["SSS"]

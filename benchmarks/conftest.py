@@ -15,22 +15,16 @@ Add ``-s`` to see the reproduced tables printed inline.
 Every ``run_once`` wall-clock is also written to
 ``benchmarks/bench_timings.json``, keyed by test name (CI uploads it).
 These are single-round timings for inspection; the guarded performance
-numbers come from ``perf_guard.py`` and ``check_regression.py``.  Set
-``REPRO_BENCH_WORKERS=N`` to run the fan-out-capable harnesses on N
-processes (default 1 = serial; identical results either way).
+numbers come from ``perf_guard.py`` and ``check_regression.py``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 import pytest
-
-#: Worker processes for fan-out-capable experiment harnesses.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 _TIMINGS_PATH = Path(__file__).parent / "bench_timings.json"
 

@@ -724,7 +724,7 @@ def _dispatch(argv) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "experiments":
         # The documented alias: defer to the experiments CLI wholesale so
-        # its flags (--output-dir, --workers, --profile...) stay in one
+        # its flags (--output-dir, --fast, --profile...) stay in one
         # place.
         from repro.experiments.__main__ import main as experiments_main
 

@@ -378,23 +378,11 @@ def sort_select_swap(
     )
 
 
-def _sss_start_cell(cell) -> MappingResult:
-    """One multi-start restart, picklable for process fan-out."""
-    instance, config, start_seed = cell
-    return sort_select_swap(instance, config, seed=start_seed)
-
-
-#: Below this many tiles a kernelised restart is cheaper than forking a
-#: worker and pickling the instance, so multi-start stays in-process.
-_FANOUT_MIN_TILES = 1024
-
-
 def multi_start_sss(
     instance: OBMInstance,
     n_starts: int = 8,
     config: SSSConfig | None = None,
     seed=None,
-    workers: int = 1,
 ) -> MappingResult:
     """Best-of-``n_starts`` SSS with randomised section picks (extension).
 
@@ -403,19 +391,9 @@ def multi_start_sss(
     coarse assignment, and keeping the best max-APL recovers (and
     occasionally beats) the deterministic result at ``n_starts``x the
     runtime.  Start 0 always runs the paper's deterministic configuration
-    so the result can never be worse than plain SSS.
-
-    Every start's seed is drawn from ``rng`` up front, in the order the
-    serial loop drew them, and the best pick scans candidates in start
-    order with a strict ``<`` — so ``workers > 1`` fans the starts across
-    processes yet returns the exact mapping of the serial run.
-
-    On small instances (fewer than ``_FANOUT_MIN_TILES`` tiles) the
-    restarts run in-process even when ``workers > 1``: with the swap
-    sweep kernelised, a restart costs low single-digit milliseconds and
-    process fan-out (fork + pickling the instance per start) costs more
-    than it saves.  The in-process path shares one TC sort across all
-    restarts and returns the identical mapping either way.
+    so the result can never be worse than plain SSS.  The starts share
+    one TC sort, and the best pick scans them in start order with a
+    strict ``<``.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be positive")
@@ -423,23 +401,13 @@ def multi_start_sss(
     rng = as_rng(seed)
     t0 = time.perf_counter()
     random_config = replace(base, select="random")
-    cells = [(instance, base, None)] + [
-        (instance, random_config, int(rng.integers(2**63)))
-        for _ in range(n_starts - 1)
+    starts = [(base, None)] + [
+        (random_config, int(rng.integers(2**63))) for _ in range(n_starts - 1)
     ]
-    fan_out = workers > 1 and n_starts > 1 and instance.n >= _FANOUT_MIN_TILES
-    if fan_out:
-        # Lazy import: keeps the algorithm layer import-independent of the
-        # experiment package on the (default) serial path.
-        from repro.experiments.parallel import parallel_map
-
-        candidates = parallel_map(_sss_start_cell, cells, workers=workers)
-    else:
-        tc_order = _tc_sorted_tiles(instance)
-        candidates = [
-            sort_select_swap(instance, cfg, seed=s, tc_order=tc_order)
-            for _, cfg, s in cells
-        ]
+    tc_order = _tc_sorted_tiles(instance)
+    candidates = [
+        sort_select_swap(instance, cfg, seed=s, tc_order=tc_order) for cfg, s in starts
+    ]
     best = candidates[0]
     for candidate in candidates[1:]:
         if candidate.max_apl < best.max_apl:
@@ -450,11 +418,7 @@ def multi_start_sss(
         mapping=best.mapping,
         evaluation=best.evaluation,
         runtime_seconds=elapsed,
-        extra={
-            "n_starts": n_starts,
-            "config": base,
-            "mode": "fan-out" if fan_out else "in-process",
-        },
+        extra={"n_starts": n_starts, "config": base},
     )
 
 

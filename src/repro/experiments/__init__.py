@@ -6,7 +6,12 @@ paper's artifact ids to them.  Run from the command line::
 
     python -m repro.experiments table1
     python -m repro.experiments all --fast
+
+:func:`run_experiments` is the one experiment loop behind both the
+printing CLI and :func:`~repro.experiments.artifacts.write_artifacts`.
 """
+
+from contextlib import nullcontext
 
 from repro.experiments.base import (
     ALGORITHM_ORDER,
@@ -20,6 +25,7 @@ from repro.experiments.power import analytic_noc_power, fig11
 from repro.experiments.runtime import fig12, sa_runtime_sweep
 from repro.experiments.sensitivity import latency_param_sensitivity, seed_sensitivity
 from repro.experiments.tables import table1, table2, table3, table4
+from repro.obs import reqtrace
 
 #: The full registry: the paper's artifacts in paper order, then the
 #: beyond-the-paper robustness studies.
@@ -43,20 +49,43 @@ EXPERIMENTS = {
 }
 
 
-def _scorecard(fast=False):
+def _scorecard(fast=False, reports=None):
     from repro.experiments.scorecard import run_scorecard
 
-    return run_scorecard(fast=fast)
+    return run_scorecard(fast=fast, reports=reports)
 
 
-def _measured(fast=False, workers=1):
+def _measured(fast=False):
     from repro.experiments.measured import measured_apl_comparison
 
-    return measured_apl_comparison("C1", fast=fast, workers=workers)
+    return measured_apl_comparison("C1", fast=fast)
 
 
 EXPERIMENTS["scorecard"] = _scorecard
 EXPERIMENTS["measured"] = _measured
+
+
+def run_experiments(ids, *, fast=False, profile=False):
+    """Run the experiments ``ids`` in order, each exactly once.
+
+    Yields ``(id, report, spans)``: ``spans`` is ``None``, or with
+    ``profile=True`` the experiment's per-span timings
+    (:func:`repro.obs.reqtrace.span_summary`) from its own trace rooted
+    at ``experiment.<id>``.  ``scorecard`` scores the reports this loop
+    has already built, so ``all`` computes every artifact once; run
+    alone, it computes the ones it needs.
+    """
+    reports = {}
+    for experiment_id in ids:
+        kwargs = {"reports": reports} if experiment_id == "scorecard" else {}
+        timer = (
+            reqtrace.profiled(f"experiment.{experiment_id}") if profile else nullcontext()
+        )
+        with timer as registry:
+            report = EXPERIMENTS[experiment_id](fast=fast, **kwargs)
+        reports[experiment_id] = report
+        yield experiment_id, report, reqtrace.span_summary(registry) if profile else None
+
 
 __all__ = [
     "ALGORITHM_ORDER",
@@ -73,6 +102,7 @@ __all__ = [
     "fig12",
     "latency_param_sensitivity",
     "run_algorithms",
+    "run_experiments",
     "sa_runtime_sweep",
     "seed_sensitivity",
     "standard_instance",

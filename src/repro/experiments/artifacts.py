@@ -13,13 +13,10 @@ is quarantined to ``*.corrupt`` before it is rewritten.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS
-from repro.experiments.parallel import supports_workers
+from repro.experiments import EXPERIMENTS, run_experiments
 from repro.experiments.resilience import json_safe
-from repro.obs import reqtrace
 from repro.utils.atomicio import atomic_write_text, quarantine, verify_checksum
 
 __all__ = ["write_artifacts"]
@@ -37,18 +34,14 @@ def write_artifacts(
     experiment_ids: list[str] | None = None,
     *,
     fast: bool = False,
-    workers: int = 1,
     profile: bool = False,
 ) -> dict[str, Path]:
     """Run the selected experiments and write their artifacts.
 
     Returns a map from experiment id to the written text file.  Unknown
-    ids raise before anything runs.  ``workers`` is forwarded to the
-    experiments that declare a ``workers`` keyword (the fan-out-capable
-    harnesses); artifact bytes are identical for any worker count.  With
-    ``profile=True`` each experiment runs as the root span
-    ``experiment.<id>`` of a fresh trace and its per-span timings
-    (:func:`repro.obs.reqtrace.span_summary`) are written to
+    ids raise before anything runs.  The experiments run through
+    :func:`~repro.experiments.run_experiments`, each once; with
+    ``profile=True`` each one's per-span timings are written to
     ``<id>.profile.json`` alongside the artifact.
     """
     ids = list(EXPERIMENTS) if experiment_ids is None else list(experiment_ids)
@@ -60,16 +53,7 @@ def write_artifacts(
     output_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     index = []
-    for experiment_id in ids:
-        fn = EXPERIMENTS[experiment_id]
-        kwargs = {"fast": fast}
-        if workers != 1 and supports_workers(fn):
-            kwargs["workers"] = workers
-        timer = (
-            reqtrace.profiled(f"experiment.{experiment_id}") if profile else nullcontext()
-        )
-        with timer as spans:
-            report = fn(**kwargs)
+    for experiment_id, report, spans in run_experiments(ids, fast=fast, profile=profile):
         text_path = output_dir / f"{experiment_id}.txt"
         _write_artifact(text_path, str(report) + "\n")
         json_path = output_dir / f"{experiment_id}.json"
@@ -91,8 +75,7 @@ def write_artifacts(
         if profile:
             atomic_write_text(
                 output_dir / f"{experiment_id}.profile.json",
-                json.dumps(reqtrace.span_summary(spans), indent=2, sort_keys=True)
-                + "\n",
+                json.dumps(spans, indent=2, sort_keys=True) + "\n",
             )
         written[experiment_id] = text_path
         index.append(f"{experiment_id}: {report.title}")

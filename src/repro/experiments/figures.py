@@ -16,26 +16,9 @@ from repro.experiments.base import (
     standard_instance,
     standard_model,
 )
-from repro.experiments.parallel import parallel_map
 from repro.utils.text import format_table, grid_to_text, heatmap_to_text
 
 __all__ = ["fig3", "fig4", "fig5", "fig8", "fig9", "fig10"]
-
-
-def _algorithm_sweep_cell(cell: tuple[str, bool]) -> dict:
-    """One (config x four-algorithm sweep) cell for fig9/fig10 fan-out.
-
-    Deterministic in its inputs: every stochastic algorithm is seeded via
-    ``stable_seed(alg, config_name)`` inside ``run_algorithms``, so the
-    cell's results are independent of which process runs it, or when.
-    """
-    name, fast = cell
-    instance = standard_instance(name)
-    results = run_algorithms(instance, fast=fast, seed_tag=name)
-    return {
-        alg: {"max_apl": results[alg].max_apl, "g_apl": results[alg].g_apl}
-        for alg in ALGORITHM_ORDER
-    }
 
 
 def fig3(**_) -> ExperimentReport:
@@ -196,43 +179,31 @@ def _mapping_slice(result) -> dict:
     }
 
 
-def _config_progress(total: int):
-    """stderr progress callback for the C1..C8 sweeps (``progress=True``)."""
-    import sys
+def _config_sweeps(fast: bool) -> list[dict]:
+    """Max- and g-APL of the four algorithms on each of C1..C8 (fig9, fig10).
 
-    def report(index: int, _result) -> None:
-        print(
-            f"  [{index + 1}/{total}] {CONFIG_NAMES[index]} done",
-            file=sys.stderr, flush=True,
+    Every stochastic algorithm is seeded via ``stable_seed(alg, config)``
+    inside ``run_algorithms``, so a sweep is deterministic in its inputs.
+    """
+    sweeps = []
+    for name in CONFIG_NAMES:
+        results = run_algorithms(standard_instance(name), fast=fast, seed_tag=name)
+        sweeps.append(
+            {
+                alg: {"max_apl": results[alg].max_apl, "g_apl": results[alg].g_apl}
+                for alg in ALGORITHM_ORDER
+            }
         )
-
-    return report
-
-
-def _config_sweeps(fast: bool, workers: int, progress: bool) -> list:
-    """The shared C1..C8 four-algorithm fan-out behind fig9 and fig10."""
-    return parallel_map(
-        _algorithm_sweep_cell,
-        [(name, fast) for name in CONFIG_NAMES],
-        workers=workers,
-        on_result=_config_progress(len(CONFIG_NAMES)) if progress else None,
-    )
+    return sweeps
 
 
-def fig9(
-    *,
-    fast: bool = False,
-    workers: int = 1,
-    progress: bool = False,
-) -> ExperimentReport:
+def fig9(*, fast: bool = False) -> ExperimentReport:
     """Figure 9: max-APL of the four algorithms across C1-C8.
 
     Expected shape: Global worst (highest max-APL); MC and SA better; SSS
-    best or tied-best, ~10% below Global on average.  ``workers > 1``
-    fans the eight configurations across processes with identical output;
-    ``progress=True`` reports per-configuration completion on stderr.
+    best or tied-best, ~10% below Global on average.
     """
-    sweeps = _config_sweeps(fast, workers, progress)
+    sweeps = _config_sweeps(fast)
     per_alg: dict[str, list[float]] = {a: [] for a in ALGORITHM_ORDER}
     data = {}
     for name, sweep in zip(CONFIG_NAMES, sweeps):
@@ -259,21 +230,14 @@ def fig9(
     return ExperimentReport("fig9", "max-APL comparison", text, data)
 
 
-def fig10(
-    *,
-    fast: bool = False,
-    workers: int = 1,
-    progress: bool = False,
-) -> ExperimentReport:
+def fig10(*, fast: bool = False) -> ExperimentReport:
     """Figure 10: g-APL of the four algorithms, normalised to Global.
 
     Expected shape: Global is 1.0 by construction (it is the exact g-APL
     optimum); the three balancing algorithms pay only a few percent, SSS
-    the least.  ``workers > 1`` fans the configurations across processes
-    with identical output; ``progress=True`` reports per-configuration
-    completion on stderr.
+    the least.
     """
-    sweeps = _config_sweeps(fast, workers, progress)
+    sweeps = _config_sweeps(fast)
     per_alg: dict[str, list[float]] = {a: [] for a in ALGORITHM_ORDER}
     data = {}
     for name, sweep in zip(CONFIG_NAMES, sweeps):

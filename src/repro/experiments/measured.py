@@ -9,9 +9,8 @@ packets.  Agreement between the analytic and measured columns — both in
 ordering and near-absolute cycles — is the strongest validation this
 reproduction offers.
 
-Cells return a small *payload* (per-app APLs, max/dev, percentiles)
-rather than the raw :class:`~repro.noc.stats.LatencyStats`, so a pooled
-replay ships back only what the report reads.
+Both replays run as one :func:`repro.noc.simulate_batch` call, which is
+bit-identical to running each mapping alone through ``NoCSimulator``.
 """
 
 from __future__ import annotations
@@ -21,50 +20,10 @@ from repro.experiments.base import (
     run_algorithms,
     standard_instance,
 )
-from repro.experiments.parallel import parallel_map
-from repro.noc.simulator import NoCSimulator
-from repro.noc.stats import LatencyStats
-from repro.noc.traffic import MappedWorkloadTraffic
+from repro.noc import simulate_batch
 from repro.utils.text import format_table
 
 __all__ = ["measured_apl_comparison"]
-
-
-def _stats_payload(stats: LatencyStats) -> dict:
-    """The slice of one replay's measurements that the report reads."""
-    return {
-        "apl_by_app": stats.apl_by_app(),
-        "max_apl": stats.max_apl(),
-        "dev_apl": stats.dev_apl(),
-        "percentiles_by_app": stats.percentiles_by_app(),
-    }
-
-
-def _measure_cell(cell) -> dict:
-    """One per-algorithm NoC replay — the expensive, independent unit."""
-    instance, mapping, cycles, seed = cell
-    return _stats_payload(_measure(instance, mapping, cycles=cycles, seed=seed))
-
-
-def _traffic(instance, mapping, seed: int) -> MappedWorkloadTraffic:
-    wl = instance.workload
-    peak = float((wl.cache_rates + wl.mem_rates).max())
-    return MappedWorkloadTraffic(
-        instance,
-        mapping,
-        # Busiest thread at 4% injection probability: below saturation.
-        cycles_per_unit=max(1000.0, peak / 0.04),
-        generate_replies=True,
-        seed=seed,
-    )
-
-
-def _measure(instance, mapping, *, cycles: int, seed: int) -> LatencyStats:
-    traffic = _traffic(instance, mapping, seed)
-    sim = NoCSimulator(instance.mesh, traffic)
-    warmup = max(500, cycles // 10)
-    result = sim.run(warmup=warmup, measure=cycles)
-    return result.stats
 
 
 def measured_apl_comparison(
@@ -73,14 +32,13 @@ def measured_apl_comparison(
     algorithms: tuple[str, ...] = ("Global", "SSS"),
     cycles: int = 20_000,
     fast: bool = False,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Analytic vs measured per-application APLs for chosen algorithms.
 
-    Each algorithm's cycle-level replay is an independent simulation with
-    a fixed seed on the simulator's default (vector) engine, so
-    ``workers > 1`` fans them across processes without changing a single
-    measured number.
+    Each algorithm's mapping is replayed with seed 13 and request/reply
+    traffic, the busiest thread injecting at 4% per cycle (below
+    saturation), for ``max(500, cycles // 10)`` warm-up cycles and then
+    ``cycles`` measured ones.
     """
     if fast:
         cycles = min(cycles, 4_000)
@@ -88,22 +46,25 @@ def measured_apl_comparison(
     results = run_algorithms(
         instance, fast=fast, seed_tag=config_name, algorithms=algorithms
     )
-    cells = [(instance, results[alg].mapping, cycles, 13) for alg in algorithms]
-    payloads = parallel_map(_measure_cell, cells, workers=workers)
+    pairs = [(instance, results[alg].mapping) for alg in algorithms]
+    sims = simulate_batch(
+        pairs, seeds=[13] * len(pairs), warmup=max(500, cycles // 10), measure=cycles
+    )
     rows = []
     data = {}
-    for alg, payload in zip(algorithms, payloads):
-        measured = payload["apl_by_app"]
+    for alg, sim in zip(algorithms, sims):
+        stats = sim.stats
+        measured = stats.apl_by_app()
         analytic = results[alg].evaluation.apls
         for app, m_apl in sorted(measured.items()):
             rows.append([alg, f"app {app + 1}", float(analytic[app]), m_apl])
         data[alg] = {
             "analytic_max": results[alg].max_apl,
-            "measured_max": payload["max_apl"],
+            "measured_max": stats.max_apl(),
             "analytic_dev": results[alg].dev_apl,
-            "measured_dev": payload["dev_apl"],
+            "measured_dev": stats.dev_apl(),
             "measured_by_app": measured,
-            "measured_percentiles": payload["percentiles_by_app"],
+            "measured_percentiles": stats.percentiles_by_app(),
         }
     text = format_table(
         ["algorithm", "application", "analytic APL", "measured APL"],

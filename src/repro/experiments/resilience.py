@@ -41,8 +41,7 @@ def json_safe(value):
 def config_fingerprint(experiment_id: str, **knobs) -> str:
     """Stable hex fingerprint of an id plus the knobs that affect its value.
 
-    Any knob that changes what is computed must be included; pure
-    wall-clock knobs (``workers``, ``progress``) must not be.
+    Every knob that changes what is computed must be included.
     """
     payload = json.dumps(
         {"experiment": experiment_id, "format": FINGERPRINT_FORMAT, "knobs": json_safe(knobs)},

@@ -12,8 +12,7 @@ tracer uses, so a whole service burst opens as one Perfetto flame chart.
 The same spans are the repo's only phase timer: ``--profile`` on the
 CLIs runs the command under :func:`profiled` and reads the per-name
 ``trace_span_seconds`` histograms back as ``{name: {"seconds",
-"calls"}}`` (:func:`span_summary`), and experiment worker processes ship
-their histograms home for :func:`merge_span_histograms`.
+"calls"}}`` (:func:`span_summary`).
 
 Design constraints, in order:
 
@@ -64,8 +63,6 @@ __all__ = [
     "current_trace_id",
     "is_active",
     "profiled",
-    "span_histograms",
-    "merge_span_histograms",
     "span_summary",
     "format_span_summary",
 ]
@@ -386,35 +383,12 @@ def profiled(name: str, **attrs):
         yield registry
 
 
-def span_histograms(registry) -> list:
-    """The registry's per-span-name ``trace_span_seconds`` histograms."""
-    return [m for m in registry if m.name == SPAN_SECONDS_METRIC]
-
-
-def merge_span_histograms(histograms) -> None:
-    """Fold span histograms from another tracer into the active one (no-op when off).
-
-    Used to bring the spans timed in an experiment worker process back
-    into the parent's trace, which never sees them otherwise.
-    """
-    active = _ACTIVE.get()
-    if active is None:
-        return
-    tracer = active[0].tracer
-    if tracer.registry is None:
-        return
-    with tracer.lock:
-        for hist in histograms:
-            tracer.registry.histogram(
-                SPAN_SECONDS_METRIC, hist.help, bounds=hist.bounds, **dict(hist.labels)
-            ).merge(hist)
-
-
 def span_summary(registry) -> dict[str, dict[str, float]]:
     """``{span name: {"seconds": total wall, "calls": n}}`` from a registry."""
     return {
         dict(hist.labels)["span"]: {"seconds": hist.sum, "calls": hist.total}
-        for hist in span_histograms(registry)
+        for hist in registry
+        if hist.name == SPAN_SECONDS_METRIC
     }
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.experiments.base import run_algorithms, standard_instance
 from repro.experiments.measured import measured_apl_comparison
+from repro.noc.simulator import NoCSimulator
+from repro.noc.traffic import MappedWorkloadTraffic
 
 
 @pytest.mark.slow
@@ -32,15 +35,31 @@ class TestMeasuredComparison:
 
 
 @pytest.fixture(scope="module")
-def serial_c1():
-    return measured_apl_comparison("C1", fast=True, cycles=1_000, workers=1)
+def c1_report():
+    return measured_apl_comparison("C1", fast=True, cycles=1_000)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_workers_do_not_change_the_report(serial_c1, workers):
-    """A re-run at any worker count replays both mappings and gives the
-    serial run's numbers and text."""
-    report = measured_apl_comparison("C1", fast=True, cycles=1_000, workers=workers)
-    assert set(report.data) == {"Global", "SSS"}
-    assert report.data == serial_c1.data
-    assert report.text == serial_c1.text
+@pytest.mark.parametrize("alg", ["Global", "SSS"])
+def test_report_equals_solo_simulator_runs(c1_report, alg):
+    """The batched replay gives each mapping's solo ``NoCSimulator`` numbers
+    (seed 13, request/reply traffic, busiest thread at 4% injection)."""
+    instance = standard_instance("C1")
+    result = run_algorithms(
+        instance, fast=True, seed_tag="C1", algorithms=("Global", "SSS")
+    )[alg]
+    wl = instance.workload
+    cycles_per_unit = max(1000.0, float((wl.cache_rates + wl.mem_rates).max()) / 0.04)
+    assert set(c1_report.data) == {"Global", "SSS"}
+    traffic = MappedWorkloadTraffic(
+        instance,
+        result.mapping,
+        cycles_per_unit=cycles_per_unit,
+        generate_replies=True,
+        seed=13,
+    )
+    stats = NoCSimulator(instance.mesh, traffic).run(warmup=500, measure=1_000).stats
+    data = c1_report.data[alg]
+    assert data["measured_by_app"] == stats.apl_by_app()
+    assert data["measured_max"] == stats.max_apl()
+    assert data["measured_dev"] == stats.dev_apl()
+    assert data["measured_percentiles"] == stats.percentiles_by_app()
