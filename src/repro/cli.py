@@ -22,8 +22,8 @@ Commands
     validation, Chrome/Perfetto conversion.
 ``serve``
     Run the mapping-as-a-service daemon: a local HTTP/JSON endpoint with
-    a canonical result cache, request batching onto the vector engine,
-    and a Prometheus ``/metrics`` exposition (GUIDE §14).
+    a result cache keyed on the exact problem, request batching onto the
+    vector engine, and a Prometheus ``/metrics`` exposition (GUIDE §14).
 ``experiments``
     Alias of ``python -m repro.experiments``.
 """

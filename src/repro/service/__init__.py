@@ -2,8 +2,6 @@
 
 Layers (each usable on its own):
 
-- :mod:`repro.service.canonical` — problem normalization and the
-  cache-key fingerprint scheme.
 - :mod:`repro.service.cache` — bounded LRU result cache and the
   per-mesh/parameter latency-model memo.
 - :mod:`repro.service.workers` — bounded worker pool that runs each
@@ -16,20 +14,14 @@ Layers (each usable on its own):
 - :mod:`repro.service.flightrec` — the ring of recent request records.
 - :mod:`repro.service.http` — HTTP/1.1 request parsing and response
   framing.
-- :mod:`repro.service.app` — the ``/map`` stage pipeline and the route
-  table tying the above together.
+- :mod:`repro.service.app` — request validation into the exact
+  :class:`~repro.service.app.Problem` (the cache identity), the ``/map``
+  stage pipeline and the route table tying the above together.
 """
 
-from repro.service.app import MappingService, run_service, serve
+from repro.service.app import MappingService, Problem, canonicalize, run_service, serve
 from repro.service.batcher import SimulationBatcher
 from repro.service.cache import LRUCache, ModelMemo
-from repro.service.canonical import (
-    RATE_DECIMALS,
-    CanonicalProblem,
-    CanonicalRequest,
-    canonicalize,
-    quantize_rate,
-)
 from repro.service.workers import WorkerPool
 
 __all__ = [
@@ -39,10 +31,7 @@ __all__ = [
     "SimulationBatcher",
     "LRUCache",
     "ModelMemo",
-    "RATE_DECIMALS",
-    "CanonicalProblem",
-    "CanonicalRequest",
+    "Problem",
     "canonicalize",
-    "quantize_rate",
     "WorkerPool",
 ]

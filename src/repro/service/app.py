@@ -33,7 +33,7 @@ Endpoints
 Request pipeline
 ----------------
 :meth:`MappingService.map_request` runs each ``/map`` body through a
-fixed list of stages: parse and canonicalize it into a frozen
+fixed list of stages: parse and validate it into a frozen
 :class:`MapRequest`, admit it, choose a ladder level, solve or look up
 at that level, and respond.  Every level answers through one function,
 which also writes the root-span marks the flight recorder files, so
@@ -53,15 +53,14 @@ start-up serves every solve.
 
 Caching semantics
 -----------------
-Results are cached under the *canonical* problem fingerprint
-(:mod:`repro.service.canonical`), so requests that differ only by app
-order, thread labels, names, or sub-quantum rate noise share one solve.
-The cached entry stores results in canonical labels and each response
-translates them back into the requester's labels.  Solver tie-breaks
-(and the simulated traffic realization) follow the labeling of the
-request that *filled* the entry: the filling requester's response is
-byte-identical to solving its instance directly, and every duplicate of
-that request gets the same bytes from the cache.
+Results are cached under the request's exact :class:`Problem`: the mesh,
+the latency parameters and every rate as a float, apps and threads in
+request order.  App names are not part of it (they never reach the
+math), so two requests that differ only by names share one entry; any
+other difference (app or thread order, a rate changed in its last bit)
+is a different problem with its own entry.  SSS depends on the order a
+problem is written in, so every answer, cached or not, is byte-identical
+to solving and simulating that request's instance directly.
 """
 
 from __future__ import annotations
@@ -73,9 +72,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.bounds import max_apl_lower_bound
 from repro.core import permkernels
+from repro.core.latency import LatencyParams
 from repro.core.problem import Mapping, OBMInstance
 from repro.core.registry import ALGORITHMS
 from repro.core.workload import Application, Workload
@@ -95,17 +98,25 @@ from repro.service.admission import (
 )
 from repro.service.batcher import SimulationBatcher
 from repro.service.cache import LRUCache, ModelMemo
-from repro.service.canonical import CanonicalRequest, canonicalize
 from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
 from repro.service.flightrec import FlightRecorder
 from repro.service.http import RequestError, read_request, response_bytes
 from repro.service.workers import RunReport, WorkerPool
 
-__all__ = ["MapRequest", "MappingService", "RequestError", "serve", "run_service"]
+__all__ = [
+    "MapRequest",
+    "MappingService",
+    "Problem",
+    "RequestError",
+    "canonicalize",
+    "serve",
+    "run_service",
+]
 
 logger = logging.getLogger("repro.serve")
 
-#: Simulation knobs accepted under the request's ``sim`` key.
+#: Simulation knobs accepted under the request's ``sim`` key; a given
+#: value must have its default's JSON type (integer or boolean).
 _SIM_DEFAULTS = {
     "warmup": 1_000,
     "measure": 5_000,
@@ -115,6 +126,85 @@ _SIM_DEFAULTS = {
 
 #: Root-span annotations copied into every flight record.
 _RECORD_ATTRS = ("fingerprint", "algorithm", "cache", "batch_occupancy", "degraded")
+
+#: Latency-parameter order inside a :class:`Problem`.
+_PARAM_FIELDS = ("td_r", "td_w", "td_q", "td_s")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One OBM problem exactly as a request states it, names left out.
+
+    ``apps[i]`` is app ``i``'s ``(cache_rates, mem_rates)``, threads in
+    request order.  Equality of two problems is the cache's identity.
+    """
+
+    rows: int
+    cols: int
+    params: tuple[float, float, float, float]
+    apps: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`config_fingerprint` of the problem (rates as exact floats)."""
+        return config_fingerprint(
+            "serve.problem",
+            problem={"mesh": [self.rows, self.cols], "params": self.params, "apps": self.apps},
+        )
+
+    @property
+    def n_threads(self) -> int:
+        return sum(len(cache) for cache, _mem in self.apps)
+
+
+def _mesh_shape(mesh_doc) -> tuple[int, int]:
+    """``(rows, cols)`` of a request's ``mesh``: a side length or ``{rows, cols}``."""
+    if isinstance(mesh_doc, dict):
+        return int(mesh_doc["rows"]), int(mesh_doc["cols"])
+    return int(mesh_doc), int(mesh_doc)
+
+
+def canonicalize(spec: dict) -> Problem:
+    """Validate a problem spec (:meth:`OBMInstance.spec` shape) into its :class:`Problem`.
+
+    Raises ``ValueError`` on malformed specs (negative/non-finite rates
+    or params, more threads than tiles, empty app lists) so the service
+    can answer 400 instead of crashing a worker.
+    """
+    rows, cols = _mesh_shape(spec.get("mesh", 8))
+    if rows < 1 or cols < 1:
+        raise ValueError(f"mesh dimensions must be positive, got {rows}x{cols}")
+
+    defaults = LatencyParams()
+    params_doc = spec.get("params") or {}
+    unknown = set(params_doc) - set(_PARAM_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown latency params: {sorted(unknown)}")
+    params = tuple(
+        float(params_doc.get(name, getattr(defaults, name))) for name in _PARAM_FIELDS
+    )
+    if not all(math.isfinite(p) and p >= 0 for p in params):
+        raise ValueError("latency params must be finite and non-negative")
+
+    apps_doc = spec.get("apps")
+    if not apps_doc:
+        raise ValueError("spec needs a non-empty 'apps' list")
+    apps = []
+    for a in apps_doc:
+        cache = np.asarray(a["cache_rates"], dtype=float)
+        mem = np.asarray(a["mem_rates"], dtype=float)
+        if cache.ndim != 1 or cache.shape != mem.shape or cache.size == 0:
+            raise ValueError("each app needs equal-length 1-D non-empty rate lists")
+        if np.any(cache < 0) or np.any(mem < 0) or not (
+            np.all(np.isfinite(cache)) and np.all(np.isfinite(mem))
+        ):
+            raise ValueError("rates must be finite and non-negative")
+        apps.append((tuple(cache.tolist()), tuple(mem.tolist())))
+
+    problem = Problem(rows=rows, cols=cols, params=params, apps=tuple(apps))
+    if problem.n_threads > rows * cols:
+        raise ValueError(f"{problem.n_threads} threads exceed the {rows * cols}-tile mesh")
+    return problem
 
 
 def _roundtrip(doc: dict) -> dict:
@@ -167,8 +257,7 @@ def measured_payload(result) -> dict:
 class MapRequest:
     """One parsed ``POST /map`` body: everything the later stages read."""
 
-    canon: CanonicalRequest
-    apps: list  #: the request's app documents (raw rates, request order)
+    problem: Problem
     app_names: list
     algorithm: str
     want_bounds: bool
@@ -179,11 +268,11 @@ class MapRequest:
 
     @property
     def fingerprint(self) -> str:
-        return self.canon.problem.fingerprint
+        return self.problem.fingerprint
 
     @property
     def solve_key(self) -> str:
-        """Cache key of a solve entry: the canonical problem plus solve knobs."""
+        """Cache key of a solve entry: the problem plus solve knobs."""
         return config_fingerprint(
             "serve.solve",
             problem=self.fingerprint,
@@ -202,28 +291,13 @@ class MapRequest:
         )
 
     def result(self, entry: dict) -> dict:
-        """The ``result`` document of a canonical solve entry, in request labels."""
-        canon = self.canon
+        """The ``result`` document of a solve entry (its ``perm`` less the pad tiles)."""
         return {
-            "algorithm": entry["algorithm"],
+            "algorithm": self.algorithm,
             "apps": self.app_names,
-            "perm": canon.perm_from_canonical(entry["perm"]),
-            "evaluation": {
-                "apls": canon.by_app_from_canonical(entry["apls"]),
-                "max_apl": entry["max_apl"],
-                "dev_apl": entry["dev_apl"],
-                "g_apl": entry["g_apl"],
-                "min_max_ratio": entry["min_max_ratio"],
-            },
+            "perm": entry["perm"][: self.problem.n_threads],
+            "evaluation": entry["evaluation"],
             "bounds": entry["bounds"],
-        }
-
-    def measured(self, entry: dict) -> dict:
-        """The ``measured`` section of a canonical simulation entry, in request labels."""
-        return {
-            **entry,
-            "apls": self.canon.by_app_from_canonical(entry["apls"]),
-            "percentiles": self.canon.by_app_from_canonical(entry["percentiles"]),
         }
 
 
@@ -380,7 +454,7 @@ class MappingService:
             fh.write(dump + "\n")
         logger.info("wrote final flight record to %s", self.flight_out)
 
-    # -- stage 1: parse and canonicalize -----------------------------------
+    # -- stage 1: parse and validate ----------------------------------------
 
     def _parse(self, payload: dict) -> MapRequest:
         """Parse defensively: malformed shapes become 400s, never 500s."""
@@ -407,12 +481,8 @@ class MappingService:
                 raise RequestError(
                     f"unknown workload {spec['workload']!r}; expected one of {CONFIG_NAMES}"
                 )
-            mesh_doc = spec.get("mesh", 8)
-            if isinstance(mesh_doc, dict):
-                n_tiles = int(mesh_doc["rows"]) * int(mesh_doc["cols"])
-            else:
-                n_tiles = int(mesh_doc) ** 2
-            workload = parsec_config(name, threads_per_app=n_tiles // 4)
+            rows, cols = _mesh_shape(spec.get("mesh", 8))
+            workload = parsec_config(name, threads_per_app=rows * cols // 4)
             spec["apps"] = [
                 {
                     "name": app.name,
@@ -427,15 +497,23 @@ class MappingService:
             raise RequestError(
                 f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
             )
-        sim = dict(_SIM_DEFAULTS)
+        flags = {"bounds": True, "simulate": False, "degrade": True}
+        for key, default in flags.items():
+            flags[key] = spec.get(key, default)
+            if not isinstance(flags[key], bool):
+                raise RequestError(f"'{key}' must be a boolean")
         sim_doc = spec.get("sim") or {}
         unknown = set(sim_doc) - set(_SIM_DEFAULTS)
         if unknown:
             raise RequestError(f"unknown sim options: {sorted(unknown)}")
-        sim.update(sim_doc)
-        sim = {key: type(default)(sim[key]) for key, default in _SIM_DEFAULTS.items()}
-        if sim["warmup"] < 0 or sim["measure"] <= 0:
-            raise RequestError("sim.warmup must be >= 0 and sim.measure > 0")
+        sim = {**_SIM_DEFAULTS, **sim_doc}
+        for key, value in sim.items():
+            # bool is an int subclass, so compare the types exactly
+            if type(value) is not type(_SIM_DEFAULTS[key]):
+                kind = "boolean" if key == "invariants" else "integer"
+                raise RequestError(f"sim.{key} must be a JSON {kind}")
+        if sim["warmup"] < 0 or sim["seed"] < 0 or sim["measure"] <= 0:
+            raise RequestError("sim.warmup and sim.seed must be >= 0 and sim.measure > 0")
         timeout = spec.get("timeout")
         if timeout is not None:
             timeout = float(timeout)
@@ -444,39 +522,28 @@ class MappingService:
                 raise RequestError("timeout must be finite")
             if timeout <= 0:
                 raise RequestError("timeout must be positive")
-        allow_degrade = spec.get("degrade", True)
-        if not isinstance(allow_degrade, bool):
-            raise RequestError("'degrade' must be a boolean")
 
         try:
-            canon = canonicalize(spec)
+            problem = canonicalize(spec)
         except ValueError as exc:
             raise RequestError(str(exc)) from exc
         return MapRequest(
-            canon=canon,
-            apps=spec["apps"],
+            problem=problem,
             app_names=[str(a.get("name", f"app{i}")) for i, a in enumerate(spec["apps"])],
             algorithm=algorithm,
-            want_bounds=bool(spec.get("bounds", True)),
-            simulate=bool(spec.get("simulate", False)),
+            want_bounds=flags["bounds"],
+            simulate=flags["simulate"],
             sim=sim,
             budget=self.default_deadline if timeout is None else timeout,
-            allow_degrade=allow_degrade,
+            allow_degrade=flags["degrade"],
         )
 
     def _request_instance(self, req: MapRequest) -> OBMInstance:
-        """The instance in *request* labels, on the memoized latency model.
-
-        Rates are used verbatim (NOT quantized): quantization exists only
-        to decide cache identity.  Computation always runs on the filling
-        requester's exact numbers, so its response is bit-identical to
-        solving the same instance directly.
-        """
-        problem = req.canon.problem
+        """The request's own instance, on the memoized latency model."""
+        problem = req.problem
         model = self.models.get(problem.rows, problem.cols, problem.params)
         apps = tuple(
-            Application(f"app{i}", a["cache_rates"], a["mem_rates"])
-            for i, a in enumerate(req.apps)
+            Application(f"app{i}", cache, mem) for i, (cache, mem) in enumerate(problem.apps)
         )
         return OBMInstance(model, Workload(apps, name="request"))
 
@@ -485,7 +552,7 @@ class MappingService:
     async def map_request(self, payload: dict) -> dict:
         """Serve one ``POST /map`` body; returns the response document.
 
-        Stages: parse and canonicalize (:meth:`_parse`), admit, choose a
+        Stages: parse and validate (:meth:`_parse`), admit, choose a
         ladder level, then solve or look up at that level (:meth:`_full`
         or :meth:`_bounds_only`), each of which answers through
         :meth:`_respond`, the one place a response is made.
@@ -549,16 +616,15 @@ class MappingService:
     # -- ladder levels -------------------------------------------------------
 
     async def _full(self, req: MapRequest) -> dict:
-        """Full fidelity — byte-identical to the pre-ladder daemon."""
+        """Full fidelity: the request's own solve (and simulation), cached."""
         entry, kind = await self._cached(
             req.solve_key, lambda: self.pool.run(self._solve_sync, req)
         )
         doc = self._respond(req, LEVEL_FULL, req.result(entry), kind)
         if req.simulate:
-            measured, doc["meta"]["sim_cache"] = await self._cached(
+            doc["result"]["measured"], doc["meta"]["sim_cache"] = await self._cached(
                 req.sim_key, lambda: self._simulate(req, entry), stage="sim"
             )
-            doc["result"]["measured"] = req.measured(measured)
         return doc
 
     async def _bounds_only(self, req: MapRequest) -> dict:
@@ -631,27 +697,25 @@ class MappingService:
     # -- blocking work (pool threads) ----------------------------------------
 
     def _solve_sync(self, req: MapRequest) -> dict:
-        """Blocking solve in request labels; returns the canonical entry."""
+        """Blocking solve; returns the cache entry (``perm`` keeps the pad tiles)."""
         t0 = time.perf_counter()
         with reqtrace.span("worker.solve", algorithm=req.algorithm) as solve_span:
             instance = self._request_instance(req)
             result = ALGORITHMS[req.algorithm](instance)
             solve_span.set(max_apl=result.evaluation.max_apl)
-        canon, evaluation = req.canon, result.evaluation
-        perm = result.mapping.perm
-        apls = [
-            None if v != v else float(v)  # NaN (idle app) -> None
-            for v in evaluation.apls[: canon.n_apps]
-        ]
+        evaluation = result.evaluation
         entry = {
-            "algorithm": req.algorithm,
-            "perm": canon.perm_to_canonical(perm),
-            "pad_tiles": [int(t) for t in perm[canon.problem.n_threads:]],
-            "apls": canon.by_app_to_canonical(apls),
-            "max_apl": evaluation.max_apl,
-            "dev_apl": evaluation.dev_apl,
-            "g_apl": evaluation.g_apl,
-            "min_max_ratio": evaluation.min_max_ratio,
+            "perm": result.mapping.perm,
+            "evaluation": {
+                "apls": [
+                    None if v != v else float(v)  # NaN (idle app) -> None
+                    for v in evaluation.apls[: len(req.problem.apps)]
+                ],
+                "max_apl": evaluation.max_apl,
+                "dev_apl": evaluation.dev_apl,
+                "g_apl": evaluation.g_apl,
+                "min_max_ratio": evaluation.min_max_ratio,
+            },
             "bounds": None,
         }
         if req.want_bounds:
@@ -688,15 +752,12 @@ class MappingService:
             return simulator.run(warmup=sim["warmup"], measure=sim["measure"])
 
     async def _simulate(self, req: MapRequest, entry: dict) -> dict:
-        """Measure a solved entry's mapping; returns the canonical sim entry."""
+        """Measure a solved entry's mapping; returns the sim entry."""
         from repro.noc.traffic import MappedWorkloadTraffic
 
-        canon, sim = req.canon, req.sim
+        sim = req.sim
         instance = self._request_instance(req)
-        mapping = Mapping(
-            canon.perm_from_canonical(entry["perm"])
-            + [int(t) for t in entry["pad_tiles"]]
-        )
+        mapping = Mapping(entry["perm"])
         if not sim["invariants"]:
             # The batchable common case: coalesce with whatever arrives
             # inside the micro-batch window.
@@ -709,13 +770,11 @@ class MappingService:
                 self._simulate_single_sync, instance, mapping, sim
             )
         payload = measured_payload(result)
-        # Store per-app containers in canonical order so relabeled
-        # duplicates translate cleanly.
+        # Per-app containers become lists in app order (None for an app
+        # that delivered nothing).
         for keyed, name in (("apl_by_app", "apls"), ("percentiles_by_app", "percentiles")):
             by_app = payload.pop(keyed)
-            payload[name] = canon.by_app_to_canonical(
-                [by_app.get(str(i)) for i in range(canon.n_apps)]
-            )
+            payload[name] = [by_app.get(str(i)) for i in range(len(req.problem.apps))]
         payload.update((knob, sim[knob]) for knob in ("warmup", "measure", "seed"))
         return _roundtrip(payload)
 

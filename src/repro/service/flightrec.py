@@ -1,6 +1,6 @@
 """The service flight recorder: the last N completed requests, in full.
 
-A bounded ring of per-request forensic records — canonical fingerprint,
+A bounded ring of per-request forensic records — problem fingerprint,
 cache outcome, status, error, and the request's complete span tree as
 collected by :mod:`repro.obs.reqtrace`.  The ring is dumped by
 ``GET /debug/requests``, logged on any 5xx response, and rendered

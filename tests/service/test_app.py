@@ -12,8 +12,15 @@ import json
 
 import pytest
 
+from repro.core.bounds import max_apl_lower_bound
+from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
+from repro.core.problem import OBMInstance
+from repro.core.registry import ALGORITHMS
+from repro.core.workload import Application, Workload
+from repro.experiments.resilience import json_safe
 from repro.noc import cc_kernel
 from repro.service.app import MappingService
+from repro.workloads.parsec import CONFIG_NAMES, parsec_config
 
 
 SIM_FAST = {"warmup": 50, "measure": 400}
@@ -30,6 +37,66 @@ def relabel(spec):
     return {
         **spec,
         "apps": [flip(a1, [1, 0]), flip(a0, [2, 0, 3, 1])],
+    }
+
+
+def direct_result(spec, algorithm="sss") -> dict:
+    """The ``result`` a direct solve plus bound of ``spec`` gives, no service."""
+    model = MeshLatencyModel(Mesh.square(spec["mesh"]), LatencyParams())
+    apps = tuple(
+        Application(a["name"], a["cache_rates"], a["mem_rates"]) for a in spec["apps"]
+    )
+    instance = OBMInstance(model, Workload(apps))
+    solved = ALGORITHMS[algorithm](instance)
+    lb = max_apl_lower_bound(instance)
+    evaluation = solved.evaluation
+    return json.loads(json.dumps(json_safe({
+        "algorithm": algorithm,
+        "apps": [a.name for a in apps],
+        "perm": solved.mapping.perm[: sum(a.n_threads for a in apps)],
+        "evaluation": {
+            "apls": evaluation.apls[: len(apps)],
+            "max_apl": evaluation.max_apl,
+            "dev_apl": evaluation.dev_apl,
+            "g_apl": evaluation.g_apl,
+            "min_max_ratio": evaluation.min_max_ratio,
+        },
+        "bounds": {**lb.as_dict(), "gap": lb.gap(evaluation.max_apl)},
+    })))
+
+
+def paper_spellings(config: str) -> dict:
+    """Three spellings of one paper configuration on the 8x8 chip.
+
+    ``exact`` is what ``"workload": config`` expands to; ``relabeled``
+    reverses the apps, rotates each app's threads and renames the apps;
+    ``noisy`` scales every rate by ``1 + 3e-13``, far below any rounding
+    a cache could be tempted to apply.
+    """
+    workload = parsec_config(config, threads_per_app=16)
+    exact = [
+        {"name": a.name, "cache_rates": a.cache_rates.tolist(), "mem_rates": a.mem_rates.tolist()}
+        for a in workload.applications
+    ]
+    relabeled = [
+        {
+            "name": f"x{i}",
+            "cache_rates": a["cache_rates"][1:] + a["cache_rates"][:1],
+            "mem_rates": a["mem_rates"][1:] + a["mem_rates"][:1],
+        }
+        for i, a in enumerate(reversed(exact))
+    ]
+    noisy = [
+        {
+            **a,
+            "cache_rates": [r * (1 + 3e-13) for r in a["cache_rates"]],
+            "mem_rates": [r * (1 + 3e-13) for r in a["mem_rates"]],
+        }
+        for a in exact
+    ]
+    return {
+        name: {"mesh": 8, "apps": apps}
+        for name, apps in (("exact", exact), ("relabeled", relabeled), ("noisy", noisy))
     }
 
 
@@ -89,6 +156,11 @@ class TestHTTPEndpoints:
             lambda s: {**s, "mesh": 1},  # 6 threads on 1 tile
             lambda s: {**s, "sim": {"engine": "vector-jit"}},  # engine removed
             lambda s: {**s, "sim": {"engine": "vector"}},  # the run picks the engine
+            lambda s: {**s, "bounds": "false"},  # flags are JSON booleans
+            lambda s: {**s, "simulate": "no"},
+            lambda s: {**s, "simulate": True, "sim": {"invariants": "false"}},
+            lambda s: {**s, "sim": {"warmup": 10.9}},  # sim knobs are JSON integers
+            lambda s: {**s, "sim": {"seed": -1}},
         ],
     )
     def test_malformed_requests_are_400(self, client, spec2, mutate):
@@ -116,23 +188,18 @@ class TestCacheSemantics:
         assert second["result"] == first["result"]
         assert client.service.cache.hits == 1
 
-    def test_relabeled_request_shares_the_entry_with_translated_results(
-        self, client, spec2
-    ):
+    def test_relabeled_request_misses_and_equals_its_direct_solve(self, client, spec2):
         base = client.map(spec2)
         other = client.map(relabel(spec2))
-        assert other["meta"]["cache"] == "hit"
-        assert other["meta"]["fingerprint"] == base["meta"]["fingerprint"]
-        # Per-app values follow the requester's app order...
-        assert other["result"]["evaluation"]["apls"] == base["result"]["evaluation"]["apls"][::-1]
-        # ...and the permutation follows the requester's thread labels:
-        # app "light" threads [0, 1] come first, reordered [1, 0]; then
-        # "heavy" threads in order [2, 0, 3, 1].
-        b, o = base["result"]["perm"], other["result"]["perm"]
-        assert o == [b[5], b[4], b[2], b[0], b[3], b[1]]
-        # Scalar metrics are label-free and identical.
-        assert other["result"]["evaluation"]["max_apl"] == base["result"]["evaluation"]["max_apl"]
-        assert other["result"]["bounds"] == base["result"]["bounds"]
+        assert other["meta"]["cache"] == "miss"
+        assert other["meta"]["fingerprint"] != base["meta"]["fingerprint"]
+        assert other["result"] == direct_result(relabel(spec2))
+        # Names are not part of the problem: a renamed spelling shares the entry.
+        renamed = json.loads(json.dumps(spec2))
+        renamed["apps"][0]["name"] = "other"
+        again = client.map(renamed)
+        assert again["meta"] == {**base["meta"], "cache": "hit"}
+        assert again["result"] == {**base["result"], "apps": ["other", "light"]}
 
     def test_parameter_change_is_a_different_entry(self, client, spec2):
         base = client.map(spec2)
@@ -182,6 +249,37 @@ class TestCacheSemantics:
         )
         assert status == 504
         assert "timed out" in payload["error"]
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_every_spelling_is_answered_by_its_own_direct_solve(config):
+    """Served == direct for every spelling of C1-C8, whatever the cache holds.
+
+    The exact spelling fills the cache first, so a cache that keyed a
+    relabeled or noisy spelling onto it would answer with its numbers.
+    Each spelling is then sent twice at once (a miss and a coalesced
+    duplicate) and once more (a hit): all three are the same bytes.
+    """
+    service = MappingService(workers=2)
+    spellings = paper_spellings(config)
+
+    async def scenario():
+        served = {}
+        for name, spec in spellings.items():
+            pair = await asyncio.gather(*[service.map_request(spec) for _ in range(2)])
+            served[name] = [*pair, await service.map_request(spec)]
+        return served
+
+    served = asyncio.run(scenario())
+    fingerprints = set()
+    for name, spec in spellings.items():
+        docs = served[name]
+        expected = json.dumps(direct_result(spec), sort_keys=True)
+        for doc in docs:
+            assert json.dumps(doc["result"], sort_keys=True) == expected, name
+        assert [d["meta"]["cache"] for d in docs] == ["miss", "coalesced", "hit"], name
+        fingerprints.add(docs[0]["meta"]["fingerprint"])
+    assert len(fingerprints) == len(spellings)
 
 
 class TestFallbackSurfacing:
