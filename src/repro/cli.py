@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrade", choices=["off", "auto", "bounds_only"],
         default="auto",
         help="degradation ladder mode: 'auto' answers with the certified "
-        "bound alone under admission pressure or a deadline too short for "
-        "a solve, 'off' never degrades, 'bounds_only' always does "
+        "bound alone under admission pressure, 'off' never degrades, "
+        "'bounds_only' always does "
         "(requests with \"bounds\": false or \"degrade\": false are "
         "always solved)",
     )

@@ -8,7 +8,8 @@ Layers (each usable on its own):
   blocking solve/simulation once (optional per-task timeout).
 - :mod:`repro.service.batcher` — micro-batching of simulation requests
   onto the vector engine's ``run_batch``.
-- :mod:`repro.service.admission` — admission control and deadlines.
+- :mod:`repro.service.admission` — admission control: the token pool,
+  its bounded queue and the sheds.
 - :mod:`repro.service.degrade` — the two-level degradation ladder
   (``full`` and ``bounds_only``).
 - :mod:`repro.service.flightrec` — the ring of recent request records.

@@ -1,148 +1,32 @@
-"""Admission control and deadline propagation.
+"""Admission control: a bounded token pool that sheds instead of queueing forever.
 
 The serving layer's overload contract mirrors the paper's mapping
-contract: bound the worst case instead of letting tails collapse.  Two
-mechanisms, composed by :mod:`repro.service.app`:
+contract: bound the worst case instead of letting tails collapse.
+:class:`AdmissionController` is a token pool of ``max_inflight``
+concurrent requests plus a bounded FIFO queue of ``max_queue`` waiters.
+A request that finds the queue full is *shed* immediately
+(:class:`ShedError` → HTTP 429/503 with ``Retry-After``) instead of
+queueing without bound; the retry hint is computed from an EWMA of
+recent service times and the current queue depth, so clients back off
+proportionally to actual load.  Shedding is O(1) and happens before the
+request touches the cache, a worker slot, or a batch seat.
 
-**Admission control** (:class:`AdmissionController`) — a token pool of
-``max_inflight`` concurrent requests plus a bounded FIFO queue of
-``max_queue`` waiters.  A request that finds the queue full is *shed*
-immediately (:class:`ShedError` → HTTP 429/503 with ``Retry-After``)
-instead of queueing without bound; the retry hint is computed from an
-EWMA of recent service times and the current queue depth, so clients
-back off proportionally to actual load.  Shedding is O(1) and happens
-before the request touches the cache, a worker slot, or a batch seat.
-
-**Deadline propagation** (:class:`Deadline` + a ``contextvars`` scope) —
-each request carries a monotonic-clock deadline derived from its
-``timeout`` field or the daemon's ``--default-deadline``.  The deadline
-rides the request context through canonicalize → cache fill → worker
-solve → batcher enqueue; every stage that would claim a scarce resource
-(admission queue slot, worker thread, batch seat) checks it first and
-raises :class:`DeadlineExpired` — a ``TimeoutError`` subclass, so the
-HTTP layer's 504 path handles it — rather than doing work nobody will
-read.  Single-flight cache fills deliberately *detach* the deadline
-(:func:`detach_deadline`): a fill serves every future duplicate, so it
-runs to completion even when the requester that started it timed out.
+A request's ``timeout`` is not checked here: :mod:`repro.service.app`
+wraps the whole request in one ``asyncio.wait_for``, and a waiter that
+times out is cancelled, which gives up its queue seat (or, if its token
+was granted in the same tick, hands the token straight on).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import contextvars
 import math
 import threading
 import time
 from collections import deque
 
-__all__ = [
-    "AdmissionController",
-    "Deadline",
-    "DeadlineExpired",
-    "EwmaEstimate",
-    "ShedError",
-    "count_expired",
-    "current_deadline",
-    "deadline_scope",
-    "detach_deadline",
-    "refuse_expired",
-]
-
-
-# ----------------------------------------------------------------------
-# Deadlines
-# ----------------------------------------------------------------------
-
-
-class DeadlineExpired(asyncio.TimeoutError):
-    """The request's deadline passed before the work could be done.
-
-    Subclasses ``asyncio.TimeoutError`` so every existing 504 handler
-    catches it; ``stage`` names the resource the request was waiting
-    for when it expired (``queue`` / ``worker`` / ``batch``).
-    """
-
-    def __init__(self, stage: str = "request") -> None:
-        super().__init__(f"deadline expired before {stage}")
-        self.stage = stage
-
-
-class Deadline:
-    """A monotonic-clock deadline; ``budget=None`` means unbounded."""
-
-    __slots__ = ("budget", "at")
-
-    def __init__(self, budget: float | None) -> None:
-        if budget is not None:
-            budget = float(budget)
-            if not budget > 0:  # NaN included
-                raise ValueError(f"deadline budget must be positive, got {budget}")
-        self.budget = budget
-        self.at = None if budget is None else time.monotonic() + budget
-
-    def remaining(self) -> float | None:
-        """Seconds left (clamped at 0), or None when unbounded."""
-        if self.at is None:
-            return None
-        return max(0.0, self.at - time.monotonic())
-
-    @property
-    def expired(self) -> bool:
-        return self.at is not None and time.monotonic() >= self.at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Deadline(budget={self.budget}, remaining={self.remaining()})"
-
-
-#: The active request deadline; None = no deadline (or detached fill).
-_DEADLINE: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
-    "repro_serve_deadline", default=None
-)
-
-
-def current_deadline() -> Deadline | None:
-    """The deadline carried by the calling context, if any."""
-    return _DEADLINE.get()
-
-
-def count_expired(registry, stage: str) -> None:
-    """Count one request whose deadline passed before ``stage`` claimed a resource."""
-    if registry is not None:
-        registry.counter(
-            "serve_deadline_expired_total",
-            "requests whose deadline expired before a resource was claimed",
-            at=stage,
-        ).inc()
-
-
-def refuse_expired(registry, stage: str) -> None:
-    """Raise (and count) :class:`DeadlineExpired` once the context deadline passed."""
-    deadline = _DEADLINE.get()
-    if deadline is not None and deadline.expired:
-        count_expired(registry, stage)
-        raise DeadlineExpired(stage)
-
-
-@contextlib.contextmanager
-def deadline_scope(deadline: Deadline | None):
-    """Bind ``deadline`` to the current context for the ``with`` body."""
-    token = _DEADLINE.set(deadline)
-    try:
-        yield deadline
-    finally:
-        _DEADLINE.reset(token)
-
-
-def detach_deadline() -> None:
-    """Clear the deadline inside the *current* task.
-
-    Called at the top of single-flight cache-fill tasks: the fill's
-    result outlives the requester that started it (it serves every
-    later duplicate — the satellite-1 regression pins this), so the
-    fill must not inherit that requester's deadline.
-    """
-    _DEADLINE.set(None)
+__all__ = ["AdmissionController", "EwmaEstimate", "ShedError"]
 
 
 # ----------------------------------------------------------------------
@@ -193,11 +77,11 @@ class EwmaEstimate:
 
 
 class AdmissionController:
-    """Token/queue-based admission with load shedding and deadline awareness.
+    """Token/queue-based admission with load shedding.
 
     ``async with controller.admit():`` either grants one of
     ``max_inflight`` tokens immediately, waits FIFO in a queue bounded
-    by ``max_queue`` (respecting the context deadline), or raises
+    by ``max_queue``, or raises
     :class:`ShedError` when the queue is full or ``health()`` reports a
     server-side reason to refuse work.
     """
@@ -300,7 +184,6 @@ class AdmissionController:
             if refusal is not None:
                 reason, status = refusal
                 raise self.shed(reason, status=status)
-        refuse_expired(self._registry, "queue")
         if self.inflight < self.max_inflight and not self._waiters:
             self.inflight += 1
             self.admitted_total += 1
@@ -311,18 +194,8 @@ class AdmissionController:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters.append(future)
         self._set_gauges()
-        deadline = current_deadline()
         try:
-            if deadline is None:
-                await future
-            else:
-                try:
-                    await asyncio.wait_for(
-                        asyncio.shield(future), deadline.remaining()
-                    )
-                except asyncio.TimeoutError:
-                    count_expired(self._registry, "queue")
-                    raise DeadlineExpired("queue") from None
+            await future
         except BaseException:
             if future.done() and not future.cancelled():
                 # The token was granted in the same tick the wait gave

@@ -44,10 +44,13 @@ Overload behaviour
 ------------------
 Admission control (:mod:`repro.service.admission`) bounds concurrency
 and queueing; excess work is shed with 429/503 + ``Retry-After``.  Under
-pressure or an infeasible deadline the degradation ladder
-(:mod:`repro.service.degrade`) answers with the request's certified
-bound alone instead of a solve: full → bounds-only.  Every answer is
-about the request's own instance.  A wedged or failed worker task fails
+pressure the degradation ladder (:mod:`repro.service.degrade`) answers
+with the request's certified bound alone instead of a solve: full →
+bounds-only.  A request's ``timeout`` (or ``--default-deadline``) is one
+``asyncio.wait_for`` around everything after parsing: when it elapses
+the request answers 504, a queued admission seat is given up, and any
+cache fill it started runs on (shielded) to serve the retry.  Every
+answer is about the request's own instance.  A wedged or failed worker task fails
 only the requests waiting on it; the solver backend resolved at
 start-up serves every solve.
 
@@ -86,16 +89,7 @@ from repro.experiments.resilience import config_fingerprint, json_safe
 from repro.obs import reqtrace
 from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.reqtrace import SpanTracer
-from repro.service.admission import (
-    AdmissionController,
-    Deadline,
-    DeadlineExpired,
-    EwmaEstimate,
-    ShedError,
-    count_expired,
-    deadline_scope,
-    detach_deadline,
-)
+from repro.service.admission import AdmissionController, ShedError
 from repro.service.batcher import SimulationBatcher
 from repro.service.cache import LRUCache, ModelMemo
 from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
@@ -157,11 +151,43 @@ class Problem:
         return sum(len(cache) for cache, _mem in self.apps)
 
 
+# JSON types are compared exactly: bool is an int subclass, and a string
+# or a fraction must not be cast into a different problem.
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is out of range") from None
+
+
+def _rates(values, what: str) -> np.ndarray:
+    if not isinstance(values, list) or not {type(v) for v in values} <= {int, float}:
+        raise ValueError(f"{what} must be a list of JSON numbers")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
+
+
 def _mesh_shape(mesh_doc) -> tuple[int, int]:
     """``(rows, cols)`` of a request's ``mesh``: a side length or ``{rows, cols}``."""
     if isinstance(mesh_doc, dict):
-        return int(mesh_doc["rows"]), int(mesh_doc["cols"])
-    return int(mesh_doc), int(mesh_doc)
+        return (
+            _integer(mesh_doc["rows"], "mesh rows"),
+            _integer(mesh_doc["cols"], "mesh cols"),
+        )
+    side = _integer(mesh_doc, "mesh")
+    return side, side
 
 
 def canonicalize(spec: dict) -> Problem:
@@ -181,7 +207,8 @@ def canonicalize(spec: dict) -> Problem:
     if unknown:
         raise ValueError(f"unknown latency params: {sorted(unknown)}")
     params = tuple(
-        float(params_doc.get(name, getattr(defaults, name))) for name in _PARAM_FIELDS
+        _number(params_doc.get(name, getattr(defaults, name)), f"params.{name}")
+        for name in _PARAM_FIELDS
     )
     if not all(math.isfinite(p) and p >= 0 for p in params):
         raise ValueError("latency params must be finite and non-negative")
@@ -191,10 +218,10 @@ def canonicalize(spec: dict) -> Problem:
         raise ValueError("spec needs a non-empty 'apps' list")
     apps = []
     for a in apps_doc:
-        cache = np.asarray(a["cache_rates"], dtype=float)
-        mem = np.asarray(a["mem_rates"], dtype=float)
-        if cache.ndim != 1 or cache.shape != mem.shape or cache.size == 0:
-            raise ValueError("each app needs equal-length 1-D non-empty rate lists")
+        cache = _rates(a["cache_rates"], "cache_rates")
+        mem = _rates(a["mem_rates"], "mem_rates")
+        if cache.shape != mem.shape or cache.size == 0:
+            raise ValueError("each app needs equal-length non-empty rate lists")
         if np.any(cache < 0) or np.any(mem < 0) or not (
             np.all(np.isfinite(cache)) and np.all(np.isfinite(mem))
         ):
@@ -263,7 +290,7 @@ class MapRequest:
     want_bounds: bool
     simulate: bool
     sim: dict
-    budget: float | None  #: deadline seconds: the request's ``timeout`` or the default
+    budget: float | None  #: timeout seconds: the request's ``timeout`` or the default
     allow_degrade: bool
 
     @property
@@ -370,8 +397,6 @@ class MappingService:
             health=self._admission_health,
         )
         self.degrade = DegradeController(degrade, registry=self.registry)
-        #: EWMA of one full solve's wall cost, feeding degrade decisions.
-        self.solve_cost = EwmaEstimate()
         self._m_latency = self.registry.histogram(
             "serve_request_seconds",
             "end-to-end /map request latency",
@@ -516,7 +541,7 @@ class MappingService:
             raise RequestError("sim.warmup and sim.seed must be >= 0 and sim.measure > 0")
         timeout = spec.get("timeout")
         if timeout is not None:
-            timeout = float(timeout)
+            timeout = _number(timeout, "timeout")
             # json.loads accepts NaN and Infinity; neither is a budget.
             if not math.isfinite(timeout):
                 raise RequestError("timeout must be finite")
@@ -565,32 +590,28 @@ class MappingService:
             algorithm=req.algorithm,
             simulate=req.simulate,
         )
-        deadline = None if req.budget is None else Deadline(req.budget)
         try:
-            with deadline_scope(deadline):
-                # timeout=None awaits in this task, exactly like a bare await
-                doc = await asyncio.wait_for(
-                    self._admitted(req, deadline),
-                    timeout=None if deadline is None else deadline.remaining(),
-                )
-        except DeadlineExpired:
-            raise  # already counted at the stage that refused
+            # timeout=None awaits in this task, exactly like a bare await
+            doc = await asyncio.wait_for(self._admitted(req), timeout=req.budget)
         except asyncio.TimeoutError:
-            if deadline is not None:
-                count_expired(self.registry, "request")
+            # A --task-timeout raises the same error before the budget is
+            # spent; only a spent budget is an expired request.
+            if req.budget is not None and time.perf_counter() - t0 >= req.budget:
+                self.registry.counter(
+                    "serve_deadline_expired_total",
+                    "requests whose timeout elapsed before they were answered",
+                ).inc()
             raise
         finally:
             self._m_latency.observe(time.perf_counter() - t0)
         self._m_requests.inc()
         return doc
 
-    async def _admitted(self, req: MapRequest, deadline: Deadline | None) -> dict:
+    async def _admitted(self, req: MapRequest) -> dict:
         """Admit, choose a ladder level, and answer at that level."""
         async with self.admission.admit():
             level = self.degrade.level_for(
                 pressure=self.admission.pressure,
-                remaining=None if deadline is None else deadline.remaining(),
-                estimate=self.solve_cost.value,
                 # a request that declined the bound is never answered with it
                 allow=req.allow_degrade and req.want_bounds,
             )
@@ -666,10 +687,8 @@ class MappingService:
             return entry, "hit"
 
         async def fill():
-            # A fill outlives its requester: it serves every later
-            # duplicate, so it must not inherit the requester's deadline
-            # (a timed-out unique problem is still a cache hit on retry).
-            detach_deadline()
+            # Shielded below: a fill outlives a requester that timed out,
+            # so a timed-out unique problem is still a cache hit on retry.
             entry = await compute()
             self.cache.put(key, entry)
             return entry
@@ -698,7 +717,6 @@ class MappingService:
 
     def _solve_sync(self, req: MapRequest) -> dict:
         """Blocking solve; returns the cache entry (``perm`` keeps the pad tiles)."""
-        t0 = time.perf_counter()
         with reqtrace.span("worker.solve", algorithm=req.algorithm) as solve_span:
             instance = self._request_instance(req)
             result = ALGORITHMS[req.algorithm](instance)
@@ -728,7 +746,6 @@ class MappingService:
                 help="relative gap between achieved max-APL and certified lower bound",
                 algorithm=req.algorithm,
             )
-        self.solve_cost.observe(time.perf_counter() - t0)
         return _roundtrip(entry)
 
     def _bounds_sync(self, req: MapRequest) -> dict:
@@ -927,9 +944,9 @@ async def serve(
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             status, payload = 400, {"error": f"invalid JSON body: {exc}"}
         except asyncio.TimeoutError:
-            # Includes DeadlineExpired; the hint tells clients when a
-            # retry is likely to finish in time (and hit the cache the
-            # timed-out fill is still warming).
+            # The request's timeout or a --task-timeout; the hint tells
+            # clients when a retry is likely to finish in time (and hit
+            # the cache the timed-out fill is still warming).
             retry_after = service.admission.retry_after()
             status, payload = 504, {
                 "error": "request timed out", "retry_after": retry_after,

@@ -16,8 +16,11 @@ and same warmup/measure windows.  The first request of a group arms a
 micro-batch window (``window`` seconds); the flush fires when the window
 expires or the group reaches ``max_batch``, whichever comes first, and
 runs the batch once on the :class:`~repro.service.workers.WorkerPool`.
-Requests whose future was cancelled (client gone, request timed out)
-are dropped at flush time instead of simulating for nobody.
+The service submits from inside a shielded cache fill, so a request
+that times out leaves its member queued: the fill finishes and caches
+the measurement for a retry.  A member whose future is cancelled anyway
+(a direct caller of :meth:`SimulationBatcher.submit` that gave up) is
+dropped at flush time instead of simulating for nobody.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 
 from repro.noc.vector_engine import run_batch
 from repro.obs import reqtrace
-from repro.service.admission import DeadlineExpired, count_expired, current_deadline
 
 __all__ = ["BatchRequest", "SimulationBatcher"]
 
@@ -48,8 +50,6 @@ class BatchRequest:
     trace_id: int | None = None
     #: how many requests shared this request's run_batch call
     occupancy: int = 0
-    #: the submitting request's deadline (None = unbounded or detached)
-    deadline: object = None
 
 
 class SimulationBatcher:
@@ -103,7 +103,6 @@ class SimulationBatcher:
         request = BatchRequest(mesh, traffic, int(warmup), int(measure))
         request.future = loop.create_future()
         request.trace_id = reqtrace.current_trace_id()
-        request.deadline = current_deadline()
         key = (mesh.rows, mesh.cols, request.warmup, request.measure)  # batchable group
         with reqtrace.span("batch.enqueue") as enq:
             group = self._pending.setdefault(key, [])
@@ -122,17 +121,7 @@ class SimulationBatcher:
         timer = self._timers.pop(key, None)
         if timer is not None:
             timer.cancel()
-        batch = []
-        for r in self._pending.pop(key, []):
-            if r.future.cancelled():
-                continue
-            if r.deadline is not None and r.deadline.expired:
-                # Expired work never claims a batch seat: answer the
-                # waiter (if any is left) instead of simulating for it.
-                count_expired(self._registry, "batch")
-                r.future.set_exception(DeadlineExpired("batch"))
-                continue
-            batch.append(r)
+        batch = [r for r in self._pending.pop(key, []) if not r.future.cancelled()]
         self._set_depth()
         if not batch:
             return

@@ -18,10 +18,9 @@ own instance.  The ladder has two levels:
 
 Admission's bounded queue is the only shed (429/503 + ``Retry-After``).
 
-:class:`DegradeController` picks the level from admission pressure and
-the request's remaining deadline vs the EWMA full-solve cost; requests
-can opt out (``"degrade": false``) and operators can force a level or
-disable the ladder (``--degrade``).  Every degraded answer is counted in
+:class:`DegradeController` picks the level from admission pressure;
+requests can opt out (``"degrade": false``) and operators can force a
+level or disable the ladder (``--degrade``).  Every degraded answer is counted in
 ``serve_degraded_total{level}`` and marked in ``meta.degraded``, the
 request span, and the flight recorder — a degraded response is never
 silently passed off as a full-fidelity one.
@@ -34,18 +33,16 @@ __all__ = ["LEVEL_FULL", "LEVEL_BOUNDS", "DegradeController"]
 LEVEL_FULL = "full"
 LEVEL_BOUNDS = "bounds_only"
 
-#: Operator modes: "off" never degrades, "auto" follows load/deadline,
+#: Operator modes: "off" never degrades, "auto" follows load,
 #: a level name forces that level for every degradable request.
 MODES = ("off", "auto", LEVEL_BOUNDS)
 
 #: Admission pressure at which ``auto`` answers ``bounds_only``.
 BOUNDS_PRESSURE = 0.5
-#: ``auto`` degrades when the deadline left is under this many EWMA solves.
-DEADLINE_MARGIN = 1.5
 
 
 class DegradeController:
-    """Chooses a ladder level per request from load and deadline signals."""
+    """Chooses a ladder level per request from admission pressure."""
 
     def __init__(self, mode: str = "auto", *, registry=None) -> None:
         if mode not in MODES:
@@ -53,37 +50,18 @@ class DegradeController:
         self.mode = mode
         self._registry = registry
 
-    def level_for(
-        self,
-        *,
-        pressure: float,
-        remaining: float | None = None,
-        estimate: float | None = None,
-        allow: bool = True,
-    ) -> str:
+    def level_for(self, *, pressure: float, allow: bool = True) -> str:
         """The ladder level for one request (``shed`` never comes from here).
 
-        ``pressure`` is admission-pipe occupancy in [0, 1]; ``remaining``
-        the request's deadline budget; ``estimate`` the EWMA cost of a
-        full solve.  ``allow=False`` (client opted out, or declined the
-        bound) always yields ``full`` — such a request is either served
-        fully or shed.
+        ``pressure`` is admission-pipe occupancy in [0, 1].
+        ``allow=False`` (client opted out, or declined the bound) always
+        yields ``full`` — such a request is either served fully or shed.
         """
         if self.mode == "off" or not allow:
             return LEVEL_FULL
         if self.mode != "auto":
             return self.mode
-        if pressure >= BOUNDS_PRESSURE:
-            return LEVEL_BOUNDS
-        if (
-            remaining is not None
-            and estimate is not None
-            and remaining < estimate * DEADLINE_MARGIN
-        ):
-            # The full answer cannot land inside the deadline: degrading
-            # now beats accepting work that will time out on a worker.
-            return LEVEL_BOUNDS
-        return LEVEL_FULL
+        return LEVEL_BOUNDS if pressure >= BOUNDS_PRESSURE else LEVEL_FULL
 
     def record(self, level: str) -> None:
         """Count one served degraded answer (no-op for ``full``)."""

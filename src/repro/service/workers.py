@@ -14,7 +14,9 @@ processes would cost more than it buys.  A *wedged* task cannot be
 preempted — when the optional per-task timeout (``serve
 --task-timeout``) expires, its daemon thread is abandoned (counted as
 ``pool_replacements``) and its semaphore slot is reclaimed so unrelated
-requests keep flowing.
+requests keep flowing.  That per-task timeout is the pool's only clock:
+the service runs every task inside a shielded cache fill, so a
+request's own ``timeout`` answers its client without stopping the task.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 
 from repro.experiments.resilience import json_safe
 from repro.obs import reqtrace
-from repro.service.admission import refuse_expired
 
 __all__ = ["RunReport", "WorkerPool"]
 
@@ -140,16 +141,12 @@ class WorkerPool:
     async def run(self, fn, *args):
         """Run ``fn(*args)`` off-loop exactly once; returns its value.
 
-        An expired context deadline is refused *before* a worker slot is
-        claimed (and re-checked after the semaphore wait) — expired work
-        never occupies a thread.  A failure (including a timeout) is
-        recorded and re-raised.
+        A failure (including a ``--task-timeout`` expiry) is recorded and
+        re-raised.
         """
         if self._registry is not None:
             self._m_tasks.inc()
-        refuse_expired(self._registry, "worker")
         async with self._semaphore():
-            refuse_expired(self._registry, "worker")
             self.report.cells_total += 1
             try:
                 value = await asyncio.wait_for(

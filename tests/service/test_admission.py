@@ -1,77 +1,99 @@
-"""Admission control and deadlines."""
+"""Admission control, and request timeouts end to end through ``map_request``."""
 
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.admission import (
-    AdmissionController,
-    Deadline,
-    DeadlineExpired,
-    EwmaEstimate,
-    ShedError,
-    current_deadline,
-    deadline_scope,
-    detach_deadline,
-)
+from repro.service.admission import AdmissionController, EwmaEstimate, ShedError
+from repro.service.app import MappingService, RequestError
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
+def expired_total(service) -> float:
+    return sum(
+        m.value for m in service.registry if m.name == "serve_deadline_expired_total"
+    )
+
+
+def hold_the_token(client, spec, hold: float) -> threading.Thread:
+    """Send ``spec`` with every solve slowed by ``hold`` seconds; return once
+    it holds the only admission token (``max_inflight=1``)."""
+    service = client.service
+    real_solve = service._solve_sync
+
+    def slow(*args, **kwargs):
+        time.sleep(hold)
+        return real_solve(*args, **kwargs)
+
+    service._solve_sync = slow
+    holder = threading.Thread(target=client.map, args=(spec,))
+    holder.start()
+    limit = time.monotonic() + 10
+    while service.admission.inflight < 1 and time.monotonic() < limit:
+        time.sleep(0.005)
+    assert service.admission.inflight == 1
+    return holder
+
+
+def other_problem(spec: dict) -> dict:
+    """``spec`` with its first rate changed: a distinct cache entry."""
+    apps = [dict(app) for app in spec["apps"]]
+    apps[0]["cache_rates"] = [2.5, *apps[0]["cache_rates"][1:]]
+    return {**spec, "apps": apps}
+
+
 class TestDeadline:
-    def test_unbounded_never_expires(self):
-        d = Deadline(None)
-        assert d.remaining() is None
-        assert not d.expired
+    """A request's ``timeout`` is one wait around everything after parsing."""
 
-    def test_budget_counts_down(self):
-        d = Deadline(60.0)
-        assert 0 < d.remaining() <= 60.0
-        assert not d.expired
+    def test_unbounded_never_expires(self, make_service, spec2):
+        client = make_service(max_inflight=1)
+        holder = hold_the_token(client, spec2, 0.2)
+        # No timeout and no --default-deadline: queue as long as it takes.
+        doc = client.map(other_problem(spec2))
+        holder.join(10)
+        assert doc["meta"]["cache"] == "miss"
+        assert expired_total(client.service) == 0
 
-    def test_tiny_budget_expires(self):
-        d = Deadline(1e-9)
-        assert d.expired
-        assert d.remaining() == 0.0
+    def test_budget_counts_down(self, make_service, spec2):
+        """The budget covers queue wait and solve together: 0.2 s queued
+        plus a 0.2 s solve overruns a 0.3 s timeout that either fits."""
+        client = make_service(max_inflight=1)
+        holder = hold_the_token(client, spec2, 0.2)
+        status, headers, _payload = client.request_full(
+            "POST", "/map", {**other_problem(spec2), "timeout": 0.3}
+        )
+        holder.join(10)
+        assert status == 504
+        assert int(headers["retry-after"]) >= 1
+        assert expired_total(client.service) == 1
 
-    def test_nonpositive_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(0)
-        with pytest.raises(ValueError):
-            Deadline(-1)
-
-    def test_scope_binds_and_restores(self):
-        d = Deadline(10)
-        assert current_deadline() is None
-        with deadline_scope(d):
-            assert current_deadline() is d
-        assert current_deadline() is None
-
-    def test_detach_clears_inside_task(self):
+    def test_tiny_budget_expires(self, spec2):
         async def main():
-            d = Deadline(10)
-            with deadline_scope(d):
-                async def fill():
-                    detach_deadline()
-                    return current_deadline()
-
-                # create_task copies the context: the fill sees the
-                # deadline until it detaches, and the detach does not
-                # leak back into the requester.
-                inner = await asyncio.get_running_loop().create_task(fill())
-                assert inner is None
-                assert current_deadline() is d
+            service = MappingService()
+            with pytest.raises(asyncio.TimeoutError):
+                await service.map_request({**spec2, "timeout": 1e-9})
+            assert service.admission.idle()
+            assert expired_total(service) == 1
 
         run(main())
 
-    def test_expired_is_a_timeout_subclass(self):
-        assert issubclass(DeadlineExpired, asyncio.TimeoutError)
-        assert DeadlineExpired("queue").stage == "queue"
+    def test_nonpositive_budget_rejected(self, spec2):
+        async def main():
+            service = MappingService()
+            for timeout in (0, -1, 0.0):
+                with pytest.raises(RequestError, match="positive"):
+                    await service.map_request({**spec2, "timeout": timeout})
+            assert service.admission.admitted_total == 0
+
+        run(main())
 
 
 class TestEwma:
@@ -122,38 +144,22 @@ class TestAdmission:
 
         run(main())
 
-    def test_expired_deadline_never_queues(self):
-        async def main():
-            adm = AdmissionController(max_inflight=1, max_queue=4)
-            with deadline_scope(Deadline(1e-9)):
-                with pytest.raises(DeadlineExpired):
-                    async with adm.admit():
-                        pass
-            assert adm.idle()
-
-        run(main())
-
-    def test_deadline_expires_while_queued(self):
-        async def main():
-            registry = MetricsRegistry()
-            adm = AdmissionController(max_inflight=1, max_queue=4, registry=registry)
-
-            async def holder():
-                async with adm.admit():
-                    await asyncio.sleep(0.1)
-
-            task = asyncio.get_running_loop().create_task(holder())
-            await asyncio.sleep(0.01)
-            with deadline_scope(Deadline(0.02)):
-                with pytest.raises(DeadlineExpired):
-                    async with adm.admit():
-                        pass
-            await task
-            assert adm.idle()
-            expired = registry.counter("serve_deadline_expired_total", at="queue")
-            assert expired.value == 1
-
-        run(main())
+    def test_deadline_expires_while_queued(self, make_service, spec2):
+        """A request queued behind the only token times out with a 504 and
+        gives its seat back; the holder then finishes and admission idles."""
+        client = make_service(max_inflight=1)
+        holder = hold_the_token(client, spec2, 0.3)
+        status, headers, payload = client.request_full(
+            "POST", "/map", {**other_problem(spec2), "timeout": 0.05}
+        )
+        assert status == 504
+        assert int(headers["retry-after"]) >= 1
+        assert payload["retry_after"] == int(headers["retry-after"])
+        admission = client.service.admission
+        assert admission.waiting == 0
+        holder.join(10)
+        assert admission.idle()
+        assert expired_total(client.service) == 1
 
     def test_health_hook_sheds_before_queueing(self):
         async def main():

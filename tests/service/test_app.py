@@ -161,6 +161,23 @@ class TestHTTPEndpoints:
             lambda s: {**s, "simulate": True, "sim": {"invariants": "false"}},
             lambda s: {**s, "sim": {"warmup": 10.9}},  # sim knobs are JSON integers
             lambda s: {**s, "sim": {"seed": -1}},
+            # mesh sides are JSON integers, params/timeout/rates JSON numbers
+            lambda s: {**s, "mesh": 4.7},
+            lambda s: {**s, "mesh": "4"},
+            lambda s: {**s, "mesh": {"rows": "3", "cols": 2.9}},
+            lambda s: {
+                **s,
+                "mesh": True,
+                "apps": [{"cache_rates": [1.0], "mem_rates": [0.5]}],
+            },
+            lambda s: {**s, "params": {"td_r": "2"}},
+            lambda s: {**s, "timeout": True},
+            lambda s: {**s, "timeout": "5"},
+            lambda s: {
+                **s,
+                "apps": [{"cache_rates": ["1.0", True], "mem_rates": [0.1, 0.2]}],
+            },
+            lambda s: {**s, "timeout": 10**400},  # beyond the float range
         ],
     )
     def test_malformed_requests_are_400(self, client, spec2, mutate):

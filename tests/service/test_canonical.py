@@ -89,6 +89,11 @@ class TestValidation:
             {"mesh": 2, "apps": [{"cache_rates": [1] * 5, "mem_rates": [1] * 5}]},
             {"mesh": 4, "params": {"bogus": 1}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
             {"mesh": 4, "params": {"td_q": float("nan")}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
+            {"mesh": 4.0, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
+            {"mesh": {"rows": 4, "cols": False}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
+            {"mesh": 4, "params": {"td_s": True}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
+            {"mesh": 4, "apps": [{"cache_rates": ["1"], "mem_rates": [1]}]},
+            {"mesh": 4, "apps": [{"cache_rates": [1], "mem_rates": [10**400]}]},
         ],
     )
     def test_malformed_specs_raise_value_error(self, spec):

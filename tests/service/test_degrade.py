@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from repro.core.registry import ALGORITHMS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import AdmissionController
 from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
@@ -14,7 +16,7 @@ from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
 class TestLevelSelection:
     def test_off_never_degrades(self):
         c = DegradeController("off")
-        assert c.level_for(pressure=1.0, remaining=0.0, estimate=10.0) == LEVEL_FULL
+        assert c.level_for(pressure=1.0) == LEVEL_FULL
 
     def test_opt_out_never_degrades(self):
         c = DegradeController("auto")
@@ -31,13 +33,6 @@ class TestLevelSelection:
         # bounds_only is the bottom rung: past it, admission's queue sheds.
         assert c.level_for(pressure=0.9) == LEVEL_BOUNDS
         assert c.level_for(pressure=1.0) == LEVEL_BOUNDS
-
-    def test_infeasible_deadline_degrades(self):
-        c = DegradeController("auto")
-        assert c.level_for(pressure=0.0, remaining=1.0, estimate=2.0) == LEVEL_BOUNDS
-        assert c.level_for(pressure=0.0, remaining=10.0, estimate=2.0) == LEVEL_FULL
-        # No estimate yet (cold service): assume feasible.
-        assert c.level_for(pressure=0.0, remaining=0.01, estimate=None) == LEVEL_FULL
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +128,24 @@ class TestDegradedServing:
         assert cli_main(argv) == 0
         served = json.dumps(doc["result"]["bounds"], sort_keys=True, separators=(",", ":"))
         assert served == capsys.readouterr().out.strip()
+
+    def test_short_timeout_is_solved_in_full(self, make_service, spec2, monkeypatch):
+        """A timeout is not a ladder signal: a request whose budget is
+        under 1.5 solve times, unloaded, still gets its own full solve."""
+        real_sss = ALGORITHMS["sss"]
+
+        def slow_sss(instance):
+            time.sleep(0.6)
+            return real_sss(instance)
+
+        monkeypatch.setitem(ALGORITHMS, "sss", slow_sss)
+        client = make_service(degrade="auto")
+        client.map(spec2)  # a 0.6 s solve has run
+        other = {**spec2, "mesh": 5, "timeout": 0.85}
+        doc = client.map(other)
+        assert doc["meta"]["cache"] == "miss"
+        assert "degraded" not in doc["meta"]
+        assert doc["result"]["perm"] is not None
 
     def test_unloaded_auto_stays_full_fidelity(self, make_service, spec2):
         client = make_service(degrade="auto")

@@ -1,8 +1,9 @@
 """Overload chaos: bursts, wedged and failing workers, deadlines, and graceful drain.
 
 The daemon's survival contract under hostile conditions: shed with
-retry hints instead of 500ing, never let expired or doomed work occupy
-a worker, and drain deterministically on shutdown.
+retry hints instead of 500ing, answer a timed-out request with a 504
+while its solve still fills the cache, and drain deterministically on
+shutdown.
 """
 
 from __future__ import annotations
@@ -286,6 +287,36 @@ class TestDeadlines:
             if m.name == "serve_deadline_expired_total"
         )
         assert total >= 1
+
+    def test_task_timeout_is_not_a_request_expiry(self, make_service, spec2):
+        """A --task-timeout 504 comes before the request's own budget is
+        spent, so it counts a wedged worker and no expired request."""
+        client = make_service(task_timeout=0.3)
+        service = client.service
+        real_solve = service._solve_sync
+        release = threading.Event()
+
+        def wedged(*args, **kwargs):
+            release.wait(1.0)
+            return real_solve(*args, **kwargs)
+
+        service._solve_sync = wedged
+        try:
+            t0 = time.monotonic()
+            status, headers, _payload = client.request_full(
+                "POST", "/map", {**spec2, "timeout": 5}
+            )
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+        assert status == 504
+        assert "retry-after" in headers
+        assert elapsed < 5
+        registry = service.registry
+        assert registry.counter("serve_worker_wedged_total").value == 1
+        assert sum(
+            m.value for m in registry if m.name == "serve_deadline_expired_total"
+        ) == 0
 
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), float("-inf")])
