@@ -13,7 +13,9 @@ from repro.noc.router import RouterConfig
 from repro.noc.routing import (
     ROUTE_FUNCTIONS,
     Port,
+    next_tile,
     route_path,
+    topology_tables,
     west_first_route,
     xy_route,
     yx_route,
@@ -67,6 +69,45 @@ class TestRouteFunctions:
         mesh = Mesh.square(3)
         for fn in ROUTE_FUNCTIONS.values():
             assert fn(mesh, 4, 4) == Port.LOCAL
+
+
+class TestTopologyTables:
+    """The vector engine's shared route/neighbour tables equal the scalar
+    route function and ``next_tile`` pair by pair."""
+
+    @pytest.mark.parametrize("routing", sorted(ROUTE_FUNCTIONS))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 5), (8, 8)])
+    def test_tables_match_scalar_functions(self, routing, shape):
+        mesh = Mesh(*shape)
+        T = mesh.n_tiles
+        route, nei = topology_tables(*shape, routing)
+        fn = ROUTE_FUNCTIONS[routing]
+        assert route.shape == (T * T,) and route.dtype == np.int64
+        for t in range(T):
+            for d in range(T):
+                assert route[t * T + d] == fn(mesh, t, d)
+        assert nei.shape == (T, len(Port)) and nei.dtype == np.int64
+        for t in range(T):
+            assert nei[t, Port.LOCAL] == -1
+            for port in (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH):
+                try:
+                    expected = next_tile(mesh, t, port)
+                except ValueError:
+                    expected = -1
+                assert nei[t, port] == expected
+
+    def test_tables_are_read_only(self):
+        route, nei = topology_tables(3, 5, "xy")
+        for table in (route, nei):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_routings_get_their_own_tables(self):
+        xy, _ = topology_tables(4, 4, "xy")
+        yx, _ = topology_tables(4, 4, "yx")
+        assert not np.array_equal(xy, yx)
+        assert topology_tables(4, 4, "xy")[0] is xy
 
 
 class TestNetworkRoutingOption:

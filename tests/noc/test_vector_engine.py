@@ -28,6 +28,7 @@ from repro.core.latency import LatencyParams, Mesh, MeshLatencyModel
 from repro.core.problem import OBMInstance
 from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance
+from repro.noc import routing
 from repro.noc.faults import FaultSchedule, LinkDownWindow
 from repro.noc.network import NetworkConfig
 from repro.noc.router import RouterConfig
@@ -111,6 +112,31 @@ def test_vector_matches_fastpath_on_network_variants(variant):
     vec = NoCSimulator(mesh, make(), cfg, engine="vector").run(warmup=200, measure=1000)
     assert _signature(vec) == _signature(fast)
     assert vec.engine == DEFAULT_ENGINE
+
+
+@needs_kernel
+def test_engines_of_one_shape_share_the_route_table(monkeypatch):
+    """The T x T route table is built once per (mesh shape, routing), not
+    once per engine; engines of that shape share the read-only arrays."""
+    mesh = Mesh(3, 5)
+    T = mesh.n_tiles
+    calls = []
+    xy = routing.ROUTE_FUNCTIONS["xy"]
+
+    def counting_xy(mesh, current, dst):
+        calls.append((current, dst))
+        return xy(mesh, current, dst)
+
+    monkeypatch.setitem(routing.ROUTE_FUNCTIONS, "xy", counting_xy)
+    routing.topology_tables.cache_clear()
+    try:
+        first, second = (
+            VectorEngine(mesh, [UniformRandomTraffic(T, 0.05, seed=s)]) for s in (1, 2)
+        )
+        assert len(calls) == T * T
+        assert first.ROUTE is second.ROUTE
+    finally:
+        routing.topology_tables.cache_clear()
 
 
 @needs_kernel

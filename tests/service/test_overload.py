@@ -342,7 +342,17 @@ class TestDeadlines:
 class TestGracefulDrain:
     def test_drain_finishes_inflight_and_sheds_new(self, make_service, spec2):
         client = make_service(drain_timeout=10.0)
-        _slow_solve(client.service, 0.4)
+        # Hold the in-flight solve until every shutdown-time probe is done,
+        # so the drain cannot finish (and stop the server) under them.
+        entered, release = threading.Event(), threading.Event()
+        real_solve = client.service._solve_sync
+
+        def held(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return real_solve(*args, **kwargs)
+
+        client.service._solve_sync = held
         inflight_result = {}
 
         def slow_request() -> None:
@@ -350,28 +360,31 @@ class TestGracefulDrain:
 
         t = threading.Thread(target=slow_request)
         t.start()
-        time.sleep(0.15)  # let it claim a worker
-        status, payload = client.post("/shutdown")
-        assert status == 200
-        assert payload["status"] == "draining"
-        # New work is refused immediately with a retry hint...
-        s_new, h_new, p_new = client.request_full("POST", "/map", _unique_spec(9))
-        assert s_new == 503
-        assert p_new["reason"] == "draining"
-        assert "retry-after" in h_new
-        # ...readiness goes false...
-        s_ready, ready_doc = client.get("/readyz")
-        assert s_ready == 503
-        assert ready_doc["status"] == "draining"
+        try:
+            assert entered.wait(30)  # it holds a worker
+            status, payload = client.post("/shutdown")
+            assert status == 200
+            assert payload["status"] == "draining"
+            # New work is refused immediately with a retry hint...
+            s_new, h_new, p_new = client.request_full("POST", "/map", _unique_spec(9))
+            assert s_new == 503
+            assert p_new["reason"] == "draining"
+            assert "retry-after" in h_new
+            # ...readiness goes false...
+            s_ready, ready_doc = client.get("/readyz")
+            assert s_ready == 503
+            assert ready_doc["status"] == "draining"
+            # A second shutdown is a no-op progress report, not a second drain.
+            status, payload = client.post("/shutdown")
+            assert status == 200
+            assert payload["status"] == "draining"
+        finally:
+            release.set()
         # ...and the in-flight request still completes at full fidelity.
         t.join(30)
         status, _headers, doc = inflight_result["r"]
         assert status == 200
         assert doc["result"]["perm"] is not None
-        # A second shutdown is a no-op progress report, not a second drain.
-        status, payload = client.post("/shutdown")
-        assert status == 200
-        assert payload["status"] == "draining"
 
     def test_drain_timeout_dumps_flight_record_anyway(self, make_service, tmp_path):
         flight_out = tmp_path / "flight.json"
