@@ -460,7 +460,6 @@ def _cmd_serve(args) -> int:
         ready=ready,
         trace_out=args.trace_out,
         cache_size=args.cache_size,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         workers=args.workers,
         task_timeout=args.task_timeout,
@@ -626,12 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded LRU result-cache capacity (default 256 entries)",
     )
     p_serve.add_argument(
-        "--batch-window", type=_float_at_least(0.0), default=0.005, metavar="SECONDS",
-        help="micro-batch coalescing window for simulation requests",
-    )
-    p_serve.add_argument(
         "--max-batch", type=_int_at_least(1), default=32,
-        help="flush a simulation batch at this size even inside the window",
+        help="most simulation requests per engine call (default 32)",
     )
     p_serve.add_argument(
         "--workers", type=_int_at_least(1), default=2,

@@ -6,8 +6,8 @@ Layers (each usable on its own):
   per-mesh/parameter latency-model memo.
 - :mod:`repro.service.workers` — bounded worker pool that runs each
   blocking solve/simulation once (optional per-task timeout).
-- :mod:`repro.service.batcher` — micro-batching of simulation requests
-  onto the vector engine's ``run_batch``.
+- :mod:`repro.service.batcher` — group-commit batching of simulation
+  requests onto the vector engine's ``run_batch``.
 - :mod:`repro.service.admission` — admission control: the token pool,
   its bounded queue and the sheds.
 - :mod:`repro.service.degrade` — the two-level degradation ladder

@@ -335,7 +335,6 @@ class MappingService:
         self,
         *,
         cache_size: int = 256,
-        batch_window: float = 0.005,
         max_batch: int = 32,
         workers: int = 2,
         task_timeout: float | None = None,
@@ -377,7 +376,6 @@ class MappingService:
         )
         self.batcher = SimulationBatcher(
             self.pool,
-            window=batch_window,
             max_batch=max_batch,
             registry=self.registry,
             runner=batch_runner,
@@ -437,10 +435,11 @@ class MappingService:
         """Start a graceful drain; returns the ``POST /shutdown`` document.
 
         New work is shed immediately (``draining``); a background task
-        waits for in-flight requests to finish (up to ``drain_timeout``),
-        flushes the batcher, writes the deterministic final
-        flight-recorder dump, and only then stops the server.  Idempotent:
-        a second POST reports progress without starting a second drain.
+        waits for in-flight requests and then for running simulation
+        batches to finish (up to ``drain_timeout`` in all), writes the
+        deterministic final flight-recorder dump, and only then stops the
+        server.  Idempotent: a second POST reports progress without
+        starting a second drain.
         """
         response = {"status": "draining", "inflight": self.admission.inflight}
         if self.draining:
@@ -448,15 +447,20 @@ class MappingService:
         self.draining = True
         self.ready = False
 
+        async def settle() -> None:
+            await self.admission.wait_idle()
+            # a fill whose request timed out may still hold a batch
+            await self.batcher.drain()
+
         async def drain() -> None:
-            clean = await self.admission.wait_idle(self.drain_timeout)
-            if not clean:
+            try:
+                await asyncio.wait_for(settle(), self.drain_timeout)
+            except asyncio.TimeoutError:
                 logger.warning(
                     "drain timed out after %.1fs with %d request(s) in flight",
                     self.drain_timeout,
                     self.admission.inflight,
                 )
-            await self.batcher.drain()
             self.final_flight_dump()
             stop.set()
 
@@ -776,8 +780,8 @@ class MappingService:
         instance = self._request_instance(req)
         mapping = Mapping(entry["perm"])
         if not sim["invariants"]:
-            # The batchable common case: coalesce with whatever arrives
-            # inside the micro-batch window.
+            # The batchable common case: share a run_batch call with
+            # whatever queues behind the group's running batch.
             traffic = MappedWorkloadTraffic(instance, mapping, seed=sim["seed"])
             result = await self.batcher.submit(
                 instance.mesh, traffic, warmup=sim["warmup"], measure=sim["measure"]

@@ -36,7 +36,7 @@ def span_groups(service):
 
 @pytest.fixture
 def traced(make_service):
-    return make_service(trace=True, trace_clock="logical", batch_window=0.01)
+    return make_service(trace=True, trace_clock="logical")
 
 
 class TestFreshDaemonScrape:
@@ -95,23 +95,51 @@ class TestSpanTopology:
 
     def test_coalesced_burst_shares_one_engine_span(self, make_service, spec2):
         import concurrent.futures
+        import threading
+        import time
 
-        client = make_service(trace=True, trace_clock="logical", batch_window=0.25)
+        from repro.noc.vector_engine import run_batch
+
+        entered, release = threading.Event(), threading.Event()
+
+        def held_first_batch(mesh, traffics, **kw):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30), "held batch was never released"
+            return run_batch(mesh, traffics, **kw)
+
+        client = make_service(
+            trace=True, trace_clock="logical", batch_runner=held_first_batch
+        )
+        client.map(dict(spec2))  # solve once, so every sim below hits it
         # distinct sim seeds are distinct cache entries, but the same
         # mesh/windows, so they legally share one run_batch call
-        docs = [sim_spec(spec2, seed=k) for k in range(3)]
-        with concurrent.futures.ThreadPoolExecutor(3) as pool:
-            futures = [pool.submit(client.map, doc) for doc in docs]
-            for f in futures:
+        docs = [sim_spec(spec2, seed=k) for k in range(4)]
+        depth = client.service.registry.gauge("serve_queue_depth")
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            try:
+                holder = pool.submit(client.map, docs[0])
+                assert entered.wait(30)
+                # The burst queues behind the held batch, then goes out as one.
+                burst = [pool.submit(client.map, doc) for doc in docs[1:]]
+                limit = time.monotonic() + 30
+                while depth.value < 3 and time.monotonic() < limit:
+                    time.sleep(0.01)
+                assert depth.value == 3
+            finally:
+                release.set()
+            for f in [holder, *burst]:
                 f.result()
         groups = span_groups(client.service)
         engines = [
             s for g in groups.values() for s in g if s["name"] == "engine.run_batch"
         ]
-        assert len(engines) == 1, "concurrent sims must share one run_batch call"
-        assert sorted(engines[0]["attrs"]["coalesced"]) == sorted(groups)
-        for spans in groups.values():
-            root = next(s for s in spans if s["parent_span"] == -1)
+        engines.sort(key=lambda e: e["attrs"]["occupancy"])
+        assert [e["attrs"]["occupancy"] for e in engines] == [1, 3]
+        burst_traces = sorted(groups)[2:]  # after the solve and the holder
+        assert sorted(engines[1]["attrs"]["coalesced"]) == burst_traces
+        for trace_id in burst_traces:
+            root = next(s for s in groups[trace_id] if s["parent_span"] == -1)
             assert root["attrs"]["batch_occupancy"] == 3
 
 
@@ -146,8 +174,7 @@ class TestFlightRecorder:
             raise RuntimeError("engine on fire")
 
         client = make_service(
-            trace=True, trace_clock="logical", batch_window=0.01,
-            batch_runner=broken_runner,
+            trace=True, trace_clock="logical", batch_runner=broken_runner,
         )
         with caplog.at_level(logging.ERROR, logger="repro.serve"):
             status, payload = client.post("/map", sim_spec(spec2))

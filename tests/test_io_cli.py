@@ -202,8 +202,6 @@ class TestCLI:
             ["--max-batch", "0"],
             ["--max-queue", "-1"],
             ["--trace-buffer", "0"],
-            ["--batch-window", "-1"],
-            ["--batch-window", "nan"],
             ["--port", "-1"],
             ["--port", "65536"],
             ["--drain-timeout", "-1"],
@@ -223,11 +221,11 @@ class TestCLI:
 
     def test_serve_accepts_the_boundary_values(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-queue", "0", "--batch-window", "0",
+            ["serve", "--port", "0", "--max-queue", "0",
              "--drain-timeout", "0", "--flight-recorder", "0", "--workers", "1"]
         )
         assert (args.port, args.max_queue, args.flight_recorder) == (0, 0, 0)
-        assert (args.batch_window, args.drain_timeout, args.workers) == (0.0, 0.0, 1)
+        assert (args.drain_timeout, args.workers) == (0.0, 1)
 
     @pytest.mark.parametrize("flag", ["--retries", "--failure-budget"])
     def test_serve_has_no_retry_or_failure_budget_flag(self, flag, capsys):
@@ -236,6 +234,14 @@ class TestCLI:
             build_parser().parse_args(["serve", flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_serve_has_no_batch_window_flag(self, capsys):
+        """Simulation batches dispatch when their group is idle; there is no
+        coalescing window to tune."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch-window", "0.005"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch-window 0.005" in capsys.readouterr().err
 
     def test_serve_has_no_cached_nearest_level(self, capsys):
         """The ladder has two levels; a stale-answer level is a usage error."""
