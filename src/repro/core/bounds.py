@@ -28,7 +28,12 @@ from repro.core.baselines import global_mapping
 from repro.core.problem import OBMInstance
 from repro.core.sam import solve_sam
 
-__all__ = ["OBMLowerBound", "max_apl_lower_bound"]
+__all__ = ["OBMLowerBound", "max_apl_lower_bound", "relative_gap"]
+
+
+def relative_gap(achieved_max_apl: float, bound: float) -> float:
+    """Relative optimality gap of a solution's max-APL over a lower bound (>= 0)."""
+    return 0.0 if bound <= 0 else achieved_max_apl / bound - 1.0
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,7 @@ class OBMLowerBound:
 
     def gap(self, achieved_max_apl: float) -> float:
         """Relative optimality gap of a heuristic solution (>= 0)."""
-        if self.value <= 0:
-            return 0.0
-        return achieved_max_apl / self.value - 1.0
+        return relative_gap(achieved_max_apl, self.value)
 
     def as_dict(self) -> dict:
         """The certified-bound document (``repro bound --json``, serve's bounds)."""

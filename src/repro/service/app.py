@@ -64,6 +64,14 @@ other difference (app or thread order, a rate changed in its last bit)
 is a different problem with its own entry.  SSS depends on the order a
 problem is written in, so every answer, cached or not, is byte-identical
 to solving and simulating that request's instance directly.
+
+Each fact has one entry: a solve per ``(problem, algorithm)``, a bound
+per problem (shared by both ladder levels), a simulation per ``(problem,
+algorithm, sim)``.  A full answer that misses both its solve and its
+bound computes the two in one worker task, which fills both entries.  A
+full answer's ``gap`` is computed at response time from its solve and
+bound; ``meta.cache`` reports the solve (full) or the bound
+(``bounds_only``), so a full ``hit`` may still have computed its bound.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.bounds import max_apl_lower_bound
+from repro.core.bounds import max_apl_lower_bound, relative_gap
 from repro.core import permkernels
 from repro.core.latency import LatencyParams
 from repro.core.problem import Mapping, OBMInstance
@@ -234,23 +242,14 @@ def canonicalize(spec: dict) -> Problem:
     return problem
 
 
+async def _item(task: asyncio.Future, index: int):
+    """Element ``index`` of a task's (tuple) result."""
+    return (await task)[index]
+
+
 def _roundtrip(doc: dict) -> dict:
     """Canonical JSON round-trip: one representation for fresh and cached."""
     return json.loads(json.dumps(json_safe(doc), sort_keys=True, separators=(",", ":")))
-
-
-def _bound_doc(instance: OBMInstance, achieved: float | None = None) -> dict:
-    """The certified-bound document, keyed as ``repro bound --json`` prints it.
-
-    With ``achieved`` (a solve's max-APL) it also carries the relative
-    ``gap`` between that solve and the bound.
-    """
-    with reqtrace.span("worker.bounds"):
-        lb = max_apl_lower_bound(instance)
-    doc = lb.as_dict()
-    if achieved is not None:
-        doc["gap"] = lb.gap(achieved)
-    return doc
 
 
 def measured_payload(result) -> dict:
@@ -299,12 +298,9 @@ class MapRequest:
 
     @property
     def solve_key(self) -> str:
-        """Cache key of a solve entry: the problem plus solve knobs."""
+        """Cache key of a solve entry: the problem and the algorithm."""
         return config_fingerprint(
-            "serve.solve",
-            problem=self.fingerprint,
-            algorithm=self.algorithm,
-            bounds=self.want_bounds,
+            "serve.solve", problem=self.fingerprint, algorithm=self.algorithm
         )
 
     @property
@@ -317,14 +313,22 @@ class MapRequest:
             "serve.sim", problem=self.fingerprint, algorithm=self.algorithm, sim=self.sim
         )
 
-    def result(self, entry: dict) -> dict:
-        """The ``result`` document of a solve entry (its ``perm`` less the pad tiles)."""
+    def result(self, entry: dict | None, bounds: dict | None) -> dict:
+        """The ``result`` document of a solve entry and a bound entry.
+
+        The bound-only level passes no solve entry, a request that declined
+        the bound no bound entry.  With both, the bound gains the solve's
+        ``gap``; ``perm`` drops the pad tiles.
+        """
+        if entry is not None and bounds is not None:
+            gap = relative_gap(entry["evaluation"]["max_apl"], bounds["value"])
+            bounds = {**bounds, "gap": gap}
         return {
             "algorithm": self.algorithm,
             "apps": self.app_names,
-            "perm": entry["perm"][: self.problem.n_threads],
-            "evaluation": entry["evaluation"],
-            "bounds": entry["bounds"],
+            "perm": None if entry is None else entry["perm"][: self.problem.n_threads],
+            "evaluation": None if entry is None else entry["evaluation"],
+            "bounds": bounds,
         }
 
 
@@ -641,11 +645,35 @@ class MappingService:
     # -- ladder levels -------------------------------------------------------
 
     async def _full(self, req: MapRequest) -> dict:
-        """Full fidelity: the request's own solve (and simulation), cached."""
-        entry, kind = await self._cached(
-            req.solve_key, lambda: self.pool.run(self._solve_sync, req)
+        """Full fidelity: the request's own solve (bound, simulation), cached.
+
+        A miss of both the solve and the wanted bound is one worker task.
+        """
+        solve, kind = self._lookup(req.solve_key, "solve")
+        bound, bound_kind = (
+            self._lookup(req.bounds_key, "bounds") if req.want_bounds else (None, None)
         )
-        doc = self._respond(req, LEVEL_FULL, req.result(entry), kind)
+        if kind == bound_kind == "miss":
+            pair = asyncio.ensure_future(self.pool.run(self._solve_and_bound_sync, req))
+            solve = self._fill(req.solve_key, lambda: _item(pair, 0))
+            bound = self._fill(req.bounds_key, lambda: _item(pair, 1))
+        elif kind == "miss":
+            solve = self._fill(req.solve_key, lambda: self.pool.run(self._solve_sync, req))
+        elif bound_kind == "miss":
+            bound = self._fill(req.bounds_key, lambda: self.pool.run(self._bounds_sync, req))
+        entry = await self._wait(solve, kind, "solve")
+        bounds = await self._wait(bound, bound_kind, "bounds") if req.want_bounds else None
+        doc = self._respond(req, LEVEL_FULL, req.result(entry, bounds), kind)
+        if bounds is not None and "miss" in (kind, bound_kind):
+            # Achieved-vs-certified gap distribution, per algorithm: once
+            # per full answer whose solve or bound lookup missed.
+            reqtrace.observe(
+                "solver_bound_gap",
+                doc["result"]["bounds"]["gap"],
+                bounds=(0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
+                help="relative gap between achieved max-APL and certified lower bound",
+                algorithm=req.algorithm,
+            )
         if req.simulate:
             doc["result"]["measured"], doc["meta"]["sim_cache"] = await self._cached(
                 req.sim_key, lambda: self._simulate(req, entry), stage="sim"
@@ -655,51 +683,52 @@ class MappingService:
     async def _bounds_only(self, req: MapRequest) -> dict:
         """The degraded level: the certified bound alone, no solve."""
         bounds, kind = await self._cached(
-            req.bounds_key,
-            lambda: self.pool.run(self._bounds_sync, req),
-            stage="bounds",
+            req.bounds_key, lambda: self.pool.run(self._bounds_sync, req), stage="bounds"
         )
-        result = {
-            "algorithm": req.algorithm,
-            "apps": req.app_names,
-            "perm": None,
-            "evaluation": None,
-            "bounds": bounds,
-        }
-        return self._respond(req, LEVEL_BOUNDS, result, kind)
+        return self._respond(req, LEVEL_BOUNDS, req.result(None, bounds), kind)
 
     # -- single-flight cache -----------------------------------------------
 
     async def _cached(self, key, compute, stage: str = "solve"):
-        """In-flight coalescing, then LRU lookup, then compute-and-fill.
+        """One entry: lookup, compute-and-fill on a miss; ``(entry, kind)``."""
+        found, kind = self._lookup(key, stage)
+        if kind == "miss":
+            found = self._fill(key, compute)
+        return await self._wait(found, kind, stage), kind
 
-        The in-flight check comes first so a coalesced duplicate is
-        counted as a hit, not as an LRU miss for an entry that is still
-        being computed.
+    def _lookup(self, key, stage: str):
+        """In-flight coalescing, then LRU lookup.
+
+        Returns ``(fill task, "coalesced")``, ``(entry, "hit")`` or
+        ``(None, "miss")``; a miss must be followed by :meth:`_fill`
+        before the caller yields.  The in-flight check comes first so a
+        coalesced duplicate is counted as a hit, not as an LRU miss for an
+        entry that is still being computed.
         """
         task = self._inflight.get(key)
         if task is not None:
             self._m_coalesced.inc()
             self._update_hit_ratio()
-            with reqtrace.span("cache.coalesce", stage=stage):
-                return await asyncio.shield(task), "coalesced"
+            return task, "coalesced"
         with reqtrace.span("cache.lookup", stage=stage) as lookup:
             entry = self.cache.get(key)
             lookup.set(outcome="hit" if entry is not None else "miss")
-        if entry is not None:
-            self._update_hit_ratio()
-            return entry, "hit"
+        self._update_hit_ratio()
+        return entry, "hit" if entry is not None else "miss"
+
+    def _fill(self, key, compute) -> asyncio.Task:
+        """Start the single fill of ``key``: ``await compute()``, then LRU put."""
 
         async def fill():
-            # Shielded below: a fill outlives a requester that timed out,
-            # so a timed-out unique problem is still a cache hit on retry.
+            # Shielded by waiters: a fill outlives a requester that timed
+            # out, so a timed-out unique problem is still a cache hit on retry.
             entry = await compute()
             self.cache.put(key, entry)
             return entry
 
         # The fill task is created with the *request* context (create_task
         # copies it), so solver spans parent under this request's root —
-        # deliberately outside any short-lived child span above.
+        # deliberately outside any short-lived child span.
         task = asyncio.get_running_loop().create_task(fill())
         self._inflight[key] = task
 
@@ -709,8 +738,16 @@ class MappingService:
                 t.exception()  # mark retrieved even if every waiter left
 
         task.add_done_callback(cleanup)
-        self._update_hit_ratio()
-        return await asyncio.shield(task), "miss"
+        return task
+
+    async def _wait(self, found, kind: str, stage: str):
+        """The entry a lookup found: at once on a hit, else its fill's result."""
+        if kind == "hit":
+            return found
+        if kind == "miss":
+            return await asyncio.shield(found)
+        with reqtrace.span("cache.coalesce", stage=stage):
+            return await asyncio.shield(found)
 
     def _update_hit_ratio(self) -> None:
         hits = self.cache.hits + self._m_coalesced.value
@@ -719,14 +756,20 @@ class MappingService:
 
     # -- blocking work (pool threads) ----------------------------------------
 
-    def _solve_sync(self, req: MapRequest) -> dict:
-        """Blocking solve; returns the cache entry (``perm`` keeps the pad tiles)."""
+    def _solve_and_bound_sync(self, req: MapRequest) -> tuple[dict, dict]:
+        """Blocking solve, then bound, of one instance: a full miss's one task."""
+        instance = self._request_instance(req)
+        return self._solve_sync(req, instance), self._bounds_sync(req, instance)
+
+    def _solve_sync(self, req: MapRequest, instance: OBMInstance | None = None) -> dict:
+        """Blocking solve; returns the solve entry (``perm`` keeps the pad tiles)."""
         with reqtrace.span("worker.solve", algorithm=req.algorithm) as solve_span:
-            instance = self._request_instance(req)
+            if instance is None:
+                instance = self._request_instance(req)
             result = ALGORITHMS[req.algorithm](instance)
             solve_span.set(max_apl=result.evaluation.max_apl)
         evaluation = result.evaluation
-        entry = {
+        return _roundtrip({
             "perm": result.mapping.perm,
             "evaluation": {
                 "apls": [
@@ -738,28 +781,20 @@ class MappingService:
                 "g_apl": evaluation.g_apl,
                 "min_max_ratio": evaluation.min_max_ratio,
             },
-            "bounds": None,
-        }
-        if req.want_bounds:
-            entry["bounds"] = _bound_doc(instance, evaluation.max_apl)
-            # Achieved-vs-certified gap distribution, per algorithm.
-            reqtrace.observe(
-                "solver_bound_gap",
-                entry["bounds"]["gap"],
-                bounds=(0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
-                help="relative gap between achieved max-APL and certified lower bound",
-                algorithm=req.algorithm,
-            )
-        return _roundtrip(entry)
+        })
 
-    def _bounds_sync(self, req: MapRequest) -> dict:
-        """Blocking bounds-only computation (no solve, no permutation).
+    def _bounds_sync(self, req: MapRequest, instance: OBMInstance | None = None) -> dict:
+        """Blocking bound computation; returns the bound entry.
 
-        The returned document is byte-identical to what
-        ``python -m repro bound --json`` prints for the same problem —
-        a degraded answer is still a *certified* answer.
+        The entry is byte-identical to what ``python -m repro bound
+        --json`` prints for the same problem — a degraded answer is
+        still a *certified* answer.
         """
-        return _roundtrip(_bound_doc(self._request_instance(req)))
+        if instance is None:
+            instance = self._request_instance(req)
+        with reqtrace.span("worker.bounds"):
+            lb = max_apl_lower_bound(instance)
+        return _roundtrip(lb.as_dict())
 
     def _simulate_single_sync(self, instance, mapping, sim: dict):
         from repro.noc.simulator import NoCSimulator
@@ -902,13 +937,16 @@ async def serve(
     tracer = service.tracer
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        with contextlib.closing(writer):  # on every exit, a cancelled handler's too
+            await respond(reader, writer)
+
+    async def respond(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         status, payload, ctype = 500, {"error": "internal error"}, "application/json"
         headers_out: dict = {}
         trace_ctx = None
         try:
             request = await read_request(reader)
             if request is None:
-                writer.close()
                 return
             method, path, _headers, body = request
             route = (method, path.split("?", 1)[0])
@@ -957,7 +995,6 @@ async def serve(
             }
             headers_out["Retry-After"] = str(retry_after)
         except asyncio.IncompleteReadError:
-            writer.close()
             return
         except Exception as exc:  # noqa: BLE001 - the daemon must not die
             logger.exception(
@@ -966,12 +1003,9 @@ async def serve(
             )
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         service.finish_flight_record(trace_ctx, status, payload)
-        try:
+        with contextlib.suppress(ConnectionError):
             writer.write(response_bytes(status, payload, ctype, headers_out))
             await writer.drain()
-            writer.close()
-        except ConnectionError:
-            pass
 
     server = await asyncio.start_server(handle, host, port)
     bound_port = server.sockets[0].getsockname()[1]
@@ -1003,7 +1037,11 @@ def run_service(
             await stop.wait()
         finally:
             server.close()
-            await server.wait_closed()
+            # From Python 3.12.1 wait_closed waits for every open connection;
+            # a client holding one must not hold up the stop.  asyncio.run
+            # cancels the handlers left, and each closes its socket.
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(server.wait_closed(), 1.0)
 
     try:
         asyncio.run(serve_until_stopped())

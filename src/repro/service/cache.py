@@ -68,10 +68,6 @@ class LRUCache:
             if self._registry is not None:
                 self._m_entries.set(len(self._store))
 
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._store
-
     def __len__(self) -> int:
         return len(self._store)
 

@@ -11,10 +11,11 @@ own instance.  The ladder has two levels:
     Skip the solver and return just the certified max-APL lower bound.
     No permutation search runs, but the bound is not always cheaper
     than the solve it replaces: on a 16x16 eight-app problem it costs
-    about four times an SSS solve.  The bounds bytes are identical to a
-    direct ``python -m repro bound --json`` run — degraded answers stay
-    *certified* answers.  A request that declined the bound
-    (``"bounds": false``) is never degraded to it.
+    about four times an SSS solve.  The bound is one cache entry per
+    problem, shared with full answers (which add their solve's ``gap``);
+    its bytes are identical to a direct ``python -m repro bound --json``
+    run — degraded answers stay *certified* answers.  A request that
+    declined the bound (``"bounds": false``) is never degraded to it.
 
 Admission's bounded queue is the only shed (429/503 + ``Retry-After``).
 

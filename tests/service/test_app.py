@@ -19,6 +19,8 @@ from repro.core.registry import ALGORITHMS
 from repro.core.workload import Application, Workload
 from repro.experiments.resilience import json_safe
 from repro.noc import cc_kernel
+from repro.service import app
+from repro.service.admission import AdmissionController
 from repro.service.app import MappingService
 from repro.workloads.parsec import CONFIG_NAMES, parsec_config
 
@@ -63,6 +65,24 @@ def direct_result(spec, algorithm="sss") -> dict:
         },
         "bounds": {**lb.as_dict(), "gap": lb.gap(evaluation.max_apl)},
     })))
+
+
+def count_solves_and_bounds(monkeypatch) -> dict:
+    """Count the service's solver and certified-bound calls."""
+    calls = {"solve": 0, "bound": 0}
+
+    def counted(fn, what):
+        def wrapper(*args, **kwargs):
+            calls[what] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        app, "ALGORITHMS", {name: counted(fn, "solve") for name, fn in ALGORITHMS.items()}
+    )
+    monkeypatch.setattr(app, "max_apl_lower_bound", counted(max_apl_lower_bound, "bound"))
+    return calls
 
 
 def paper_spellings(config: str) -> dict:
@@ -119,7 +139,8 @@ class TestHTTPEndpoints:
         status, health = client.get("/healthz")
         assert status == 200
         assert health["status"] == "ok"
-        assert health["cache"]["entries"] == 1
+        # one solve entry and one bound entry, computed by one worker task
+        assert health["cache"]["entries"] == 2
         assert health["report"]["cells_computed"] == 1
 
     def test_metrics_endpoint_exports_prometheus(self, client, spec2):
@@ -129,7 +150,8 @@ class TestHTTPEndpoints:
         assert status == 200
         lines = text.splitlines()
         assert 'serve_requests_total{endpoint="map",status="200"} 2' in lines
-        assert "serve_cache_hits_total 1" in lines
+        # the repeat hits the solve entry and the bound entry
+        assert "serve_cache_hits_total 2" in lines
         ratios = [l for l in lines if l.startswith("serve_cache_hit_ratio ")]
         assert ratios and float(ratios[0].split()[-1]) > 0.0
         assert any(l.startswith("serve_request_seconds_bucket") for l in lines)
@@ -203,7 +225,7 @@ class TestCacheSemantics:
         second = client.map(spec2)
         assert second["meta"]["cache"] == "hit"
         assert second["result"] == first["result"]
-        assert client.service.cache.hits == 1
+        assert client.service.cache.hits == 2  # the solve and the bound
 
     def test_relabeled_request_misses_and_equals_its_direct_solve(self, client, spec2):
         base = client.map(spec2)
@@ -227,12 +249,53 @@ class TestCacheSemantics:
         assert other["meta"]["fingerprint"] != base["meta"]["fingerprint"]
 
     def test_bounds_flag_never_serves_stale_entries(self, client, spec2):
-        """A bounds=False entry must not satisfy a bounds=True request."""
+        """A bounds=True request reuses a bounds=False solve and still gets
+        its own certified bound, with the gap of that solve."""
         without = client.map({**spec2, "bounds": False})
         assert without["result"]["bounds"] is None
         with_bounds = client.map({**spec2, "bounds": True})
-        assert with_bounds["meta"]["cache"] == "miss"
-        assert with_bounds["result"]["bounds"]["value"] > 0
+        assert with_bounds["meta"]["cache"] == "hit"
+        assert with_bounds["result"] == direct_result(spec2)
+
+    def test_each_fact_is_computed_once(self, spec2, monkeypatch):
+        """bounds true, bounds false, bounds_only under pressure, then full
+        again: the four answers share one solve and one bound."""
+        calls = count_solves_and_bounds(monkeypatch)
+        service = MappingService(workers=2)
+
+        async def scenario():
+            full = await service.map_request({**spec2, "bounds": True})
+            declined = await service.map_request({**spec2, "bounds": False})
+            with monkeypatch.context() as m:
+                m.setattr(AdmissionController, "pressure", property(lambda self: 0.9))
+                degraded = await service.map_request(dict(spec2))
+            again = await service.map_request(dict(spec2))
+            return full, declined, degraded, again
+
+        full, declined, degraded, again = asyncio.run(scenario())
+        assert calls == {"solve": 1, "bound": 1}
+        docs = (full, declined, degraded, again)
+        assert [d["meta"]["cache"] for d in docs] == ["miss", "hit", "hit", "hit"]
+        assert degraded["meta"]["degraded"] == "bounds_only"
+        assert full["result"] == again["result"] == direct_result(spec2)
+        assert declined["result"] == {**full["result"], "bounds": None}
+        bound = {k: v for k, v in full["result"]["bounds"].items() if k != "gap"}
+        assert degraded["result"]["bounds"] == bound
+
+    def test_degraded_bound_is_reused_by_the_full_answer(self, spec2, monkeypatch):
+        calls = count_solves_and_bounds(monkeypatch)
+        service = MappingService(workers=2)
+
+        async def scenario():
+            with monkeypatch.context() as m:
+                m.setattr(AdmissionController, "pressure", property(lambda self: 0.9))
+                degraded = await service.map_request(dict(spec2))
+            return degraded, await service.map_request(dict(spec2))
+
+        degraded, full = asyncio.run(scenario())
+        assert calls == {"solve": 1, "bound": 1}
+        assert (degraded["meta"]["cache"], full["meta"]["cache"]) == ("miss", "miss")
+        assert full["result"] == direct_result(spec2)
 
     def test_sim_knob_change_is_a_different_sim_entry(self, client, spec2):
         a = client.map({**spec2, "simulate": True, "sim": SIM_FAST})
@@ -255,7 +318,8 @@ class TestCacheSemantics:
         kinds = sorted(d["meta"]["cache"] for d in docs)
         assert kinds == ["coalesced"] * 4 + ["miss"]
         assert len({json.dumps(d["result"], sort_keys=True) for d in docs}) == 1
-        # One solve total, and the hit-ratio gauge counts the coalesced hits.
+        # One worker task (the solve and the bound) total, and the
+        # hit-ratio gauge counts the coalesced hits.
         assert service.report.cells_computed == 1
         ratio = service.registry.gauge("serve_cache_hit_ratio").value
         assert ratio == pytest.approx(4 / 5)

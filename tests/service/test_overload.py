@@ -8,13 +8,18 @@ shutdown.
 
 from __future__ import annotations
 
+import gc
+import http.client
 import json
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.core import cc_solvers, permkernels
+from repro.service import app
 
 
 def _unique_spec(index: int) -> dict:
@@ -414,6 +419,53 @@ class TestGracefulDrain:
         dump = json.loads(flight_out.read_text())
         assert dump["schema"] == "repro-serve-requests"
         assert dump["recorded"] >= 1
+
+
+class TestConnectionsClose:
+    def test_daemon_stopped_mid_request_leaves_no_open_socket(self, monkeypatch):
+        """A handler cancelled by the daemon's shutdown still closes its
+        connection, and an open connection does not hold the stop up."""
+        permkernels.warmup()  # keep a first-time kernel build out of the timeout
+        entered = threading.Event()
+        transports = []
+        real_read = app.read_request
+
+        async def reading(reader):
+            transports.append(reader._transport)
+            entered.set()
+            return await real_read(reader)
+
+        monkeypatch.setattr(app, "read_request", reading)
+        ready, ports = threading.Event(), []
+
+        def on_ready(port: int) -> None:
+            ports.append(port)
+            ready.set()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thread = threading.Thread(
+                target=app.run_service, args=("127.0.0.1", 0), kwargs={"ready": on_ready},
+                daemon=True,
+            )
+            thread.start()
+            assert ready.wait(30)
+            with socket.create_connection(("127.0.0.1", ports[0])) as sock:
+                sock.sendall(b"POST /map HTTP/1.1\r\n")  # and never the rest
+                assert entered.wait(10)
+                conn = http.client.HTTPConnection("127.0.0.1", ports[0], timeout=30)
+                conn.request("POST", "/shutdown")
+                assert conn.getresponse().status == 200
+                conn.close()
+                thread.join(20)
+                assert not thread.is_alive()
+            # Checked directly as well: asyncio logs the cancelled handler's
+            # error, and a captured log record can keep a leaked transport
+            # alive past the collection below.
+            assert transports[0].is_closing()
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 class TestReadiness:

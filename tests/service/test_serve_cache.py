@@ -28,10 +28,10 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.get("a")  # refresh 'a' so 'b' is the cold entry
         cache.put("c", 3)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
         assert cache.evictions == 1
         assert len(cache) == 2
+        assert cache.get("b") is None
+        assert (cache.get("a"), cache.get("c")) == (1, 3)
 
     def test_put_existing_key_does_not_evict(self):
         cache = LRUCache(2)

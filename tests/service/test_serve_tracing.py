@@ -58,6 +58,28 @@ class TestFreshDaemonScrape:
             assert line == "" or line.startswith("#") or " " in line
 
 
+class TestSolverBoundGap:
+    def test_observed_once_per_newly_computed_solve_and_bound(self, traced, spec2):
+        """A full miss observes the gap; so does a bound newly computed for
+        a cached solve; a repeat hit observes nothing."""
+
+        def observed() -> int:
+            registry = traced.service.registry
+            return sum(m.total for m in registry if m.name == "solver_bound_gap")
+
+        other = {**spec2, "mesh": 5}
+        steps = [
+            (spec2, 1),  # solve and bound miss
+            (spec2, 1),  # both hit
+            ({**other, "bounds": False}, 1),  # a solve, no bound
+            (other, 2),  # solve hit, bound miss
+            (other, 2),  # both hit
+        ]
+        for doc, count in steps:
+            traced.map(doc)
+            assert observed() == count, doc
+
+
 class TestSpanTopology:
     def test_request_spans_nest_solver_under_worker(self, traced, spec2):
         traced.map(dict(spec2))
@@ -78,8 +100,11 @@ class TestSpanTopology:
         groups = span_groups(traced.service)
         hit_names = {s["name"] for s in groups[1]}
         assert "worker.solve" not in hit_names
-        [lookup] = [s for s in groups[1] if s["name"] == "cache.lookup"]
-        assert lookup["attrs"]["outcome"] == "hit"
+        assert "worker.bounds" not in hit_names
+        lookups = [s["attrs"] for s in groups[1] if s["name"] == "cache.lookup"]
+        assert [(a["stage"], a["outcome"]) for a in lookups] == [
+            ("solve", "hit"), ("bounds", "hit"),
+        ]
 
     def test_simulation_request_spans_reach_the_engine(self, traced, spec2):
         traced.map(sim_spec(spec2))
