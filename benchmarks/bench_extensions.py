@@ -1,18 +1,12 @@
-"""Benchmarks of the library extensions beyond the paper: the genetic and
-cluster-SA baselines, weighted QoS mapping, and capacity (SMT) mapping."""
+"""Benchmarks of the baselines beyond the paper: the genetic algorithm and
+cluster-move simulated annealing."""
 
-import numpy as np
 from conftest import run_once
 
 from repro.core.baselines import simulated_annealing
-from repro.core.capacity import solve_capacity_obm
 from repro.core.genetic import GAConfig, genetic_algorithm
-from repro.core.latency import Mesh, MeshLatencyModel
 from repro.core.sss import sort_select_swap
-from repro.core.weighted import solve_weighted_obm, weighted_max_apl
-from repro.core.workload import Application, Workload
 from repro.experiments.base import standard_instance
-from repro.utils.rng import as_rng
 from repro.utils.text import format_table
 
 
@@ -49,53 +43,3 @@ def test_evolutionary_baselines(benchmark):
     for row in rows:
         assert row[1] <= row[2] + 1e-9  # SSS <= GA
         assert row[1] <= row[3] + 1e-9  # SSS <= cluster-SA
-
-
-def test_weighted_qos_sweep(benchmark):
-    """Service-differentiation curve: premium APL falls monotonically-ish
-    as its weight rises, at bounded cost to others."""
-
-    def run():
-        instance = standard_instance("C1")
-        base = sort_select_swap(instance)
-        rows = [[1.0, float(base.evaluation.apls[0]),
-                 float(np.nanmax(base.evaluation.apls[1:4]))]]
-        for w in (1.4, 2.0, 2.5):
-            result, _ = solve_weighted_obm(instance, [w, 1.0, 1.0, 1.0])
-            rows.append(
-                [w, float(result.evaluation.apls[0]),
-                 float(np.nanmax(result.evaluation.apls[1:4]))]
-            )
-        return rows
-
-    rows = run_once(benchmark, run)
-    print()
-    print(format_table(["weight", "premium APL", "worst other APL"], rows))
-    assert rows[-1][1] < rows[0][1]  # premium app gains latency
-    assert rows[-1][2] < rows[0][2] * 1.2  # others pay a bounded price
-
-
-def test_capacity_mapping(benchmark):
-    """Footnote-1 generalisation: 128 threads on 64 tiles at capacity 2."""
-
-    def run():
-        rng = as_rng(7)
-        model = MeshLatencyModel(Mesh.square(8))
-        apps = tuple(
-            Application(
-                f"a{i}",
-                rng.lognormal(i * 0.4, 0.3, 32),
-                rng.lognormal(i * 0.4 - 2.0, 0.3, 32),
-            )
-            for i in range(4)
-        )
-        workload = Workload(apps)
-        result, capmap = solve_capacity_obm(model, workload, capacity=2)
-        return result, capmap
-
-    result, capmap = run_once(benchmark, run)
-    print(f"\ncapacity-2 mapping: max-APL {result.max_apl:.3f}, "
-          f"dev-APL {result.dev_apl:.4f}, occupancy "
-          f"{capmap.occupancy.min()}-{capmap.occupancy.max()} threads/tile")
-    assert capmap.occupancy.max() <= 2
-    assert result.dev_apl < 0.2

@@ -47,9 +47,7 @@ from repro.core import (
     select_only_mapping,
     simulated_annealing,
     solve_assignment,
-    solve_capacity_obm,
     solve_sam,
-    solve_weighted_obm,
     sort_select_swap,
 )
 
@@ -80,8 +78,6 @@ __all__ = [
     "select_only_mapping",
     "simulated_annealing",
     "solve_assignment",
-    "solve_capacity_obm",
     "solve_sam",
-    "solve_weighted_obm",
     "sort_select_swap",
 ]

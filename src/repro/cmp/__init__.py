@@ -4,7 +4,7 @@ The trace-driven replacement for the paper's Simics/GEMS full-system
 stack.  Address streams flow through private L1s, the address-hashed
 shared L2 banks under a MOESI directory protocol, and corner memory
 controllers; the observed per-thread request counts become OBM workload
-rates, and the message stream can be replayed through the NoC simulator.
+rates.
 """
 
 from repro.cmp.address import AddressMap
@@ -22,7 +22,6 @@ from repro.cmp.hierarchy import (
     workload_from_traces,
 )
 from repro.cmp.memctrl import MemoryController, MemoryControllerSet
-from repro.cmp.replay import ReplayResult, packet_for_message, replay_messages
 from repro.cmp.trace import (
     PERSONALITIES,
     AccessTrace,
@@ -47,10 +46,7 @@ __all__ = [
     "MemoryControllerSet",
     "MsgType",
     "PERSONALITIES",
-    "ReplayResult",
     "SetAssociativeCache",
-    "packet_for_message",
-    "replay_messages",
     "TracePersonality",
     "generate_trace",
     "table2_rows",

@@ -16,11 +16,6 @@ from repro.core.baselines import (
     simulated_annealing,
 )
 from repro.core.bounds import OBMLowerBound, max_apl_lower_bound
-from repro.core.capacity import (
-    CapacityMapping,
-    evaluate_capacity_mapping,
-    solve_capacity_obm,
-)
 from repro.core.exact import ExactSolverLimits, branch_and_bound
 from repro.core.genetic import GAConfig, genetic_algorithm
 from repro.core.hungarian import AssignmentResult, solve_assignment
@@ -48,17 +43,11 @@ from repro.core.sss import (
     select_only_mapping,
     sort_select_swap,
 )
-from repro.core.weighted import (
-    WeightedEvaluation,
-    solve_weighted_obm,
-    weighted_max_apl,
-)
 from repro.core.workload import Application, Workload
 
 __all__ = [
     "Application",
     "AssignmentResult",
-    "CapacityMapping",
     "ExactSolverLimits",
     "GAConfig",
     "LatencyParams",
@@ -72,13 +61,11 @@ __all__ = [
     "OBMLowerBound",
     "SAMResult",
     "SSSConfig",
-    "WeightedEvaluation",
     "Workload",
     "app_apls",
     "branch_and_bound",
     "corner_tiles",
     "dev_apl",
-    "evaluate_capacity_mapping",
     "evaluate_mapping",
     "g_apl",
     "genetic_algorithm",
@@ -95,9 +82,6 @@ __all__ = [
     "set_partition_from_mapping",
     "simulated_annealing",
     "solve_assignment",
-    "solve_capacity_obm",
     "solve_sam",
-    "solve_weighted_obm",
     "sort_select_swap",
-    "weighted_max_apl",
 ]

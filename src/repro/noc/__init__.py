@@ -34,7 +34,6 @@ from repro.noc.routing import (
     yx_route,
 )
 from repro.noc.telemetry import NetworkTelemetry, TelemetrySnapshot
-from repro.noc.transactions import Transaction, TransactionTracker
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import FaultStats, LatencyStats, LatencySummary
 from repro.noc.traffic import (
@@ -74,8 +73,6 @@ __all__ = [
     "Port",
     "ROUTE_FUNCTIONS",
     "TelemetrySnapshot",
-    "Transaction",
-    "TransactionTracker",
     "PowerBreakdown",
     "PowerModel",
     "PowerParams",

@@ -2,9 +2,9 @@
 
 Attaches to a :class:`~repro.noc.network.Network` and derives spatial
 views — flits routed per router, per-link utilisation, hotspot maps —
-from the counters the routers/links already maintain.  Used by the
-mapping-analysis example to show *where* a mapping puts its traffic (the
-paper's Figure 3/4/8 intuition made measurable).
+from the counters the routers/links already maintain, to show *where* a
+mapping puts its traffic (the paper's Figure 3/4/8 intuition made
+measurable).
 """
 
 from __future__ import annotations

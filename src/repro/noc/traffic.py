@@ -208,9 +208,8 @@ class MappedWorkloadTraffic(TrafficGenerator):
         self.app_of_thread = wl.app_of_thread
         self.n_tiles = instance.n
         # Replies scheduled for the future: cycle -> list of (src, dst,
-        # class, app, thread) tuples, in scheduling order.
-        self._pending: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        self._replied = ()  #: the reply tuples _emit_rows last emitted
+        # class, app) tuples, in scheduling order.
+        self._pending: dict[int, list[tuple[int, int, int, int]]] = {}
         # Hot-loop lookup tables: one (2, n_threads) draw buffer matching
         # the stacked per-cycle probabilities, plus plain-list mirrors of
         # every per-thread/per-tile quantity the packet loop touches.
@@ -240,22 +239,6 @@ class MappedWorkloadTraffic(TrafficGenerator):
         # draws owed (destination draws follow hits).
         if rows.size or now in self._pending:
             self._emit_rows(rows, threads, now, table)
-
-    def packets_for_cycle(self, now: int) -> list[Packet]:
-        """The base class's packets, plus the thread ids of their rows.
-
-        :class:`~repro.noc.transactions.TransactionTracker` pairs
-        requests with replies by thread, and the table has no thread
-        column: requests take theirs from this cycle's hit buffer, replies
-        from their pending tuple.
-        """
-        packets = super().packets_for_cycle(now)
-        if packets:
-            threads = self._hit_buf.nonzero()[1].tolist()
-            threads += [reply[4] for reply in self._replied]
-            for packet, thread in zip(packets, threads):
-                packet.thread = thread
-        return packets
 
     def _emit_rows(self, rows, threads, now: int, table: PacketTable) -> None:
         """Append this cycle's packets for Bernoulli hits ``(rows, threads)``.
@@ -293,15 +276,14 @@ class MappedWorkloadTraffic(TrafficGenerator):
                     due = now + est[src][dst] + self.memory_latency
                 else:
                     due = now + est[src][dst] + self.l2_latency
-                reply = (dst, src, cls + 1, app[thread], thread)  # *_REPLY
+                reply = (dst, src, cls + 1, app[thread])  # *_REPLY
                 pl = pending.get(due)
                 if pl is None:
                     pending[due] = [reply]
                 else:
                     pl.append(reply)
         if pending is not None:
-            self._replied = replied = pending.pop(now, ())
-            for src, dst, cls, app_id, _ in replied:
+            for src, dst, cls, app_id in pending.pop(now, ()):
                 src_c.append(src)
                 dst_c.append(dst)
                 cls_c.append(cls)

@@ -102,7 +102,13 @@ from repro.service.batcher import SimulationBatcher
 from repro.service.cache import LRUCache, ModelMemo
 from repro.service.degrade import LEVEL_BOUNDS, LEVEL_FULL, DegradeController
 from repro.service.flightrec import FlightRecorder
-from repro.service.http import RequestError, read_request, response_bytes
+from repro.service.http import (
+    MAX_SIM_CYCLES,
+    MAX_TILES,
+    RequestError,
+    read_request,
+    response_bytes,
+)
 from repro.service.workers import RunReport, WorkerPool
 
 __all__ = [
@@ -188,26 +194,31 @@ def _rates(values, what: str) -> np.ndarray:
 
 
 def _mesh_shape(mesh_doc) -> tuple[int, int]:
-    """``(rows, cols)`` of a request's ``mesh``: a side length or ``{rows, cols}``."""
+    """``(rows, cols)`` of a request's ``mesh``: a side length or ``{rows, cols}``.
+
+    At most :data:`MAX_TILES` tiles: the service builds ``N x N`` tables.
+    """
     if isinstance(mesh_doc, dict):
-        return (
-            _integer(mesh_doc["rows"], "mesh rows"),
-            _integer(mesh_doc["cols"], "mesh cols"),
-        )
-    side = _integer(mesh_doc, "mesh")
-    return side, side
+        rows = _integer(mesh_doc["rows"], "mesh rows")
+        cols = _integer(mesh_doc["cols"], "mesh cols")
+    else:
+        rows = cols = _integer(mesh_doc, "mesh")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"mesh dimensions must be positive, got {rows}x{cols}")
+    if rows * cols > MAX_TILES:
+        raise ValueError(f"a {rows}x{cols} mesh exceeds the {MAX_TILES}-tile limit")
+    return rows, cols
 
 
 def canonicalize(spec: dict) -> Problem:
     """Validate a problem spec (:meth:`OBMInstance.spec` shape) into its :class:`Problem`.
 
     Raises ``ValueError`` on malformed specs (negative/non-finite rates
-    or params, more threads than tiles, empty app lists) so the service
-    can answer 400 instead of crashing a worker.
+    or params, more threads than tiles, more than :data:`MAX_TILES`
+    tiles, empty app lists) so the service can answer 400 instead of
+    crashing a worker.
     """
     rows, cols = _mesh_shape(spec.get("mesh", 8))
-    if rows < 1 or cols < 1:
-        raise ValueError(f"mesh dimensions must be positive, got {rows}x{cols}")
 
     defaults = LatencyParams()
     params_doc = spec.get("params") or {}
@@ -547,6 +558,8 @@ class MappingService:
                 raise RequestError(f"sim.{key} must be a JSON {kind}")
         if sim["warmup"] < 0 or sim["seed"] < 0 or sim["measure"] <= 0:
             raise RequestError("sim.warmup and sim.seed must be >= 0 and sim.measure > 0")
+        if sim["warmup"] + sim["measure"] > MAX_SIM_CYCLES:
+            raise RequestError(f"sim.warmup + sim.measure exceeds {MAX_SIM_CYCLES} cycles")
         timeout = spec.get("timeout")
         if timeout is not None:
             timeout = _number(timeout, "timeout")

@@ -14,10 +14,22 @@ import asyncio
 import json
 from http import HTTPStatus
 
-__all__ = ["MAX_BODY", "MAX_HEADERS", "RequestError", "read_request", "response_bytes"]
+__all__ = [
+    "MAX_BODY",
+    "MAX_HEADERS",
+    "MAX_SIM_CYCLES",
+    "MAX_TILES",
+    "RequestError",
+    "read_request",
+    "response_bytes",
+]
 
 MAX_BODY = 8 * 1024 * 1024
 MAX_HEADERS = 256
+#: The work one ``/map`` body may ask for: the mesh's tile count (16x16)
+#: and a simulation's ``warmup + measure`` cycles.
+MAX_TILES = 256
+MAX_SIM_CYCLES = 100_000
 
 
 class RequestError(ValueError):

@@ -1,156 +1,12 @@
-"""Tests of the weighted-QoS and capacity generalisations plus the GA and
-cluster-SA baselines."""
+"""Tests of the GA and cluster-SA baselines."""
 
 import numpy as np
 import pytest
 
 from repro.core.baselines import simulated_annealing
-from repro.core.capacity import (
-    CapacityMapping,
-    evaluate_capacity_mapping,
-    slot_instance,
-    solve_capacity_obm,
-)
 from repro.core.genetic import GAConfig, genetic_algorithm, _pmx
-from repro.core.latency import Mesh, MeshLatencyModel
-from repro.core.weighted import solve_weighted_obm, weighted_max_apl
-from repro.core.workload import Application, Workload
 from repro.core.sss import sort_select_swap
 from repro.utils.rng import as_rng
-
-
-class TestWeightedOBM:
-    def test_uniform_weights_equal_unweighted(self, small_instance):
-        result, wev = solve_weighted_obm(small_instance, [1.0, 1.0])
-        plain = sort_select_swap(small_instance)
-        assert wev.weighted_max == pytest.approx(plain.max_apl, rel=0.01)
-
-    def test_heavier_weight_lowers_that_apps_apl(self, c1_instance):
-        plain = sort_select_swap(c1_instance)
-        result, wev = solve_weighted_obm(c1_instance, [1.6, 1.0, 1.0, 1.0])
-        assert result.evaluation.apls[0] < plain.evaluation.apls[0]
-
-    def test_weighted_objective_improves(self, c1_instance):
-        weights = [1.4, 1.0, 1.0, 1.0]
-        plain = sort_select_swap(c1_instance)
-        baseline = weighted_max_apl(c1_instance, plain.mapping, weights)
-        _, wev = solve_weighted_obm(c1_instance, weights)
-        assert wev.weighted_max <= baseline.weighted_max + 1e-9
-
-    def test_weighted_evaluation_values(self, small_instance):
-        m = sort_select_swap(small_instance).mapping
-        wev = weighted_max_apl(small_instance, m, [2.0, 1.0])
-        assert wev.weighted_apls[0] == pytest.approx(2.0 * wev.evaluation.apls[0])
-
-    def test_weight_validation(self, small_instance):
-        m = sort_select_swap(small_instance).mapping
-        with pytest.raises(ValueError):
-            weighted_max_apl(small_instance, m, [1.0])
-        with pytest.raises(ValueError):
-            weighted_max_apl(small_instance, m, [1.0, -1.0])
-
-    def test_surrogate_objective_equals_weighted_objective(self):
-        """Property behind the reduction: the surrogate instance's
-        unweighted max-APL of any mapping equals the original instance's
-        weighted max-APL of the same mapping."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.core.weighted import _check_weights, _reweighted_instance
-        from repro.core.problem import Mapping
-
-        @given(seed=st.integers(0, 1000))
-        @settings(max_examples=20, deadline=None)
-        def check(seed):
-            rng = np.random.default_rng(seed)
-            model = MeshLatencyModel(Mesh.square(4))
-            apps = (
-                Application("a", rng.uniform(0.2, 3, 8), rng.uniform(0, 1, 8)),
-                Application("b", rng.uniform(0.2, 3, 8), rng.uniform(0, 1, 8)),
-            )
-            from repro.core.problem import OBMInstance
-
-            inst = OBMInstance(model, Workload(apps))
-            w = _check_weights(inst, rng.uniform(0.5, 3.0, 2))
-            surrogate = _reweighted_instance(inst, w)
-            mapping = Mapping(rng.permutation(16))
-            surrogate_ev = surrogate.evaluate(mapping)
-            truth = weighted_max_apl(inst, mapping, w)
-            assert surrogate_ev.max_apl == pytest.approx(truth.weighted_max)
-
-        check()
-
-    def test_weights_extend_over_padding(self):
-        model = MeshLatencyModel(Mesh.square(4))
-        apps = (Application("a", np.ones(6), np.ones(6) * 0.1),
-                Application("b", np.ones(6) * 2, np.ones(6) * 0.2))
-        from repro.core.problem import OBMInstance
-
-        inst = OBMInstance(model, Workload(apps))  # padded to 16
-        result, wev = solve_weighted_obm(inst, [1.2, 1.0])
-        assert np.isfinite(wev.weighted_max)
-
-
-class TestCapacityOBM:
-    def make(self, capacity=2, threads=32):
-        rng = as_rng(3)
-        model = MeshLatencyModel(Mesh.square(4))
-        per_app = threads // 2
-        apps = (
-            Application("a", rng.uniform(0.5, 2, per_app), rng.uniform(0, 0.3, per_app)),
-            Application("b", rng.uniform(2, 5, per_app), rng.uniform(0, 0.3, per_app)),
-        )
-        return model, Workload(apps)
-
-    def test_respects_capacity(self):
-        model, wl = self.make()
-        _, capmap = solve_capacity_obm(model, wl, capacity=2)
-        assert capmap.occupancy.max() <= 2
-        assert capmap.tile_of_thread.size == 32
-
-    def test_folded_metrics_match_slot_metrics(self):
-        model, wl = self.make()
-        result, capmap = solve_capacity_obm(model, wl, capacity=2)
-        ev = evaluate_capacity_mapping(model, wl, capmap)
-        assert ev.max_apl == pytest.approx(result.evaluation.max_apl)
-        assert ev.g_apl == pytest.approx(result.evaluation.g_apl)
-
-    def test_partial_occupancy(self):
-        model, wl = self.make(threads=20)
-        _, capmap = solve_capacity_obm(model, wl, capacity=2)
-        assert capmap.occupancy.sum() == 20
-
-    def test_too_many_threads_rejected(self):
-        model, wl = self.make(threads=40)
-        with pytest.raises(ValueError):
-            solve_capacity_obm(model, wl, capacity=2)
-
-    def test_invalid_capacity(self):
-        model, wl = self.make()
-        with pytest.raises(ValueError):
-            slot_instance(model, wl, 0)
-
-    def test_capacity_mapping_validation(self):
-        with pytest.raises(ValueError):
-            CapacityMapping(np.array([0, 0, 0]), capacity=2, n_tiles=4)
-        with pytest.raises(ValueError):
-            CapacityMapping(np.array([5]), capacity=1, n_tiles=4)
-
-    def test_capacity_one_equals_standard(self):
-        """With capacity 1 the slot problem is the ordinary OBM."""
-        from repro.core.problem import OBMInstance
-
-        model, wl = self.make(threads=16)
-        result, capmap = solve_capacity_obm(model, wl, capacity=1)
-        plain = sort_select_swap(OBMInstance(model, wl))
-        assert result.evaluation.max_apl == pytest.approx(plain.max_apl)
-
-    def test_works_with_global(self):
-        from repro.core.baselines import global_mapping
-
-        model, wl = self.make()
-        result, capmap = solve_capacity_obm(model, wl, 2, algorithm=global_mapping)
-        assert capmap.occupancy.max() <= 2
 
 
 class TestGeneticAlgorithm:

@@ -105,12 +105,21 @@ class TestMappedWorkloadTraffic:
         assert abs(mem - expected_mem) / expected_mem < 0.2
 
     def test_sources_follow_mapping(self, mapped_setup):
+        # A request leaves its thread's tile, so the thread that ``perm``
+        # puts on the source tile belongs to the packet's app.  The roll
+        # moves threads across the app boundary, so reading the source
+        # tile as the thread id must get some app wrong.
         inst, _ = mapped_setup
+        app_of_thread = inst.workload.app_of_thread
         perm = np.roll(np.arange(16), 3)
+        thread_of_tile = np.argsort(perm)
         gen = MappedWorkloadTraffic(inst, Mapping(perm), seed=1)
+        identity_misses = 0
         for t in range(200):
             for p in gen.packets_for_cycle(t):
-                assert p.src == perm[p.thread]
+                assert p.app == app_of_thread[thread_of_tile[p.src]]
+                identity_misses += p.app != app_of_thread[p.src]
+        assert identity_misses
 
     def test_memory_goes_to_nearest_mc(self, mapped_setup):
         inst, mapping = mapped_setup
@@ -125,10 +134,11 @@ class TestMappedWorkloadTraffic:
 
     def test_app_tagging(self, mapped_setup):
         inst, mapping = mapped_setup
+        thread_of_tile = np.argsort(mapping.perm)
         gen = MappedWorkloadTraffic(inst, mapping, seed=3)
         for t in range(200):
             for p in gen.packets_for_cycle(t):
-                assert p.app == inst.workload.app_of_thread[p.thread]
+                assert p.app == inst.workload.app_of_thread[thread_of_tile[p.src]]
 
     def test_replies_generated(self, mapped_setup):
         inst, mapping = mapped_setup
@@ -143,15 +153,21 @@ class TestMappedWorkloadTraffic:
 
     def test_reply_reverses_direction(self, mapped_setup):
         inst, mapping = mapped_setup
+        thread_of_tile = np.argsort(mapping.perm)
         gen = MappedWorkloadTraffic(inst, mapping, generate_replies=True, seed=5)
-        requests = {}
+        requests = set()
+        replies = 0
         for t in range(2000):
             for p in gen.packets_for_cycle(t):
                 if not p.traffic_class.is_reply:
-                    requests.setdefault((p.thread, p.dst, p.src), 0)
+                    # a request leaves its thread's tile
+                    requests.add((thread_of_tile[p.src], p.dst, p.src, p.app))
                 else:
-                    # some matching request (same thread, mirrored endpoints)
-                    assert (p.thread, p.src, p.dst) in requests
+                    # a reply returns to it: some earlier request of the
+                    # same thread and app, endpoints mirrored
+                    replies += 1
+                    assert (thread_of_tile[p.dst], p.src, p.dst, p.app) in requests
+        assert replies
 
     def test_saturation_rejected(self, mapped_setup):
         inst, mapping = mapped_setup
@@ -234,13 +250,14 @@ class TestEmissionContract:
             packets += gen.packets_for_cycle(t)
             twin.emit(t, table)
         rows = _row_tuples(table)
-        # Requests leave the thread's tile; replies return to it.
-        expected = [
-            row + (thread_of_tile[row[1] if TrafficClass(row[2]).is_reply else row[0]],)
-            for row in rows
-        ]
-        got = [_packet_tuple(p) + (p.thread,) for p in packets]
-        assert got == expected
+        assert [_packet_tuple(p) for p in packets] == rows
+        assert all(p.thread == -1 for p in packets)
+        # Requests leave the thread's tile; replies return to it, carrying
+        # that thread's app.
+        app_of_thread = inst.workload.app_of_thread
+        for src, dst, cls, _, _, app in rows:
+            tile = dst if TrafficClass(cls).is_reply else src
+            assert app == app_of_thread[thread_of_tile[tile]]
         assert {row[2] for row in rows} == set(range(4))
         assert _state(gen) == _state(twin)
 

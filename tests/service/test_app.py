@@ -200,6 +200,12 @@ class TestHTTPEndpoints:
                 "apps": [{"cache_rates": ["1.0", True], "mem_rates": [0.1, 0.2]}],
             },
             lambda s: {**s, "timeout": 10**400},  # beyond the float range
+            # the work one body may ask for is bounded
+            lambda s: {**s, "mesh": 17},  # 289 tiles > MAX_TILES
+            lambda s: {**s, "mesh": {"rows": 1, "cols": 257}},
+            lambda s: {**s, "workload": "C1", "apps": None, "mesh": 3000},
+            lambda s: {**s, "sim": {"measure": 100_001}},  # > MAX_SIM_CYCLES
+            lambda s: {**s, "sim": {"warmup": 50_000, "measure": 50_001}},
         ],
     )
     def test_malformed_requests_are_400(self, client, spec2, mutate):

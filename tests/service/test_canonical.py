@@ -94,11 +94,18 @@ class TestValidation:
             {"mesh": 4, "params": {"td_s": True}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
             {"mesh": 4, "apps": [{"cache_rates": ["1"], "mem_rates": [1]}]},
             {"mesh": 4, "apps": [{"cache_rates": [1], "mem_rates": [10**400]}]},
+            {"mesh": 17, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
+            {"mesh": {"rows": 257, "cols": 1}, "apps": [{"cache_rates": [1], "mem_rates": [1]}]},
         ],
     )
     def test_malformed_specs_raise_value_error(self, spec):
         with pytest.raises(ValueError):
             canonicalize(spec)
+
+    @pytest.mark.parametrize("mesh", [16, {"rows": 1, "cols": 256}])
+    def test_largest_meshes_are_accepted(self, mesh):
+        problem = canonicalize({"mesh": mesh, "apps": [{"cache_rates": [1], "mem_rates": [1]}]})
+        assert problem.rows * problem.cols == 256
 
     def test_fingerprint_matches_ledger_scheme(self):
         """Cache keys use the ``config_fingerprint`` format (16 hex digits)."""

@@ -1,4 +1,4 @@
-"""The examples that read the fast path's network run end to end."""
+"""Every example but ``trace_to_mapping.py`` runs end to end."""
 
 from pathlib import Path
 import runpy
@@ -8,7 +8,16 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
-@pytest.mark.parametrize("name", ["layout_analysis.py", "noc_validation.py"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "quickstart.py",
+        "design_space.py",
+        "dynamic_remap.py",
+        "multi_tenant_scheduling.py",
+        "noc_validation.py",
+    ],
+)
 def test_example_runs(name, capsys):
     runpy.run_path(str(EXAMPLES / name), run_name="__main__")
     assert capsys.readouterr().out
