@@ -11,6 +11,7 @@ Run:  python examples/design_space.py
 import numpy as np
 
 from repro import Mesh, MeshLatencyModel, OBMInstance, global_mapping, sort_select_swap
+from repro.cli import run_main
 from repro.core.workload import Application, Workload
 from repro.utils.rng import as_rng
 from repro.utils.text import format_table
@@ -92,4 +93,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -13,6 +13,7 @@ Run:  python examples/dynamic_remap.py
 import numpy as np
 
 from repro import Mapping, Mesh, MeshLatencyModel, OBMInstance, sort_select_swap
+from repro.cli import run_main
 from repro.core.workload import Application, Workload
 from repro.utils.rng import as_rng
 from repro.utils.text import format_table
@@ -84,4 +85,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -17,6 +17,7 @@ Run:  python examples/multi_tenant_scheduling.py
 import numpy as np
 
 from repro import Mesh, MeshLatencyModel, OBMInstance
+from repro.cli import run_main
 from repro.core.workload import Application, Workload
 from repro.noc.closedloop import ClosedLoopSimulator
 from repro.scheduler import (
@@ -102,4 +103,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -13,7 +13,8 @@ import numpy as np
 
 from repro import Mapping, Mesh, MeshLatencyModel, OBMInstance
 from repro.core.workload import Application, Workload
-from repro.noc import MappedWorkloadTraffic, NoCSimulator
+from repro.cli import run_main
+from repro.noc import MappedWorkloadTraffic, NoCSimulator, TrafficClass
 from repro.utils.text import format_table, heatmap_to_text
 
 
@@ -28,18 +29,15 @@ def main() -> None:
     mapping = Mapping(np.arange(16))
 
     traffic = MappedWorkloadTraffic(instance, mapping, cycles_per_unit=1000, seed=0)
-    # The fast path keeps the delivered Packet objects read below.
-    sim = NoCSimulator(mesh, traffic, engine="fastpath")
+    sim = NoCSimulator(mesh, traffic)
     print("running 20k measured cycles of cycle-level simulation ...")
     result = sim.run(warmup=2_000, measure=20_000)
 
     # Per-source-tile measured mean latency of cache traffic.
-    sums = np.zeros(16)
-    counts = np.zeros(16)
-    for p in sim.network.delivered:
-        if p.created_at >= 2_000 and not p.traffic_class.is_memory:
-            sums[p.src] += p.latency
-            counts[p.src] += 1
+    stats = result.stats
+    cache = ~np.isin(stats.tclass, [c for c in TrafficClass if c.is_memory])
+    sums = np.bincount(stats.src[cache], weights=stats.latency[cache], minlength=16)
+    counts = np.bincount(stats.src[cache], minlength=16)
     measured = sums / np.maximum(counts, 1)
 
     rows = [
@@ -68,4 +66,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -14,6 +14,7 @@ from repro import (
     global_mapping,
     sort_select_swap,
 )
+from repro.cli import run_main
 from repro.utils.text import format_table, grid_to_text
 from repro.workloads import parsec_config
 
@@ -60,4 +61,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -14,6 +14,7 @@ Run:  python examples/trace_to_mapping.py
 """
 
 from repro import Mesh, MeshLatencyModel, OBMInstance, global_mapping, sort_select_swap
+from repro.cli import run_main
 from repro.cmp import workload_from_traces
 from repro.noc import MappedWorkloadTraffic, NoCSimulator
 from repro.utils.text import format_table
@@ -72,4 +73,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run_main(main)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.latency import LatencyParams, Mesh
-from repro.noc.network import Network, NetworkConfig
+from repro.noc.network import NetworkConfig
+from repro.noc.simulator import NoCSimulator
 from repro.noc.traffic import UniformRandomTraffic
 
 __all__ = ["CalibrationResult", "measure_queuing_delay", "calibrated_params"]
@@ -59,31 +60,17 @@ def measure_queuing_delay(
     if isinstance(mesh, int):
         mesh = Mesh.square(mesh)
     network_config = network_config or NetworkConfig()
-    net = Network(mesh, network_config)
     traffic = UniformRandomTraffic(
         n_tiles=mesh.n_tiles, injection_rate=injection_rate,
         length=packet_length, seed=seed,
     )
-    for _ in range(warmup + cycles):
-        for packet in traffic.packets_for_cycle(net.now):
-            net.submit(packet)
-        net.step()
-    net.drain()
-    net.assert_conserved()
-
-    hops, latencies = [], []
-    for p in net.delivered:
-        if p.created_at < warmup:
-            continue
-        hops.append(mesh.hops(p.src, p.dst))
-        latencies.append(p.latency)
-    if len(latencies) < 100:
+    stats = NoCSimulator(mesh, traffic, network_config).run(warmup, cycles).stats
+    if stats.n_packets < 100:
         raise ValueError(
-            f"only {len(latencies)} measured packets; increase cycles or rate"
+            f"only {stats.n_packets} measured packets; increase cycles or rate"
         )
-    hops = np.asarray(hops, dtype=float)
-    latencies = np.asarray(latencies, dtype=float)
-    slope, intercept = np.polyfit(hops, latencies, 1)
+    hops = mesh.hop_matrix[stats.src, stats.dst].astype(float)
+    slope, intercept = np.polyfit(hops, stats.latency.astype(float), 1)
 
     router = network_config.router
     base_per_hop = router.pipeline_depth + network_config.link_latency
@@ -92,7 +79,7 @@ def measure_queuing_delay(
         per_hop=float(slope),
         intercept=float(intercept),
         td_q=td_q,
-        n_packets=int(latencies.size),
+        n_packets=stats.n_packets,
         injection_rate=injection_rate,
     )
 

@@ -701,17 +701,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def run_main(main, *args):
+    """Return ``main(*args)``; exit quietly (status 1) on a closed stdout.
+
+    The command-line entry point and every example's ``__main__`` block
+    run through this, so ``... | head`` ends them without a
+    ``BrokenPipeError`` traceback.
+    """
     try:
-        status = _dispatch(argv)
+        status = main(*args)
         # Flush here, not at interpreter exit, so a closed pipe is caught.
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away (``... | head``): stop quietly.  Point
-        # stdout at devnull so the exit-time flush cannot fail again.
+        # The reader went away: point stdout at devnull so the exit-time
+        # flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        raise SystemExit(1) from None
     return status
+
+
+def main(argv=None) -> int:
+    return run_main(_dispatch, argv)
 
 
 def _dispatch(argv) -> int:

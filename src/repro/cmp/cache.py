@@ -80,10 +80,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
     """An LRU set-associative cache over *block* addresses.

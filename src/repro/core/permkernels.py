@@ -156,10 +156,6 @@ class PermutationBatchEvaluator:
         self._total_volume = float(self.volumes.sum())
         self._active_volumes = self.volumes[self.active]
 
-    @classmethod
-    def from_instance(cls, instance) -> "PermutationBatchEvaluator":
-        return cls(instance.workload, instance.tc, instance.tm)
-
     def _as_batch(self, perms: np.ndarray) -> np.ndarray:
         perms = np.asarray(perms, dtype=np.int64)
         if perms.ndim == 1:

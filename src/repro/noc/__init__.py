@@ -33,7 +33,6 @@ from repro.noc.routing import (
     xy_route,
     yx_route,
 )
-from repro.noc.telemetry import NetworkTelemetry, TelemetrySnapshot
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import FaultStats, LatencyStats, LatencySummary
 from repro.noc.traffic import (
@@ -67,12 +66,10 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "NetworkInterface",
-    "NetworkTelemetry",
     "NoCSimulator",
     "Packet",
     "Port",
     "ROUTE_FUNCTIONS",
-    "TelemetrySnapshot",
     "PowerBreakdown",
     "PowerModel",
     "PowerParams",

@@ -55,12 +55,6 @@ class ClosedLoopResult:
     throughput_by_app: dict[int, float]  #: completions per kilo-cycle per thread
     progress_by_app: dict[int, float]  #: achieved / offered rate (<= ~1)
 
-    def app_throughput_ratio(self) -> float:
-        """max/min per-app throughput — 1.0 means perfectly even progress."""
-        values = list(self.throughput_by_app.values())
-        lo = min(values)
-        return float("inf") if lo == 0 else max(values) / lo
-
     def progress_spread(self) -> float:
         """max - min of rate-normalised progress across applications.
 

@@ -29,8 +29,8 @@ Retries preserve ``created_at``, so measured latency includes the full
 recovery cost.
 
 All counters surface in :class:`repro.noc.stats.FaultStats` (exposed via
-the simulator result, telemetry snapshots, and ``python -m repro
-simulate``).
+the simulator result and ``python -m repro simulate``); the
+time-series sampler (:mod:`repro.obs.sampler`) reports the windowed drops.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class _Link:
     def __init__(self, latency: int) -> None:
         self.latency = latency
         self.in_flight: deque[tuple[int, int, Flit]] = deque()  # (arrive, vc, flit)
-        self.flits_carried = 0  #: cumulative traffic tally (telemetry)
+        self.flits_carried = 0  #: cumulative traffic tally (MetricsSampler)
         self.busy = False  #: registered in the network's busy-link set
 
     def send(self, now: int, vc: int, flit: Flit) -> None:

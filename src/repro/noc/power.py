@@ -101,29 +101,3 @@ class PowerModel:
         dynamic = self.dynamic_energy(counts) / seconds
         static = self.params.p_static_per_router * self.mesh.n_tiles
         return PowerBreakdown(dynamic=dynamic, static=static)
-
-    # ------------------------------------------------------------------
-    # Analytic estimate (no simulation needed)
-    # ------------------------------------------------------------------
-
-    def analytic_counts(
-        self,
-        hops_per_packet: float,
-        packets_per_cycle: float,
-        flits_per_packet: float,
-        cycles: int,
-    ) -> ActivityCounts:
-        """Estimate activity from average hop counts.
-
-        A packet crossing ``H`` links traverses ``H + 1`` routers and is
-        buffered once per router; used by the Figure-11 harness to compare
-        mappings without running the cycle simulator for every point.
-        """
-        n_packets = packets_per_cycle * cycles
-        n_flits = n_packets * flits_per_packet
-        return ActivityCounts(
-            flit_router_traversals=int(round(n_flits * (hops_per_packet + 1))),
-            flit_link_traversals=int(round(n_flits * hops_per_packet)),
-            buffer_writes=int(round(n_flits * (hops_per_packet + 1))),
-            cycles=cycles,
-        )

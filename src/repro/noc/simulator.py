@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.latency import Mesh
 from repro.noc import cc_kernel
 from repro.noc.network import Network, NetworkConfig
@@ -60,6 +62,46 @@ class SimulationResult:
             return 1.0
         return self.packets_delivered / self.packets_offered
 
+    @classmethod
+    def of_window(
+        cls,
+        stats: LatencyStats,
+        power_model: PowerModel,
+        *,
+        routed: int,
+        ejected: int,
+        buffer_writes: int,
+        cycles: int,
+        offered: int,
+        engine: str,
+        **extra,
+    ) -> "SimulationResult":
+        """The result of a window from its counter deltas and samples.
+
+        ``routed``/``ejected``/``buffer_writes`` are the window's flit
+        router traversals, ejections and buffer writes.  Every switch
+        traversal except the final one (ejection into the local NI)
+        pushes the flit onto a link, so link traversals equal router
+        traversals minus the flits ejected.  ``extra`` fills the
+        fast-path-only fields (faults, invariants).
+        """
+        counts = ActivityCounts(
+            flit_router_traversals=routed,
+            flit_link_traversals=max(0, routed - ejected),
+            buffer_writes=buffer_writes,
+            cycles=cycles,
+        )
+        return cls(
+            stats=stats,
+            power=power_model.power(counts),
+            counts=counts,
+            cycles=cycles,
+            packets_offered=offered,
+            packets_delivered=stats.n_packets,
+            engine=engine,
+            **extra,
+        )
+
 
 class NoCSimulator:
     """Warmup + measure simulation harness.
@@ -76,7 +118,6 @@ class NoCSimulator:
         traffic: TrafficGenerator,
         network_config: NetworkConfig | None = None,
         power_params: PowerParams | None = None,
-        include_local: bool = True,
         *,
         faults=None,
         invariants=None,
@@ -107,7 +148,6 @@ class NoCSimulator:
                 tracer=None if self.obs is None else self.obs.tracer,
             )
         self.power_model = PowerModel(mesh, power_params)
-        self.include_local = include_local
 
     def _window(self, cycles: int, count_offered: bool) -> int:
         """Inject + step for ``cycles`` cycles; returns packets offered.
@@ -141,11 +181,7 @@ class NoCSimulator:
             from repro.noc.vector_engine import VectorEngine
 
             vec = VectorEngine(
-                self.mesh,
-                [self.traffic],
-                self.network_config,
-                self.power_params,
-                self.include_local,
+                self.mesh, [self.traffic], self.network_config, self.power_params
             )
             return vec.run(warmup=warmup, measure=measure)[0]
         net = self.network
@@ -169,42 +205,25 @@ class NoCSimulator:
         if sampler is not None:
             sampler.finish(net)
         net.assert_conserved()
-        measure_cycles = measure  # activity normalised to the offered window
 
-        stats = LatencyStats(include_local=self.include_local)
-        delivered = 0
-        for packet in net.delivered[delivered_before:]:
-            if packet.created_at >= warmup_end:
-                stats.add(packet)
-                delivered += 1
-
-        flit_router_traversals = sum(r.flits_routed for r in net.routers) - flits_routed_before
-        buffer_writes = sum(r.buffer_writes for r in net.routers) - writes_before
-        # Every switch traversal except the final one (ejection into the
-        # local NI) pushes the flit onto a link, so link traversals equal
-        # router traversals minus the flits ejected in the window.
-        ejected_in_window = net.flits_ejected - ejected_before
-        link_traversals = max(0, flit_router_traversals - ejected_in_window)
-        counts = ActivityCounts(
-            flit_router_traversals=flit_router_traversals,
-            flit_link_traversals=link_traversals,
-            buffer_writes=buffer_writes,
-            cycles=measure_cycles,
-        )
-        power = self.power_model.power(counts)
-        lost = sum(1 for p in net.lost_packets if p.created_at >= warmup_end)
+        window = [p for p in net.delivered[delivered_before:] if p.created_at >= warmup_end]
+        columns = np.array(
+            [(p.latency, p.app, p.traffic_class, p.src, p.dst) for p in window],
+            dtype=np.int64,
+        ).reshape(-1, 5)
         checker = net.invariants
-        result = SimulationResult(
-            stats=stats,
-            power=power,
-            counts=counts,
-            cycles=measure_cycles,
-            packets_offered=offered,
-            packets_delivered=delivered,
-            fault_stats=net.fault_stats,
-            packets_lost=lost,
-            invariant_checks=checker.checks_run if checker is not None else 0,
+        result = SimulationResult.of_window(
+            LatencyStats(*columns.T),
+            self.power_model,
+            routed=sum(r.flits_routed for r in net.routers) - flits_routed_before,
+            ejected=net.flits_ejected - ejected_before,
+            buffer_writes=sum(r.buffer_writes for r in net.routers) - writes_before,
+            cycles=measure,  # activity normalised to the offered window
+            offered=offered,
             engine=self.engine,
+            fault_stats=net.fault_stats,
+            packets_lost=sum(1 for p in net.lost_packets if p.created_at >= warmup_end),
+            invariant_checks=checker.checks_run if checker is not None else 0,
         )
         if self.obs is not None:
             self.obs.finalize(result, net)

@@ -1,22 +1,22 @@
-"""Latency statistics collection for simulated packets.
+"""Latency statistics of simulated packets.
 
-Groups delivered packets by application and traffic class and reproduces
+Holds a measurement window's delivered packets as columns and reproduces
 the paper's metrics from *measured* (rather than modelled) latencies:
-per-application APL, max-APL, dev-APL and g-APL.
+per-application APL, max-APL, dev-APL and g-APL, grouped by application
+and traffic class.
 
 Also home to :class:`FaultStats`, the counter block every fault-injection
-run (:mod:`repro.noc.faults`) reports through the simulator result,
-telemetry snapshots and the CLI.
+run (:mod:`repro.noc.faults`) reports through the simulator result and
+the CLI.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.noc.packet import Packet, TrafficClass
+from repro.noc.packet import TrafficClass
 
 __all__ = ["FaultStats", "LatencySummary", "LatencyStats"]
 
@@ -78,95 +78,48 @@ class LatencySummary:
 
 
 class LatencyStats:
-    """Accumulates delivered packets and answers APL-style queries."""
+    """One measurement window's delivered packets as int64 columns.
 
-    def __init__(self, include_local: bool = True) -> None:
-        #: include packets with src == dst (latency 0); the analytic model
-        #: includes them in the cache-traffic average, so the default does too.
-        self.include_local = include_local
-        self._by_app: dict[int, list[int]] = defaultdict(list)
-        self._by_class: dict[TrafficClass, list[int]] = defaultdict(list)
-        self._all: list[int] = []
-        self.dropped_local = 0
+    ``latency``, ``app``, ``tclass``, ``src`` and ``dst`` hold one entry
+    per packet in delivery order (the column names of
+    :class:`~repro.noc.packet.PacketTable`); both engines build this
+    from the packets they delivered in the window.  Every packet counts,
+    src == dst ones (latency 0) included, as in the analytic model.
+    The queries group the columns on demand.
+    """
 
-    def add(self, packet: Packet) -> None:
-        if packet.src == packet.dst and not self.include_local:
-            self.dropped_local += 1
-            return
-        latency = packet.latency
-        self._all.append(latency)
-        self._by_app[packet.app].append(latency)
-        self._by_class[packet.traffic_class].append(latency)
-
-    def add_all(self, packets) -> None:
-        for p in packets:
-            self.add(p)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        latencies: np.ndarray,
-        apps: np.ndarray,
-        classes: np.ndarray,
-        srcs: np.ndarray | None = None,
-        dsts: np.ndarray | None = None,
-        include_local: bool = True,
-    ) -> "LatencyStats":
-        """Materialize stats from flat SoA columns, one row per packet.
-
-        Produces exactly the state a packet-by-packet :meth:`add` loop
-        over the same rows (in the same order) would: identical ``_all``
-        ordering, identical per-app/per-class sample lists, identical
-        ``dropped_local`` accounting.  This is how the vector engine's
-        structure-of-arrays batch path turns its packet-record columns
-        into the same public :class:`LatencyStats` the object engines
-        build incrementally — no new schema, just a bulk constructor.
-
-        ``classes`` holds :class:`TrafficClass` integer values; ``srcs``/
-        ``dsts`` are only consulted when ``include_local`` is False (to
-        drop and count src == dst packets like :meth:`add` does).
-        """
-        stats = cls(include_local=include_local)
-        latencies = np.asarray(latencies)
-        apps = np.asarray(apps)
-        classes = np.asarray(classes)
-        if not include_local and srcs is not None and latencies.size:
-            local = np.asarray(srcs) == np.asarray(dsts)
-            stats.dropped_local = int(local.sum())
-            keep = ~local
-            latencies, apps, classes = latencies[keep], apps[keep], classes[keep]
-        stats._all = latencies.tolist()
-        for app in np.unique(apps).tolist():
-            stats._by_app[app] = latencies[apps == app].tolist()
-        for value in np.unique(classes).tolist():
-            stats._by_class[TrafficClass(value)] = latencies[classes == value].tolist()
-        return stats
+    def __init__(self, latency=(), app=(), tclass=(), src=(), dst=()) -> None:
+        self.latency = np.ascontiguousarray(latency, dtype=np.int64)
+        self.app = np.ascontiguousarray(app, dtype=np.int64)
+        self.tclass = np.ascontiguousarray(tclass, dtype=np.int64)
+        self.src = np.ascontiguousarray(src, dtype=np.int64)
+        self.dst = np.ascontiguousarray(dst, dtype=np.int64)
 
     @property
     def n_packets(self) -> int:
-        return len(self._all)
+        return int(self.latency.size)
+
+    def _of_app(self, app: int) -> np.ndarray:
+        return self.latency[self.app == app]
 
     def overall(self) -> LatencySummary:
-        return LatencySummary.of(np.asarray(self._all))
+        return LatencySummary.of(self.latency)
 
     def by_class(self, traffic_class: TrafficClass) -> LatencySummary:
-        return LatencySummary.of(np.asarray(self._by_class[traffic_class]))
+        return LatencySummary.of(self.latency[self.tclass == traffic_class])
 
     def classes(self) -> list[TrafficClass]:
-        return sorted(self._by_class)
+        return [TrafficClass(v) for v in np.unique(self.tclass).tolist()]
 
     def apps(self) -> list[int]:
-        return sorted(self._by_app)
+        return np.unique(self.app).tolist()
 
     def apl_by_app(self) -> dict[int, float]:
         """Measured per-application average packet latency."""
-        return {
-            app: float(np.mean(lat)) for app, lat in sorted(self._by_app.items())
-        }
+        return {app: float(np.mean(self._of_app(app))) for app in self.apps()}
 
     def by_app(self, app: int) -> LatencySummary:
-        return LatencySummary.of(np.asarray(self._by_app[app]))
+        return LatencySummary.of(self._of_app(app))
 
     def histogram_by_app(self) -> dict[int, "Histogram"]:
         """Per-application latency :class:`~repro.obs.metrics.Histogram`.
@@ -178,23 +131,24 @@ class LatencyStats:
         from repro.obs.metrics import Histogram
 
         out: dict[int, Histogram] = {}
-        for app, latencies in sorted(self._by_app.items()):
+        for app in self.apps():
             hist = Histogram("repro_packet_latency_cycles", labels=(("app", str(app)),))
-            hist.observe_many(latencies)
+            # Python ints, so the histogram's sum renders as before.
+            hist.observe_many(self._of_app(app).tolist())
             out[app] = hist
         return out
 
     def percentiles_by_app(self) -> dict[int, dict[str, float]]:
         """Exact per-application p50/p95/p99 from the raw samples."""
-        return {
-            app: {
+        out = {}
+        for app in self.apps():
+            lat = self._of_app(app)
+            out[app] = {
                 "p50": float(np.percentile(lat, 50)),
                 "p95": float(np.percentile(lat, 95)),
                 "p99": float(np.percentile(lat, 99)),
             }
-            for app, lat in sorted(self._by_app.items())
-            if lat
-        }
+        return out
 
     def max_apl(self) -> float:
         apls = self.apl_by_app()
@@ -209,15 +163,16 @@ class LatencyStats:
         return float(apls.std())
 
     def g_apl(self) -> float:
-        if not self._all:
+        if not self.n_packets:
             raise ValueError("no packets recorded")
-        return float(np.mean(self._all))
+        return float(np.mean(self.latency))
 
     def report(self) -> str:
         lines = [f"{self.n_packets} packets delivered"]
         for app, apl in self.apl_by_app().items():
             label = f"app {app}" if app >= 0 else "background"
-            lines.append(f"  {label}: APL {apl:.2f} cycles ({len(self._by_app[app])} pkts)")
+            n = int(np.count_nonzero(self.app == app))
+            lines.append(f"  {label}: APL {apl:.2f} cycles ({n} pkts)")
         for cls in self.classes():
             s = self.by_class(cls)
             lines.append(

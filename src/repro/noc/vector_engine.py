@@ -52,11 +52,11 @@ rows the fast path turns into objects (for
 :class:`~repro.noc.traffic.MappedWorkloadTraffic` the destination draws
 interleave with the injection draws, which is also why draws cannot be
 prefetched across cycles).  The engine tracks delivered *pids*, and the
-kernel keeps the ejection stamps; latency statistics materialize once
-at the end of :meth:`VectorEngine.run` via
-:meth:`LatencyStats.from_arrays` — same delivered order, same
-``SimulationResult`` fields, no per-packet Python work anywhere on the
-batch path.
+kernel keeps the ejection stamps; at the end of :meth:`VectorEngine.run`
+the delivered rows of the table become the
+:class:`~repro.noc.stats.LatencyStats` columns — same delivered order,
+same ``SimulationResult`` fields, no per-packet Python work anywhere on
+the batch path.
 
 Faults, invariants and observability hooks are *not* supported here;
 :class:`~repro.noc.simulator.NoCSimulator` runs the fast path whenever
@@ -74,7 +74,7 @@ from repro.core.latency import Mesh
 from repro.noc import cc_kernel
 from repro.noc.network import NetworkConfig
 from repro.noc.packet import PacketTable
-from repro.noc.power import ActivityCounts, PowerModel, PowerParams
+from repro.noc.power import PowerModel, PowerParams
 from repro.noc.routing import topology_tables
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import LatencyStats
@@ -108,7 +108,6 @@ class VectorEngine:
         traffics,
         network_config: NetworkConfig | None = None,
         power_params: PowerParams | None = None,
-        include_local: bool = True,
         *,
         table_capacity: int = 4096,
     ) -> None:
@@ -122,7 +121,6 @@ class VectorEngine:
             raise RuntimeError(f"the compiled cycle kernel is unavailable: {reason}")
         self.config = network_config or NetworkConfig()
         rc = self.config.router
-        self.include_local = include_local
         self.power_model = PowerModel(mesh, power_params)
 
         B = self.B = len(self.traffics)
@@ -329,44 +327,27 @@ class VectorEngine:
             self._drain()
         self._assert_conserved()
 
-        # Materialize statistics once from the packet-table columns: the
-        # delivered pid lists preserve the object engine's append order,
-        # so from_arrays builds bit-identical LatencyStats state.
+        # Statistics come once from the packet-table columns: the
+        # delivered pid lists preserve the object engine's append order.
         pt = self.pt
         created = pt.column("created")
         ej = self._kernel.p_ej[: len(pt)]
-        apps = pt.column("app")
-        classes = pt.column("tclass")
-        srcs = pt.column("src")
-        dsts = pt.column("dst")
+        app, tclass, src, dst = (pt.column(c) for c in ("app", "tclass", "src", "dst"))
         results = []
         for b in range(B):
             pids = np.array(self.delivered[b][delivered_before[b]:], dtype=np.int64)
             keep = pids[created[pids] >= warmup_end] if pids.size else pids
-            stats = LatencyStats.from_arrays(
-                latencies=ej[keep] - created[keep],
-                apps=apps[keep],
-                classes=classes[keep],
-                srcs=srcs[keep],
-                dsts=dsts[keep],
-                include_local=self.include_local,
-            )
-            routed = int(self.flits_routed[b] - routed_before[b])
-            ejected = int(self.flits_ejected[b] - ejected_before[b])
-            counts = ActivityCounts(
-                flit_router_traversals=routed,
-                flit_link_traversals=max(0, routed - ejected),
-                buffer_writes=int(self.buffer_writes[b] - writes_before[b]),
-                cycles=measure,
-            )
             results.append(
-                SimulationResult(
-                    stats=stats,
-                    power=self.power_model.power(counts),
-                    counts=counts,
+                SimulationResult.of_window(
+                    LatencyStats(
+                        ej[keep] - created[keep], app[keep], tclass[keep], src[keep], dst[keep]
+                    ),
+                    self.power_model,
+                    routed=int(self.flits_routed[b] - routed_before[b]),
+                    ejected=int(self.flits_ejected[b] - ejected_before[b]),
+                    buffer_writes=int(self.buffer_writes[b] - writes_before[b]),
                     cycles=measure,
-                    packets_offered=int(offered[b]),
-                    packets_delivered=int(keep.size),
+                    offered=int(offered[b]),
                     engine="vector",
                 )
             )
@@ -395,7 +376,6 @@ def run_batch(
     measure: int = 10_000,
     network_config: NetworkConfig | None = None,
     power_params: PowerParams | None = None,
-    include_local: bool = True,
 ) -> list[SimulationResult]:
     """Run B independent simulations batched in one array set.
 
@@ -405,12 +385,11 @@ def run_batch(
     if cc_kernel.library() is None:
         return [
             NoCSimulator(
-                mesh, traffic, network_config, power_params, include_local,
-                engine="fastpath",
+                mesh, traffic, network_config, power_params, engine="fastpath"
             ).run(warmup=warmup, measure=measure)
             for traffic in traffics
         ]
-    engine = VectorEngine(mesh, traffics, network_config, power_params, include_local)
+    engine = VectorEngine(mesh, traffics, network_config, power_params)
     return engine.run(warmup=warmup, measure=measure)
 
 
@@ -424,7 +403,6 @@ def simulate_batch(
     generate_replies: bool = True,
     network_config: NetworkConfig | None = None,
     power_params: PowerParams | None = None,
-    include_local: bool = True,
 ) -> list[SimulationResult]:
     """Batch-simulate ``(OBMInstance, Mapping)`` pairs with mapped traffic.
 
@@ -468,5 +446,4 @@ def simulate_batch(
         measure=measure,
         network_config=network_config,
         power_params=power_params,
-        include_local=include_local,
     )

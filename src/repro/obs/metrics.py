@@ -96,9 +96,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A fixed-bucket distribution with cumulative-bucket export.

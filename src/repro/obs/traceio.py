@@ -193,10 +193,6 @@ class PacketTrace:
     teardowns: int = 0
 
     @property
-    def n_hops(self) -> int:
-        return len(self.hops)
-
-    @property
     def queue_wait(self) -> int | None:
         """Cycles between creation and first switch traversal at the source."""
         if not self.hops:

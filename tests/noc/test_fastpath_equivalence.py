@@ -84,7 +84,7 @@ def test_fastpath_matches_seed_implementation(case):
     net = sim.network
     expected = case["expected"]
 
-    hist = sorted((int(k), int(v)) for k, v in Counter(res.stats._all).items())
+    hist = sorted((int(k), int(v)) for k, v in Counter(res.stats.latency.tolist()).items())
     assert hist == [tuple(x) for x in map(tuple, expected["latency_histogram"])]
     assert res.stats.apl_by_app() == {
         int(k): v for k, v in expected["apl_by_app"].items()

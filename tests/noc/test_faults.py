@@ -17,7 +17,6 @@ from repro.noc import (
     FaultSchedule,
     LinkDownWindow,
     Network,
-    NetworkTelemetry,
     Packet,
     Port,
     RouterStallWindow,
@@ -25,6 +24,7 @@ from repro.noc import (
     UniformRandomTraffic,
     detour_port,
 )
+from repro.obs.sampler import MetricsSampler
 
 
 def _packet(src: int, dst: int, length: int = 1, created_at: int = 0) -> Packet:
@@ -260,10 +260,11 @@ class TestSurfacing:
             link_windows=(LinkDownWindow(0, Port.EAST, 6, 10_000),)
         )
         net = Network(mesh, faults=schedule)
-        telemetry = NetworkTelemetry(net)
+        sampler = MetricsSampler()
+        sampler.attach(net)
         _drive(net, [_packet(0, 3, length=5)])
-        snap = telemetry.snapshot()
-        assert snap.flits_dropped == net.flits_dropped > 0
+        sampler.finish(net)
+        assert sum(sampler.columns["flits_dropped"]) == net.flits_dropped > 0
 
     def test_fault_stats_round_trip(self):
         mesh = Mesh.square(4)

@@ -3,9 +3,9 @@
 Each fuzz case draws a random mesh/router/routing/traffic configuration,
 runs it with every invariant enabled at ``check_interval=1`` (so any
 bookkeeping drift is caught on the exact cycle it appears), and then
-cross-checks the engine's aggregate counters against an independently
-accumulated :class:`~repro.noc.stats.LatencyStats` — the engine and the
-statistics layer must agree packet-for-packet.
+cross-checks the engine's aggregate counters against a
+:class:`~repro.noc.stats.LatencyStats` built from the delivered packets —
+the engine and the statistics layer must agree packet-for-packet.
 
 The tier-1 run covers a handful of configs; the ``slow`` variant sweeps
 ``REPRO_FUZZ_CONFIGS`` (default 50) and is exercised by the nightly fuzz
@@ -92,8 +92,13 @@ def _run_case(case_seed: int, *, faults: bool) -> None:
     net.assert_conserved()
 
     # Differential accounting: engine counters vs the stats layer.
-    stats = LatencyStats()
-    stats.add_all(net.delivered)
+    stats = LatencyStats(
+        latency=[p.latency for p in net.delivered],
+        app=[p.app for p in net.delivered],
+        tclass=[p.traffic_class for p in net.delivered],
+        src=[p.src for p in net.delivered],
+        dst=[p.dst for p in net.delivered],
+    )
     assert stats.n_packets == len(net.delivered)
     assert len(net.delivered) + len(net.lost_packets) == offered
     network_flits = sum(

@@ -1,5 +1,5 @@
 """Tests of the alternative routing functions, arbitration policies, and
-network telemetry."""
+per-link activity accounting."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from repro.noc.routing import (
     xy_route,
     yx_route,
 )
-from repro.noc.telemetry import NetworkTelemetry
+from repro.obs.sampler import MetricsSampler
 
 
 class TestRouteFunctions:
@@ -177,37 +177,37 @@ class TestArbitration:
 class TestTelemetry:
     def test_snapshot_counts_activity(self):
         net = Network(Mesh.square(4))
-        telemetry = NetworkTelemetry(net)
-        p = Packet(0, 15, TrafficClass.CACHE_REPLY, net.now)
-        net.submit(p)
+        sampler = MetricsSampler()
+        sampler.attach(net)
+        net.submit(Packet(0, 15, TrafficClass.CACHE_REPLY, net.now))
         net.drain()
-        snap = telemetry.snapshot()
+        sampler.finish(net)
+        (window,) = sampler.columns["window"]
+        assert window == net.now
         # 5 flits x 6 hops of links each.
-        assert snap.total_flit_hops == 5 * 6
-        assert snap.router_flits.sum() == 5 * 7  # 7 routers traversed
-        assert snap.cycles == net.now
+        assert round(sum(sampler.link_util[0]) * window) == 5 * 6
+        assert sum(r.flits_routed for r in net.routers) == 5 * 7  # 7 routers
 
     def test_reset_zeroes_baseline(self):
         net = Network(Mesh.square(4))
-        telemetry = NetworkTelemetry(net)
         net.submit(Packet(0, 3, TrafficClass.CACHE_REQUEST, net.now))
         net.drain()
-        telemetry.reset()
-        assert telemetry.snapshot().total_flit_hops == 0
-
-    def test_router_grid_shape(self):
-        net = Network(Mesh.square(4))
-        telemetry = NetworkTelemetry(net)
-        assert telemetry.snapshot().router_grid(net.mesh).shape == (4, 4)
+        sampler = MetricsSampler()
+        sampler.attach(net)
+        net.step()
+        sampler.finish(net)
+        assert sampler.link_util == [[0.0] * len(net.links)]
 
     def test_hottest_links(self):
         net = Network(Mesh.square(4))
-        telemetry = NetworkTelemetry(net)
+        sampler = MetricsSampler()
+        sampler.attach(net)
         for _ in range(5):
             net.submit(Packet(0, 3, TrafficClass.CACHE_REQUEST, net.now))
             net.drain()
-        hottest = telemetry.snapshot().hottest_links(2)
-        assert len(hottest) == 2
-        (tile, port), util = hottest[0]
-        assert port == Port.EAST  # all traffic flows east along row 0
-        assert util > 0
+        sampler.finish(net)
+        utils = sampler.link_util[0]
+        hottest = max(range(len(utils)), key=utils.__getitem__)
+        # All traffic flows east along row 0; the first such link wins ties.
+        assert sampler.link_names[hottest] == "0:EAST"
+        assert utils[hottest] == sampler.columns["max_link_util"][0] > 0

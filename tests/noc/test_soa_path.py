@@ -1,15 +1,13 @@
-"""Structure-of-arrays batch-path tests: stats materialization + growth.
+"""Structure-of-arrays batch-path tests: result schema + growth.
 
 The vector engine's batch path keeps packets as PacketTable rows and
-accumulates measurement state in flat arrays, materializing the same
-public ``SimulationResult``/``LatencyStats`` schema only at run end.
-These tests pin the two halves of that contract directly (the golden
-suite pins it end-to-end):
+accumulates measurement state in flat arrays; at run end the delivered
+rows become the ``LatencyStats`` columns of the same public
+``SimulationResult`` the fast path returns.  These tests pin that
+contract directly (the golden suite pins it end-to-end):
 
-* ``LatencyStats.from_arrays`` is exactly an ``add()`` loop over the
-  same rows — same ``_all`` order, same per-app/per-class lists, same
-  ``dropped_local`` — and the materialized result exposes no new public
-  schema.
+* The vector result has the fast path's schema and values, and empty
+  columns answer the count queries.
 * The SoA pool's growth edge cases — reallocation mid-run from a tiny
   capacity, zero-packet windows, and ragged batch drains (members
   finishing at different cycles) — all stay bit-identical to single
@@ -21,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.core import permkernels
 from repro.core.latency import Mesh
 from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance
-from repro.noc.packet import Packet, PacketTable, TrafficClass
+from repro.noc.packet import PacketTable
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import LatencyStats
 from repro.noc.traffic import MappedWorkloadTraffic, UniformRandomTraffic
@@ -38,7 +35,7 @@ from repro.noc.vector_engine import VectorEngine
 def _signature(res):
     stats = res.stats
     return (
-        sorted(Counter(stats._all).items()),
+        sorted(Counter(stats.latency.tolist()).items()),
         sorted(stats.apl_by_app().items()),
         res.counts.flit_router_traversals,
         res.counts.flit_link_traversals,
@@ -58,59 +55,11 @@ needs_kernel = pytest.mark.skipif(
 )
 
 
-def _random_rows(rng, n, n_tiles=16, with_locals=True):
-    srcs = rng.integers(n_tiles, size=n)
-    dsts = rng.integers(n_tiles, size=n)
-    if with_locals:  # force a few src == dst rows so the filter is exercised
-        dsts[:: max(1, n // 5)] = srcs[:: max(1, n // 5)]
-    apps = rng.integers(4, size=n)
-    classes = rng.choice([t.value for t in TrafficClass], size=n)
-    created = rng.integers(1_000, size=n)
-    latencies = rng.integers(1, 400, size=n)
-    return srcs, dsts, apps, classes, created, latencies
-
-
-@pytest.mark.parametrize("include_local", [True, False])
-def test_from_arrays_matches_add_loop(include_local):
-    rng = np.random.default_rng(42)
-    srcs, dsts, apps, classes, created, latencies = _random_rows(rng, 200)
-
-    by_add = LatencyStats(include_local=include_local)
-    for i in range(srcs.size):
-        by_add.add(
-            Packet(
-                src=int(srcs[i]),
-                dst=int(dsts[i]),
-                traffic_class=TrafficClass(int(classes[i])),
-                created_at=int(created[i]),
-                app=int(apps[i]),
-                injected_at=int(created[i]),
-                ejected_at=int(created[i] + latencies[i]),
-            )
-        )
-    bulk = LatencyStats.from_arrays(
-        latencies=latencies,
-        apps=apps,
-        classes=classes,
-        srcs=srcs,
-        dsts=dsts,
-        include_local=include_local,
-    )
-    assert bulk._all == by_add._all  # identical order, not just multiset
-    assert dict(bulk._by_app) == dict(by_add._by_app)
-    assert dict(bulk._by_class) == dict(by_add._by_class)
-    assert bulk.dropped_local == by_add.dropped_local
-    assert bulk.apl_by_app() == by_add.apl_by_app()
-
-
-def test_from_arrays_empty():
-    stats = LatencyStats.from_arrays(
-        latencies=np.array([], dtype=np.int64),
-        apps=np.array([], dtype=np.int64),
-        classes=np.array([], dtype=np.int64),
-    )
+def test_empty_stats_columns():
+    stats = LatencyStats()
     assert stats.n_packets == 0
-    assert stats.dropped_local == 0
+    assert stats.apps() == [] and stats.classes() == []
+    assert stats.apl_by_app() == {}
 
 
 def _c1_scenario():

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.latency import Mesh
-from repro.noc.packet import Packet, TrafficClass
+from repro.noc.packet import TrafficClass
 from repro.noc.power import ActivityCounts, PowerModel, PowerParams
 from repro.noc.stats import LatencyStats, LatencySummary
 
 
-def delivered(src, dst, created, ejected, app=-1, cls=TrafficClass.CACHE_REQUEST):
-    p = Packet(src, dst, cls, created, app=app)
-    p.injected_at = created
-    p.ejected_at = ejected
-    return p
+def stats_of(*rows):
+    """Stats of ``(latency, app)`` cache-request rows from tile 0 to 1."""
+    latency, app = zip(*rows)
+    n = len(rows)
+    return LatencyStats(
+        latency=latency,
+        app=app,
+        tclass=[TrafficClass.CACHE_REQUEST] * n,
+        src=[0] * n,
+        dst=[1] * n,
+    )
 
 
 class TestLatencySummary:
@@ -31,10 +37,7 @@ class TestLatencySummary:
 
 class TestLatencyStats:
     def test_apl_by_app(self):
-        stats = LatencyStats()
-        stats.add(delivered(0, 1, 0, 10, app=0))
-        stats.add(delivered(0, 2, 0, 20, app=0))
-        stats.add(delivered(0, 3, 0, 30, app=1))
+        stats = stats_of((10, 0), (20, 0), (30, 1))
         apls = stats.apl_by_app()
         assert apls[0] == pytest.approx(15.0)
         assert apls[1] == pytest.approx(30.0)
@@ -43,18 +46,16 @@ class TestLatencyStats:
         assert stats.g_apl() == pytest.approx(20.0)
 
     def test_by_class(self):
-        stats = LatencyStats()
-        stats.add(delivered(0, 1, 0, 10))
-        stats.add(delivered(0, 1, 0, 40, cls=TrafficClass.MEM_REQUEST))
+        stats = LatencyStats(
+            latency=[10, 40],
+            app=[-1, -1],
+            tclass=[TrafficClass.CACHE_REQUEST, TrafficClass.MEM_REQUEST],
+            src=[0, 0],
+            dst=[1, 1],
+        )
         assert stats.by_class(TrafficClass.CACHE_REQUEST).mean == 10
         assert stats.by_class(TrafficClass.MEM_REQUEST).mean == 40
         assert stats.classes() == [TrafficClass.CACHE_REQUEST, TrafficClass.MEM_REQUEST]
-
-    def test_local_exclusion_mode(self):
-        stats = LatencyStats(include_local=False)
-        stats.add(delivered(3, 3, 0, 0))
-        assert stats.n_packets == 0
-        assert stats.dropped_local == 1
 
     def test_empty_queries_raise(self):
         stats = LatencyStats()
@@ -64,26 +65,18 @@ class TestLatencyStats:
             stats.max_apl()
 
     def test_report_renders(self):
-        stats = LatencyStats()
-        stats.add(delivered(0, 1, 0, 12, app=2))
-        text = stats.report()
+        text = stats_of((12, 2)).report()
         assert "app 2" in text and "CACHE_REQUEST" in text
 
     def test_by_app_summary(self):
-        stats = LatencyStats()
-        stats.add(delivered(0, 1, 0, 10, app=0))
-        stats.add(delivered(0, 2, 0, 20, app=0))
-        s = stats.by_app(0)
+        s = stats_of((10, 0), (20, 0)).by_app(0)
         assert s.count == 2
         assert s.mean == pytest.approx(15.0)
 
     def test_histogram_by_app(self):
         from repro.obs.metrics import LATENCY_BUCKETS
 
-        stats = LatencyStats()
-        for lat in (10, 20, 30):
-            stats.add(delivered(0, 1, 0, lat, app=0))
-        stats.add(delivered(0, 2, 0, 40, app=1))
+        stats = stats_of((10, 0), (20, 0), (30, 0), (40, 1))
         hists = stats.histogram_by_app()
         assert sorted(hists) == [0, 1]
         assert hists[0].total == 3
@@ -92,10 +85,8 @@ class TestLatencyStats:
         assert hists[0].sum == pytest.approx(60.0)
 
     def test_percentiles_by_app_match_numpy(self):
-        stats = LatencyStats()
         latencies = list(range(1, 101))
-        for lat in latencies:
-            stats.add(delivered(0, 1, 0, lat, app=0))
+        stats = stats_of(*((lat, 0) for lat in latencies))
         pct = stats.percentiles_by_app()[0]
         assert pct["p50"] == pytest.approx(np.percentile(latencies, 50))
         assert pct["p95"] == pytest.approx(np.percentile(latencies, 95))
@@ -103,9 +94,7 @@ class TestLatencyStats:
 
     def test_histogram_percentiles_bracket_exact(self):
         """Bucketed quantiles agree with exact ones to within one bucket."""
-        stats = LatencyStats()
-        for lat in range(5, 200, 3):
-            stats.add(delivered(0, 1, 0, lat, app=0))
+        stats = stats_of(*((lat, 0) for lat in range(5, 200, 3)))
         exact = stats.percentiles_by_app()[0]
         bucketed = stats.histogram_by_app()[0].percentiles()
         for key in ("p50", "p95", "p99"):
@@ -150,15 +139,6 @@ class TestPowerModel:
         model = PowerModel(Mesh.square(2))
         b = model.power(ActivityCounts(10, 10, 10, 100))
         assert b.total == pytest.approx(b.dynamic + b.static)
-
-    def test_analytic_counts(self):
-        model = PowerModel(Mesh.square(4))
-        counts = model.analytic_counts(
-            hops_per_packet=3.0, packets_per_cycle=0.5, flits_per_packet=2.0, cycles=1000
-        )
-        # 500 packets * 2 flits = 1000 flits; (3+1) routers, 3 links each.
-        assert counts.flit_router_traversals == 4000
-        assert counts.flit_link_traversals == 3000
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -53,7 +53,7 @@ def _signature(res):
     """Everything a SimulationResult measures, in comparable form."""
     stats = res.stats
     return (
-        sorted(Counter(stats._all).items()),
+        sorted(Counter(stats.latency.tolist()).items()),
         sorted(stats.apl_by_app().items()),
         res.counts.flit_router_traversals,
         res.counts.flit_link_traversals,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.calibration import calibrated_params, measure_queuing_delay
+from repro.core import permkernels
 from repro.core.latency import LatencyParams, Mesh
 from repro.noc.network import NetworkConfig
 from repro.noc.router import RouterConfig
@@ -31,6 +32,15 @@ class TestMeasureQueuingDelay:
             network_config=config,
         )
         assert result.per_hop == pytest.approx(3.0, abs=0.8)
+
+    def test_fast_path_matches_default_engine(self):
+        """The fit runs on NoCSimulator's engine choice: the fast path
+        (reference backend) and the default engine measure the same."""
+        kwargs = dict(injection_rate=0.03, cycles=3_000, warmup=300, seed=2)
+        default = measure_queuing_delay(Mesh.square(4), **kwargs)
+        with permkernels.force_backend("reference"):
+            fast = measure_queuing_delay(Mesh.square(4), **kwargs)
+        assert fast == default
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(ValueError):
