@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a stored mapping")
     add_common(p_eval)
-    p_eval.add_argument("mapping", help="mapping JSON path")
+    p_eval.add_argument("mapping", help="mapping or `map --output` result JSON path")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_sim = sub.add_parser(

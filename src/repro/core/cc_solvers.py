@@ -3,7 +3,8 @@
 The SSS swap sweep, the Hungarian assignment solve and simulated
 annealing's swap-move Metropolis loop are the three solver hot loops
 whose per-iteration work is too small for NumPy dispatch to amortise;
-the vector engine's per-cycle router sweep is the fourth such loop.
+the vector engine's per-cycle loop (mapped-traffic emission plus the
+router sweep) is the fourth such loop.
 Their C sources live in ``repro/csrc/``.  This module compiles them
 together into one shared object, once per machine, with the system
 compiler (``cc -O2 -fPIC -shared -lm``), and binds the solver entry points
@@ -26,7 +27,12 @@ own NumPy ``Generator`` through its ``bitgen_t`` pointer, reproducing
 ``Generator.integers(n)`` (Lemire's bounded ``uint32`` draw) and
 ``Generator.random()`` draw for draw, so the generator is left in the
 same state as the Python loop leaves it; both loops take ``exp`` from
-the C library (``math.exp`` in Python).  The cycle kernel steps
+the C library (``math.exp`` in Python).  The cycle kernel's traffic
+emission is a loop of the same kind: it transliterates
+`repro.noc.traffic.MappedWorkloadTraffic.emit`, drawing each instance's
+``Generator.random()`` fill through ``next_double`` and its
+``integers(n)`` destinations through the same bounded draw, on every
+generator's own ``bitgen_t`` while holding its lock.  It then steps
 routers in the object engine's order (see ``csrc/noc_cycle.c`` and
 `repro.noc.vector_engine`).  The golden and hypothesis suites exercise
 these kernels directly whenever a compiler is present.

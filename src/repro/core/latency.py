@@ -265,6 +265,12 @@ class MeshLatencyModel:
         """``TM`` reshaped to the mesh grid (Figure 3b)."""
         return self.mesh.as_grid(self.tm)
 
+    @cached_property
+    def nearest_mc_table(self) -> tuple[int, ...]:
+        """:meth:`nearest_mc` of every tile, in tile order."""
+        mcs = np.array(self.mc_tiles)
+        return tuple(mcs[np.argmin(self.mesh.hop_matrix[:, mcs], axis=1)].tolist())
+
     def nearest_mc(self, k: int) -> int:
         """The memory-controller tile serving tile ``k`` (proximity rule).
 
@@ -272,9 +278,7 @@ class MeshLatencyModel:
         default corner ordering favours the top-left quadrant boundary —
         consistent with a static quadrant partition of the chip.
         """
-        mcs = list(self.mc_tiles)
-        dists = self.mesh.hop_matrix[k, mcs]
-        return mcs[int(np.argmin(dists))]
+        return self.nearest_mc_table[k]
 
     def with_params(self, params: LatencyParams) -> "MeshLatencyModel":
         """A copy of this model with different timing parameters."""

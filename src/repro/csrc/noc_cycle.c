@@ -17,14 +17,28 @@
    in a future cycle's lane.  Candidacy credit reads still happen after
    every earlier router's commits.
 
-   The Python side owns every array; this file keeps no state between
-   calls.  Bound through ctypes by repro.noc.cc_kernel, whose
-   ctypes.Structure mirrors noc_state field for field. */
+   Packets are rows of the packet columns (p_*), indexed by pid.  A
+   batch of MappedWorkloadTraffic generators emits inside the kernel:
+   before each cycle, emit_mapped transliterates
+   repro.noc.traffic.MappedWorkloadTraffic.emit for every instance in
+   turn, drawing from each instance's own NumPy bit generator (bitgen_t
+   and bounded_uint32 come from solvers.c, which precedes this file in
+   the one translation unit), so the rows and the final generator states
+   are those of the Python loop.  Any other batch has its rows emitted in
+   Python and copied into the columns before the window.
+
+   The Python side owns every array and grows the packet columns and the
+   reply pool when a window returns early; this file allocates nothing.
+   Bound through ctypes by repro.noc.cc_kernel, whose ctypes.Structure
+   mirrors noc_state field for field. */
 
 #include <stdint.h>
 
 #define N_PORTS 5
 #define ARR_FIELDS 3 /* channel, pid, flit index */
+#define R_FIELDS 5   /* pending reply: src, dst, class, app, next node */
+#define LAT_FIELDS 5 /* per instance: hop cycles, router pipeline,
+                        L2 latency, memory latency, replies on */
 
 typedef struct {
     /* geometry and router parameters */
@@ -48,24 +62,48 @@ typedef struct {
     int64_t *q_head, *q_tail, *q_next, *ni_cur, *ni_fi, *ni_vc;
     /* buffered flits per router (routers at zero are skipped) */
     int64_t *rbuf;
-    /* packet columns indexed by pid */
-    const int64_t *p_src, *p_dst, *p_cls, *p_len, *p_created, *p_inst;
+    /* packet columns indexed by pid: nrows rows of cap */
+    int64_t *p_src, *p_dst, *p_cls, *p_len, *p_created, *p_inst, *p_app;
     int64_t *p_ej;
     /* delivered pids in delivery order */
     int64_t *dlog;
     /* per-instance counters */
     int64_t *f_inj, *f_ej, *f_routed, *buf_writes;
+    /* mapped traffic (unused when Python emits): instance b's T threads
+       (OBMInstance pads every workload to the tile count) are b * T ..
+       b * T + T - 1, with source tile t_tile and app t_app; its 2 * T
+       draw probabilities (cache row, then memory row) start at
+       t_p + 2 * b * T.  t_near holds each instance's nearest-MC tile per
+       tile, hops the T x T hop counts and t_lat LAT_FIELDS per
+       instance. */
+    const int64_t *t_tile, *t_app, *t_near, *hops, *t_lat;
+    /* pending replies: per-instance rings of rring FIFO buckets (head,
+       tail node, -1 for empty), bucket (due % rring) holding the replies
+       due that cycle, over a pool of rcap R_FIELDS nodes */
+    int64_t *r_head, *r_tail, *r_pool;
+    const double *t_p;
+    double *t_draw; /* scratch: one instance's 2 * T draws */
+    void **bitgen;  /* per instance: its generator's bitgen_t */
     /* scalars */
     int64_t now, tot_buf, tot_link, ni_npkts, ndel;
+    int64_t nrows, cap;
+    /* a cycle adds at most t_rows rows besides the replies pending
+       before it, and at most t_replies new replies */
+    int64_t t_rows, t_replies;
+    /* reply pool: nodes ever used, free-list head (-1 none), live nodes */
+    int64_t rring, rcap, rused, rfree, rlive;
 } noc_state;
 
 int64_t noc_state_size(void) { return (int64_t)sizeof(noc_state); }
 
-/* Queue rows [lo, hi) on their source NIs; local packets complete now. */
-static void admit(noc_state *s, int64_t lo, int64_t hi)
+/* Queue rows [lo, hi) on their source NIs; local packets complete now.
+   Counts each row in offered[instance] unless offered is NULL. */
+static void admit(noc_state *s, int64_t lo, int64_t hi, int64_t *offered)
 {
     for (int64_t pid = lo; pid < hi; pid++) {
         int64_t src = s->p_src[pid];
+        if (offered)
+            offered[s->p_inst[pid]]++;
         if (src == s->p_dst[pid]) {
             s->p_ej[pid] = s->now;
             s->dlog[s->ndel++] = pid;
@@ -298,14 +336,118 @@ static int64_t next_event_time(const noc_state *s)
     return best;
 }
 
-/* Run cycles [now, now + cycles): before each cycle k, admit rows
-   [bounds[k], bounds[k + 1]) (the packets emitted for that cycle). */
-void noc_window(noc_state *s, const int64_t *bounds, int64_t cycles)
+/* Append one packet row created now. */
+static void append_row(noc_state *s, int64_t b, int64_t src, int64_t dst,
+                       int64_t cls, int64_t len, int64_t app)
+{
+    int64_t pid = s->nrows++;
+    s->p_src[pid] = src;
+    s->p_dst[pid] = dst;
+    s->p_cls[pid] = cls;
+    s->p_len[pid] = len;
+    s->p_created[pid] = s->now;
+    s->p_inst[pid] = b;
+    s->p_app[pid] = app;
+}
+
+/* Schedule instance b's reply (src, dst, cls, app) for cycle due, behind
+   the replies already due then. */
+static void schedule_reply(noc_state *s, int64_t b, int64_t due, int64_t src,
+                           int64_t dst, int64_t cls, int64_t app)
+{
+    int64_t node = s->rfree;
+    if (node >= 0)
+        s->rfree = s->r_pool[node * R_FIELDS + 4];
+    else
+        node = s->rused++;
+    s->rlive++;
+    int64_t *r = s->r_pool + node * R_FIELDS;
+    r[0] = src;
+    r[1] = dst;
+    r[2] = cls;
+    r[3] = app;
+    r[4] = -1;
+    int64_t k = b * s->rring + (due & (s->rring - 1));
+    if (s->r_tail[k] < 0)
+        s->r_head[k] = node;
+    else
+        s->r_pool[s->r_tail[k] * R_FIELDS + 4] = node;
+    s->r_tail[k] = node;
+}
+
+/* MappedWorkloadTraffic.emit(now) for every instance, in instance order:
+   2 * n uniform draws against the cache and memory probabilities; the
+   hits row-major (cache row first, in thread order), each cache hit
+   drawing integers(T) for its destination and each memory hit going to
+   the nearest MC; then the replies due now, in scheduling order.  A
+   reply is due est[src][dst] + the L2 or memory latency after its
+   request, est being hops * (pipeline + link) + pipeline. */
+static void emit_mapped(noc_state *s)
+{
+    const int64_t T = s->T, now = s->now;
+    double *draw = s->t_draw;
+    for (int64_t b = 0; b < s->B; b++) {
+        bitgen_t *bg = (bitgen_t *)s->bitgen[b];
+        const int64_t t0 = b * T;
+        const double *p = s->t_p + 2 * t0;
+        const int64_t *lat = s->t_lat + b * LAT_FIELDS;
+        for (int64_t i = 0; i < 2 * T; i++)
+            draw[i] = bg->next_double(bg->state);
+        for (int64_t i = 0; i < 2 * T; i++) {
+            if (!(draw[i] < p[i]))
+                continue;
+            int64_t memory = i >= T, thread = t0 + i - memory * T;
+            int64_t src = s->t_tile[thread], app = s->t_app[thread], dst;
+            if (memory)
+                dst = s->t_near[b * T + src];
+            else
+                dst = bounded_uint32(bg, (uint32_t)(T - 1));
+            int64_t cls = memory ? 2 : 0; /* MEM_REQUEST : CACHE_REQUEST */
+            append_row(s, b, src, dst, cls, 1, app);
+            if (lat[4]) {
+                int64_t due = now + s->hops[src * T + dst] * lat[0] + lat[1]
+                              + (memory ? lat[3] : lat[2]);
+                schedule_reply(s, b, due, dst, src, cls + 1, app);
+            }
+        }
+        int64_t k = b * s->rring + (now & (s->rring - 1));
+        int64_t node = s->r_head[k];
+        while (node >= 0) {
+            const int64_t *r = s->r_pool + node * R_FIELDS;
+            append_row(s, b, r[0], r[1], r[2], 5, r[3]);
+            int64_t next = r[4];
+            s->r_pool[node * R_FIELDS + 4] = s->rfree;
+            s->rfree = node;
+            s->rlive--;
+            node = next;
+        }
+        s->r_head[k] = s->r_tail[k] = -1;
+    }
+}
+
+/* Run up to `cycles` cycles from now; returns how many ran.  With bounds,
+   cycle k first admits the rows [bounds[k], bounds[k + 1]) that Python
+   emitted.  Without, each cycle first emits the mapped traffic into the
+   columns, and the window stops early, before any draw of a cycle, when
+   that cycle could overflow the columns or the reply pool.  offered
+   (NULL for none) counts every admitted row per instance. */
+int64_t noc_window(noc_state *s, const int64_t *bounds, int64_t cycles,
+                   int64_t *offered)
 {
     for (int64_t k = 0; k < cycles; k++) {
-        admit(s, bounds[k], bounds[k + 1]);
+        if (bounds) {
+            admit(s, bounds[k], bounds[k + 1], offered);
+        } else {
+            if (s->nrows + s->t_rows + s->rlive > s->cap
+                || s->rlive + s->t_replies > s->rcap)
+                return k;
+            int64_t lo = s->nrows;
+            emit_mapped(s);
+            admit(s, lo, s->nrows, offered);
+        }
         step(s);
     }
+    return cycles;
 }
 
 /* Step until the network is empty, jumping over idle cycles.  Returns 0,
@@ -323,4 +465,21 @@ int64_t noc_drain(noc_state *s, int64_t max_cycles)
         }
     }
     return 0;
+}
+
+/* Write instance b's pending replies as (due, src, dst, class, app) rows
+   into out, by due cycle and then in scheduling order; returns the row
+   count (at most rlive). */
+int64_t noc_pending(const noc_state *s, int64_t b, int64_t *out)
+{
+    int64_t n = 0;
+    for (int64_t due = s->now; due < s->now + s->rring; due++) {
+        int64_t node = s->r_head[b * s->rring + (due & (s->rring - 1))];
+        for (; node >= 0; node = s->r_pool[node * R_FIELDS + 4], n++) {
+            out[n * 5] = due;
+            for (int64_t f = 0; f < 4; f++)
+                out[n * 5 + 1 + f] = s->r_pool[node * R_FIELDS + f];
+        }
+    }
+    return n;
 }

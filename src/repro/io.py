@@ -65,6 +65,11 @@ def mapping_to_dict(mapping: Mapping) -> dict[str, Any]:
 
 
 def mapping_from_dict(data: dict[str, Any]) -> Mapping:
+    """A mapping document, or the mapping inside a result document (what
+    ``repro map --output`` writes)."""
+    if data.get("kind") == "result":
+        _check_kind(data, "result")
+        data = data["mapping"]
     _check_kind(data, "mapping")
     return Mapping(np.asarray(data["perm"], dtype=np.int64))
 

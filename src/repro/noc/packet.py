@@ -14,8 +14,6 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "TrafficClass",
     "Packet",
@@ -122,45 +120,28 @@ class Packet:
 
 
 class PacketTable:
-    """Structure-of-arrays packet records for the vector engine.
+    """Packet records as rows of plain-list columns.
 
-    One row per packet, identified by its row index (the *pid*).  The
-    columns are plain Python lists — at the few-packets-per-cycle
-    granularity generators append at, list appends beat NumPy scalar
-    writes several-fold.  The four columns the cycle kernel indexes
-    (``dst``/``length``/``tclass``/``created``) additionally carry NumPy
-    mirrors, grown geometrically and synced by :meth:`flush` (once per
-    window), so no per-packet NumPy write ever happens.
-
-    The table holds no :class:`Packet` objects: traffic generators
-    append rows (:meth:`~repro.noc.traffic.TrafficGenerator.emit`), and
-    only the fast path builds objects from them.  The table has no
-    ejection column: the vector engine's kernel keeps the ejection
-    stamps in an array of its own.
+    One row per packet: ``src``, ``dst``, ``tclass``, ``length``,
+    ``created`` and ``app``.  Traffic generators append their rows here
+    (:meth:`~repro.noc.traffic.TrafficGenerator.emit`); at the
+    few-packets-per-cycle granularity they append at, list appends beat
+    NumPy scalar writes several-fold.  The fast path builds
+    :class:`Packet` objects from the rows, and the vector engine copies
+    a window's rows into its kernel's packet columns (except for
+    :class:`~repro.noc.traffic.MappedWorkloadTraffic`, which the kernel
+    emits itself).
     """
 
-    __slots__ = (
-        "src", "dst", "tclass", "length", "created", "app",
-        "dst_a", "len_a", "cls_a", "created_a", "_cap", "_synced",
-    )
+    __slots__ = ("src", "dst", "tclass", "length", "created", "app")
 
-    #: columns mirrored into NumPy arrays by :meth:`flush`
-    _MIRRORED = (("dst", "dst_a"), ("length", "len_a"),
-                 ("tclass", "cls_a"), ("created", "created_a"))
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self) -> None:
         self.src: list[int] = []
         self.dst: list[int] = []
         self.tclass: list[int] = []
         self.length: list[int] = []
         self.created: list[int] = []
         self.app: list[int] = []
-        self._cap = capacity
-        self._synced = 0
-        for _, mirror in self._MIRRORED:
-            setattr(self, mirror, np.zeros(capacity, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.src)
@@ -168,7 +149,7 @@ class PacketTable:
     def append(
         self, src: int, dst: int, tclass: int, length: int, created: int, app: int
     ) -> int:
-        """Add one packet record; returns its pid (row index)."""
+        """Add one packet record; returns its row index."""
         pid = len(self.src)
         self.src.append(src)
         self.dst.append(dst)
@@ -179,40 +160,9 @@ class PacketTable:
         return pid
 
     def clear(self) -> None:
-        """Drop every row; the mirrors keep their capacity."""
-        for name in ("src", "dst", "tclass", "length", "created", "app"):
+        """Drop every row."""
+        for name in self.__slots__:
             getattr(self, name).clear()
-        self._synced = 0
-
-    def flush(self) -> None:
-        """Sync the NumPy mirrors with rows appended since the last flush.
-
-        Amortized O(new rows): mirrors double in capacity when outgrown
-        (geometric growth), and only the unsynced tail is copied.
-        """
-        n = len(self.src)
-        s = self._synced
-        if n == s:
-            return
-        if n > self._cap:
-            cap = self._cap
-            while cap < n:
-                cap *= 2
-            self._cap = cap
-            for _, mirror in self._MIRRORED:
-                old = getattr(self, mirror)
-                new = np.zeros(cap, dtype=np.int64)
-                new[:s] = old[:s]
-                setattr(self, mirror, new)
-        self.dst_a[s:n] = self.dst[s:n]
-        self.len_a[s:n] = self.length[s:n]
-        self.cls_a[s:n] = self.tclass[s:n]
-        self.created_a[s:n] = self.created[s:n]
-        self._synced = n
-
-    def column(self, name: str) -> np.ndarray:
-        """One full column as an int64 array (for result materialization)."""
-        return np.array(getattr(self, name), dtype=np.int64)
 
 
 @dataclass

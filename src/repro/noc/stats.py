@@ -142,12 +142,8 @@ class LatencyStats:
         """Exact per-application p50/p95/p99 from the raw samples."""
         out = {}
         for app in self.apps():
-            lat = self._of_app(app)
-            out[app] = {
-                "p50": float(np.percentile(lat, 50)),
-                "p95": float(np.percentile(lat, 95)),
-                "p99": float(np.percentile(lat, 99)),
-            }
+            p50, p95, p99 = np.percentile(self._of_app(app), [50, 95, 99]).tolist()
+            out[app] = {"p50": p50, "p95": p95, "p99": p99}
         return out
 
     def max_apl(self) -> float:

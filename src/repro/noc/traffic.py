@@ -13,10 +13,16 @@ Two families:
   validation tests and the latency-model calibration.
 
 Every generator defines its traffic once, in ``emit(now, table)``, as
-:class:`~repro.noc.packet.PacketTable` rows.  The vector engine passes its
-own table; the fast path's ``packets_for_cycle`` builds
-:class:`~repro.noc.packet.Packet` objects from the same rows, so pids
-rise with ``created_at``.
+:class:`~repro.noc.packet.PacketTable` rows.  The fast path's
+``packets_for_cycle`` builds :class:`~repro.noc.packet.Packet` objects
+from those rows, so pids rise with ``created_at``, and the vector engine
+copies them into its kernel's packet columns.  The one exception on the
+engine's side is :class:`MappedWorkloadTraffic`: the cycle kernel
+(``emit_mapped`` in ``repro/csrc/noc_cycle.c``) transliterates its
+``emit`` and runs it in C, drawing from the generator's own bit
+generator, so the rows and the generator's final state are the ones
+``emit`` would give.  ``emit`` stays the definition, and
+``tests/noc/test_traffic.py`` holds the two to each other.
 
 Rates in the workload model are *per unit time*; ``cycles_per_unit``
 converts them to per-cycle injection probabilities (default 1000 cycles
@@ -66,7 +72,7 @@ class TrafficGenerator:
         """The rows :meth:`emit` writes for cycle ``now``, as packets."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = PacketTable(capacity=1)
+            rows = self._rows = PacketTable()
         self.emit(now, rows)
         if not rows.src:
             return []
@@ -189,12 +195,16 @@ class MappedWorkloadTraffic(TrafficGenerator):
     ) -> None:
         if cycles_per_unit <= 0:
             raise ValueError("cycles_per_unit must be positive")
+        if min(l2_latency, memory_latency, router_pipeline, link_latency) < 0:
+            raise ValueError("latencies must be >= 0 cycles")
         self.instance = instance
         self.mapping = mapping
         self.cycles_per_unit = cycles_per_unit
         self.generate_replies = generate_replies
         self.l2_latency = l2_latency
         self.memory_latency = memory_latency
+        self.router_pipeline = router_pipeline
+        self.link_latency = link_latency
         self._rng = as_rng(seed)
 
         wl = instance.workload
@@ -218,7 +228,7 @@ class MappedWorkloadTraffic(TrafficGenerator):
         self._hit_buf = np.empty(self._p_both.shape, dtype=bool)
         self._tile_l = [int(t) for t in self.thread_tile]
         self._app_l = [int(a) for a in self.app_of_thread]
-        self._nearest_l = [instance.model.nearest_mc(t) for t in range(self.n_tiles)]
+        self._nearest_l = list(instance.model.nearest_mc_table)
         # Zero-load arrival of a single-flit request: hops * (pipeline +
         # link) + pipeline, per (src, dst).  The generator is open-loop (it
         # never sees deliveries), so a reply is due this long plus the
@@ -231,25 +241,16 @@ class MappedWorkloadTraffic(TrafficGenerator):
         # One (2, n) draw: row 0 is the cache Bernoulli trials, row 1 the
         # memory trials, and row-major nonzero() yields the cache requests
         # before the memory ones (so the per-cache-request destination
-        # draws follow the same order every time).
+        # draws follow the same order every time).  The vector engine's
+        # kernel (emit_mapped in csrc/noc_cycle.c) transliterates this
+        # method draw for draw.
         self._rng.random(out=self._draw_buf)
         hits = np.less(self._draw_buf, self._p_both, out=self._hit_buf)
         rows, threads = hits.nonzero()
         # No hits and no reply due now -> nothing to emit and no RNG
         # draws owed (destination draws follow hits).
-        if rows.size or now in self._pending:
-            self._emit_rows(rows, threads, now, table)
-
-    def _emit_rows(self, rows, threads, now: int, table: PacketTable) -> None:
-        """Append this cycle's packets for Bernoulli hits ``(rows, threads)``.
-
-        Requests come first, in hit order, each cache request drawing its
-        destination as it goes; then the replies due now, in scheduling
-        order.  Split out of :meth:`emit` so the vector engine can fuse
-        the draw comparison across instances (one ``np.less`` +
-        ``nonzero`` over a stacked buffer) and still consume each
-        instance's RNG exactly as :meth:`emit` does.
-        """
+        if not rows.size and now not in self._pending:
+            return
         rng = self._rng
         src_c, dst_c, cls_c = table.src, table.dst, table.tclass
         len_c, created_c, app_c = table.length, table.created, table.app
@@ -257,6 +258,9 @@ class MappedWorkloadTraffic(TrafficGenerator):
         n_tiles = self.n_tiles
         pending = self._pending if self.generate_replies else None
         est = self._est_l
+        # Requests first, in hit order, each cache request drawing its
+        # destination as it goes; then the replies due now, in
+        # scheduling order.
         for memory, thread in zip(rows.tolist(), threads.tolist()):
             src = tile[thread]
             if memory:
@@ -282,7 +286,7 @@ class MappedWorkloadTraffic(TrafficGenerator):
                     pending[due] = [reply]
                 else:
                     pl.append(reply)
-        if pending is not None:
+        if pending:
             for src, dst, cls, app_id in pending.pop(now, ()):
                 src_c.append(src)
                 dst_c.append(dst)

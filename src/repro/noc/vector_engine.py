@@ -17,10 +17,15 @@ later ones pay nothing for it.
 The cycle loop is compiled: each window (warmup, measure, drain) is one
 call into the C cycle kernel (:mod:`repro.noc.cc_kernel`, source
 ``repro/csrc/noc_cycle.c``), built into the same shared object as the
-solver kernels.  Generators are open-loop (they never see network
-state), so a window first emits all its packets into the packet table;
-the kernel then admits each cycle's rows into array-backed NI queues
-and steps the network.  ``ctypes`` releases the GIL for the call.
+solver kernels.  When every generator is a
+:class:`~repro.noc.traffic.MappedWorkloadTraffic`, that call also emits
+the traffic: before each cycle the kernel draws, emits and admits every
+instance's packets exactly as :meth:`MappedWorkloadTraffic.emit
+<repro.noc.traffic.MappedWorkloadTraffic.emit>` would, from each
+generator's own NumPy bit generator, and then steps the network.  Any
+other batch keeps calling each generator's ``emit`` in Python, one
+window of rows at a time, and the kernel admits those rows cycle by
+cycle.  ``ctypes`` releases the GIL for the call.
 
 The engine runs only where the kernel loads: ``REPRO_CC=0``,
 ``permkernels.force_backend("reference")`` or a missing C
@@ -41,22 +46,16 @@ packets are appended in ascending tile order per instance (at most one
 ejection per tile per cycle), which fixes the float-summation order of
 the latency statistics.
 
-No per-packet objects
----------------------
-Packets live as rows of a :class:`~repro.noc.packet.PacketTable` — flat
-id/src/dst/class/length/created/app columns grown geometrically — never
-as :class:`~repro.noc.packet.Packet` instances.  Every generator
-appends its rows straight into the table through
-:meth:`~repro.noc.traffic.TrafficGenerator.emit`, the same code whose
-rows the fast path turns into objects (for
-:class:`~repro.noc.traffic.MappedWorkloadTraffic` the destination draws
-interleave with the injection draws, which is also why draws cannot be
-prefetched across cycles).  The engine tracks delivered *pids*, and the
-kernel keeps the ejection stamps; at the end of :meth:`VectorEngine.run`
-the delivered rows of the table become the
-:class:`~repro.noc.stats.LatencyStats` columns — same delivered order,
-same ``SimulationResult`` fields, no per-packet Python work anywhere on
-the batch path.
+Packets as columns
+------------------
+A packet is a row of the kernel's int64 columns (source, destination,
+class, length, creation cycle, instance, app and ejection cycle),
+indexed by its pid; no :class:`~repro.noc.packet.Packet` objects exist
+on this path, and mapped traffic costs no Python work per packet.  The
+kernel logs delivered pids in delivery order, and at the end of
+:meth:`VectorEngine.run` each instance's delivered rows become its
+:class:`~repro.noc.stats.LatencyStats` columns — the same
+``SimulationResult`` fields the fast path fills.
 
 Faults, invariants and observability hooks are *not* supported here;
 :class:`~repro.noc.simulator.NoCSimulator` runs the fast path whenever
@@ -88,18 +87,16 @@ _N_PORTS = 5
 _OPP = np.array([0, 2, 1, 4, 3], dtype=np.int64)
 
 
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(1, (n - 1).bit_length())
-
-
 class VectorEngine:
     """Structure-of-arrays engine stepping B simulations in lockstep.
 
     Parameters mirror :class:`~repro.noc.simulator.NoCSimulator` except
     that ``traffics`` is a sequence: one independent traffic generator
     per batched simulation instance.  All instances share the mesh and
-    network configuration (the batch lives in one array set).  Raises
-    ``RuntimeError`` where the compiled cycle kernel does not load.
+    network configuration (the batch lives in one array set).
+    ``table_capacity`` is the packet columns' initial row count; they
+    double as a run needs.  Raises ``RuntimeError`` where the compiled
+    cycle kernel does not load.
     """
 
     def __init__(
@@ -136,7 +133,7 @@ class VectorEngine:
         self._oldest = rc.arbitration == "oldest_first"
         self.VCLO = np.array([rc.vc_range(c)[0] for c in range(4)], dtype=np.int64)
         # Ring geometry (power of two so positions reduce with a mask).
-        self.RING = _pow2_at_least(self.DEPTH)
+        self.RING = cc_kernel.pow2_at_least(self.DEPTH)
 
         # ---- immutable topology tables -------------------------------
         # Shared read-only per (rows, cols, routing); the first engine of
@@ -176,131 +173,62 @@ class VectorEngine:
         self.s_fi = np.zeros(NCH * self.RING, dtype=np.int64)
         self.s_ready = np.zeros(NCH * self.RING, dtype=np.int64)
 
-        # Structure-of-arrays packet records; the kernel reads the NumPy
-        # mirrors, synced once per window.  No Packet objects survive past
-        # emission.
-        self.pt = PacketTable(table_capacity)
-
         # NI state: the packet mid-injection per tile (-1 for none), its
         # next flit index and its LOCAL input VC.
         self._ni_cur = np.full(NT, -1, dtype=np.int64)
         self._ni_fi = np.zeros(NT, dtype=np.int64)
         self._ni_vc = np.zeros(NT, dtype=np.int64)
-        self._ni_npkts = 0  # queued + mid-injection packets, all NIs
 
         self.flits_injected = np.zeros(B, dtype=np.int64)
         self.flits_ejected = np.zeros(B, dtype=np.int64)
         self.flits_routed = np.zeros(B, dtype=np.int64)
         self.buffer_writes = np.zeros(B, dtype=np.int64)
-        self.delivered: list[list] = [[] for _ in range(B)]
-        self._tot_buf = 0  # buffered flits, all instances
-        self._tot_link = 0  # flits on wires, all instances
-        self.now = 0
-        self._kernel = cc_kernel.CycleKernel(self, lib)
+        self._kernel = cc_kernel.CycleKernel(self, lib, table_capacity)
+        # The kernel emits the traffic itself when every generator is
+        # exactly MappedWorkloadTraffic (a subclass could override emit)
+        # on this mesh with no replies pending from earlier emission.
+        self._mapped = all(
+            type(t) is MappedWorkloadTraffic and t.instance.mesh == mesh and not t._pending
+            for t in self.traffics
+        )
+        if self._mapped:
+            self._kernel.bind_mapped(self.traffics, mesh.hop_matrix)
+        else:
+            self._rows = PacketTable()  # one window's Python-emitted rows
+
+    @property
+    def now(self) -> int:
+        """The next cycle to run."""
+        return self._kernel.state.now
 
     def _drain(self, max_cycles: int = 1_000_000) -> None:
-        self._kernel.drain(self, max_cycles)
+        self._kernel.drain(max_cycles)
 
     def _window(self, cycles: int, offered: np.ndarray | None) -> None:
+        """Run ``cycles`` cycles, counting each instance's emitted packets
+        into ``offered`` (unless ``None``)."""
+        if self._mapped:
+            self._kernel.window(cycles, offered)
+            return
         # Generators are open-loop (they never see network state), so the
-        # whole window's packets enter the table first; the kernel then
-        # admits each cycle's rows itself.
-        src_col = self.pt.src
-        first = len(src_col)
+        # whole window's rows are emitted first; the kernel then admits
+        # each cycle's rows itself.
+        table = self._rows
         # Emission i gave instance instances[i] the rows up to ends[i]
         # (int64 buffers: no per-row Python objects kept alive).
-        instances, ends = array("q"), array("q")
-
-        def on_rows(b: int, start: int, end: int) -> None:
-            instances.append(b)
-            ends.append(end)
-            if offered is not None:
-                offered[b] += end - start
-
-        emit = self._emitter(on_rows)
-        bounds = array("q")
+        instances, ends, bounds = array("q"), array("q"), array("q")
+        emits = [(b, t.emit) for b, t in enumerate(self.traffics)]
         for now in range(self.now, self.now + cycles):
-            bounds.append(len(src_col))
-            emit(now)
-        bounds.append(len(src_col))
-        self._kernel.window(self, first, bounds, instances, ends)
-
-    def _emitter(self, on_rows):
-        """Per-cycle packet emission of every instance.
-
-        Returns ``emit(now)``, which appends cycle ``now``'s packets of
-        each generator to the packet table, instance by instance, and
-        reports each instance's fresh rows as ``on_rows(b, start, end)``.
-        Two branches: a batch of ``MappedWorkloadTraffic`` that can fuse
-        its draw comparison (see :meth:`_traffic_batch`) writes through
-        ``_emit_rows``; any other batch calls each generator's
-        :meth:`~repro.noc.traffic.TrafficGenerator.emit`.
-        """
-        traffics = self.traffics
-        pt = self.pt
-        src_col = pt.src
-        batch = self._traffic_batch() if self.B > 1 else None
-        if batch is not None:
-            # Fused draw: per-instance RNG fills (stream-identical to each
-            # generator's own emit), then ONE comparison + nonzero over
-            # the stacked buffer instead of B small kernel dispatches.
-            # Each instance's hits then append straight into the shared
-            # packet table via _emit_rows.
-            tgp, tgd, tgh, tgb = batch
-            # Hoisted per-instance bound methods/dicts: the inner loops
-            # below run B times per cycle.
-            fills = [(t._rng.random, row) for t, row in zip(traffics, tgd)]
-            emits = [
-                (b, t._emit_rows, t._pending)
-                for b, t in enumerate(traffics)
-            ]
-
-            def emit(now: int) -> None:
-                for fill, row in fills:
-                    fill(out=row)
-                np.less(tgd, tgp, out=tgh)
-                ii, rows, threads = tgh.nonzero()
-                bounds = np.searchsorted(ii, tgb).tolist()
-                for b, emit_rows, pend in emits:
-                    lo, hi = bounds[b], bounds[b + 1]
-                    # Hitless instances with no reply due this cycle owe
-                    # neither table rows nor RNG draws: skip the call.
-                    if lo == hi and now not in pend:
-                        continue
-                    start = len(src_col)
-                    emit_rows(rows[lo:hi], threads[lo:hi], now, pt)
-                    end = len(src_col)
-                    if end > start:
-                        on_rows(b, start, end)
-
-            return emit
-        emits = [(b, t.emit) for b, t in enumerate(traffics)]
-
-        def emit(now: int) -> None:
-            for b, traffic_emit in emits:
-                start = len(src_col)
-                traffic_emit(now, pt)
-                end = len(src_col)
-                if end > start:
-                    on_rows(b, start, end)
-
-        return emit
-
-    def _traffic_batch(self):
-        """Can the per-cycle draws fuse across instances?
-
-        Requires every generator to be exactly MappedWorkloadTraffic (a
-        subclass could override packet emission) with same-shaped rate
-        tables.  Returns the stacked rate table plus reusable draw/hit
-        buffers and the instance-boundary probe, or None.
-        """
-        gens = self.traffics
-        if any(type(g) is not MappedWorkloadTraffic for g in gens):
-            return None
-        if len({g._p_both.shape for g in gens}) != 1:
-            return None
-        p = np.stack([g._p_both for g in gens])
-        return p, np.empty_like(p), np.empty(p.shape, dtype=bool), np.arange(len(gens) + 1)
+            bounds.append(len(table))
+            for b, emit in emits:
+                start = len(table)
+                emit(now, table)
+                if len(table) > start:
+                    instances.append(b)
+                    ends.append(len(table))
+        bounds.append(len(table))
+        self._kernel.admit_window(table, instances, ends, bounds, offered)
+        table.clear()
 
     def run(self, warmup: int = 1_000, measure: int = 10_000) -> list[SimulationResult]:
         """Warmup + measure + drain; one result per batched instance.
@@ -312,10 +240,11 @@ class VectorEngine:
         if warmup < 0 or measure <= 0:
             raise ValueError("warmup must be >= 0 and measure > 0")
         B = self.B
+        kernel = self._kernel
         with reqtrace.span("noc.warmup"):
             self._window(warmup, None)
         warmup_end = self.now
-        delivered_before = [len(d) for d in self.delivered]
+        delivered_before = kernel.state.ndel
         routed_before = self.flits_routed.copy()
         writes_before = self.buffer_writes.copy()
         ejected_before = self.flits_ejected.copy()
@@ -323,24 +252,33 @@ class VectorEngine:
         offered = np.zeros(B, dtype=np.int64)
         with reqtrace.span("noc.measure"):
             self._window(measure, offered)
+        if self._mapped and kernel.state.rlive:
+            # Leave each generator as emit would have: the replies it owes
+            # after the last emitted cycle stay pending on it.
+            for b, traffic in enumerate(self.traffics):
+                traffic._pending = kernel.pending(b)
         with reqtrace.span("noc.drain"):
             self._drain()
         self._assert_conserved()
 
-        # Statistics come once from the packet-table columns: the
-        # delivered pid lists preserve the object engine's append order.
-        pt = self.pt
-        created = pt.column("created")
-        ej = self._kernel.p_ej[: len(pt)]
-        app, tclass, src, dst = (pt.column(c) for c in ("app", "tclass", "src", "dst"))
+        # Statistics come once from the packet columns: the delivered log
+        # keeps the object engine's append order within each instance.
+        pids = kernel.dlog[delivered_before:kernel.state.ndel]
+        created = kernel.p_created
+        pids = pids[created[pids] >= warmup_end]
+        inst = kernel.p_inst[pids]
+        pids = pids[np.argsort(inst, kind="stable")]
+        ends = np.cumsum(np.bincount(inst, minlength=B))
         results = []
-        for b in range(B):
-            pids = np.array(self.delivered[b][delivered_before[b]:], dtype=np.int64)
-            keep = pids[created[pids] >= warmup_end] if pids.size else pids
+        for b, keep in enumerate(np.split(pids, ends[:-1])):
             results.append(
                 SimulationResult.of_window(
                     LatencyStats(
-                        ej[keep] - created[keep], app[keep], tclass[keep], src[keep], dst[keep]
+                        kernel.p_ej[keep] - created[keep],
+                        kernel.p_app[keep],
+                        kernel.p_cls[keep],
+                        kernel.p_src[keep],
+                        kernel.p_dst[keep],
                     ),
                     self.power_model,
                     routed=int(self.flits_routed[b] - routed_before[b]),
@@ -354,10 +292,11 @@ class VectorEngine:
         return results
 
     def _assert_conserved(self) -> None:
-        if self._tot_buf or self._tot_link:
+        s = self._kernel.state
+        if s.tot_buf or s.tot_link:
             raise AssertionError(
-                f"flit conservation violated: {self._tot_buf} buffered and "
-                f"{self._tot_link} on-wire flits left after drain"
+                f"flit conservation violated: {s.tot_buf} buffered and "
+                f"{s.tot_link} on-wire flits left after drain"
             )
         for b in range(self.B):
             inj, ej = int(self.flits_injected[b]), int(self.flits_ejected[b])

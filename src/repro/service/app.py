@@ -271,6 +271,7 @@ def measured_payload(result) -> dict:
     """
     stats = result.stats
     apl_by_app = stats.apl_by_app()
+    apls = list(apl_by_app.values())
     return {
         "engine": result.engine,
         "cycles": result.cycles,
@@ -282,8 +283,8 @@ def measured_payload(result) -> dict:
         "apl_by_app": {str(a): v for a, v in apl_by_app.items()},
         # an empty measurement window (no packets delivered) is a valid
         # outcome, not a server error
-        "max_apl": stats.max_apl() if apl_by_app else None,
-        "dev_apl": stats.dev_apl() if apl_by_app else None,
+        "max_apl": max(apls) if apls else None,
+        "dev_apl": float(np.std(apls)) if apls else None,
         "percentiles_by_app": {
             str(a): p for a, p in stats.percentiles_by_app().items()
         },

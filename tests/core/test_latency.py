@@ -191,6 +191,22 @@ class TestMemoryControllerPlacement:
         assert model8.nearest_mc(model8.mesh.tile(6, 1)) == 56
         assert model8.nearest_mc(model8.mesh.tile(6, 6)) == 63
 
+    @pytest.mark.parametrize(
+        "shape, mcs", [((8, 8), None), ((3, 5), (14, 0, 2)), ((4, 4), (10, 5))]
+    )
+    def test_nearest_mc_table_is_the_first_listed_closest(self, shape, mcs):
+        # Ties go to the controller listed first in mc_tiles, not the
+        # lowest tile id: tile 8 of (3, 5) is two hops from 14 and 2, tile
+        # 6 of (4, 4) one hop from 10 and 5.
+        model = MeshLatencyModel(Mesh(*shape), mc_tiles=mcs)
+        hops = model.mesh.hop_matrix
+        scan = [
+            min(model.mc_tiles, key=lambda m: (hops[k, m], model.mc_tiles.index(m)))
+            for k in range(model.n_tiles)
+        ]
+        assert list(model.nearest_mc_table) == scan
+        assert [model.nearest_mc(k) for k in range(model.n_tiles)] == scan
+
     def test_int_shorthand_for_square_mesh(self):
         model = MeshLatencyModel(4)
         assert model.n_tiles == 16

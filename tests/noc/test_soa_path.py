@@ -1,15 +1,15 @@
 """Structure-of-arrays batch-path tests: result schema + growth.
 
-The vector engine's batch path keeps packets as PacketTable rows and
-accumulates measurement state in flat arrays; at run end the delivered
-rows become the ``LatencyStats`` columns of the same public
+The vector engine's batch path keeps packets as rows of its kernel's
+int64 columns and accumulates measurement state in flat arrays; at run
+end the delivered rows become the ``LatencyStats`` columns of the same public
 ``SimulationResult`` the fast path returns.  These tests pin that
 contract directly (the golden suite pins it end-to-end):
 
 * The vector result has the fast path's schema and values, and empty
   columns answer the count queries.
-* The SoA pool's growth edge cases — reallocation mid-run from a tiny
-  capacity, zero-packet windows, and ragged batch drains (members
+* The packet columns' growth edge cases — reallocation mid-run from a
+  tiny capacity, zero-packet windows, and ragged batch drains (members
   finishing at different cycles) — all stay bit-identical to single
   fastpath runs.
 """
@@ -25,7 +25,6 @@ from repro.core import permkernels
 from repro.core.latency import Mesh
 from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance
-from repro.noc.packet import PacketTable
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import LatencyStats
 from repro.noc.traffic import MappedWorkloadTraffic, UniformRandomTraffic
@@ -94,28 +93,15 @@ def test_materialized_result_uses_same_public_schema():
 
 
 # ---------------------------------------------------------------------------
-# PacketTable growth and pool edge cases
+# Packet-column growth and pool edge cases
 # ---------------------------------------------------------------------------
 
 
-def test_packet_table_grows_geometrically():
-    pt = PacketTable(1)
-    for i in range(100):
-        pt.src.append(i)
-        pt.dst.append(i + 1)
-        pt.tclass.append(0)
-        pt.length.append(1)
-        pt.created.append(i)
-        pt.app.append(0)
-        pt.flush()  # realloc forced repeatedly from capacity 1
-        assert pt.dst_a[i] == i + 1
-    assert pt.dst_a.size >= 100
-    assert pt.column("dst").tolist() == list(range(1, 101))
-
-
-def test_packet_table_rejects_bad_capacity():
+@needs_kernel
+def test_engine_rejects_bad_table_capacity():
+    mesh = Mesh.square(4)
     with pytest.raises(ValueError, match="capacity"):
-        PacketTable(0)
+        VectorEngine(mesh, [UniformRandomTraffic(mesh.n_tiles, 0.1, seed=1)], table_capacity=0)
 
 
 @needs_kernel

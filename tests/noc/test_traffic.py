@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import permkernels
 from repro.core.latency import Mesh, MeshLatencyModel
@@ -104,6 +106,15 @@ class TestMappedWorkloadTraffic:
         assert abs(cache - expected_cache) / expected_cache < 0.1
         assert abs(mem - expected_mem) / expected_mem < 0.2
 
+    @pytest.mark.parametrize(
+        "latency", ["l2_latency", "memory_latency", "router_pipeline", "link_latency"]
+    )
+    def test_negative_latency_rejected(self, mapped_setup, latency):
+        # A reply due before its request would never be emitted.
+        inst, mapping = mapped_setup
+        with pytest.raises(ValueError, match="latencies"):
+            MappedWorkloadTraffic(inst, mapping, **{latency: -1})
+
     def test_sources_follow_mapping(self, mapped_setup):
         # A request leaves its thread's tile, so the thread that ``perm``
         # puts on the source tile belongs to the packet's app.  The roll
@@ -183,8 +194,7 @@ class TestMappedWorkloadTraffic:
 # ---------------------------------------------------------------------------
 # The emission contract: ``emit`` is the one definition of a generator's
 # traffic.  The fast path's ``packets_for_cycle`` objects and the vector
-# engine's rows (per-generator or fused across a batch) must be the same
-# packets, from the same RNG draws.
+# engine's rows must be the same packets, from the same RNG draws.
 # ---------------------------------------------------------------------------
 
 CONTRACT_CYCLES = 2000
@@ -199,8 +209,15 @@ def _packet_tuple(p):
     return (p.src, p.dst, int(p.traffic_class), p.length, p.created_at, p.app)
 
 
+def _plain(value):
+    """A bit-generator state with its arrays (Philox, MT19937) as lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _state(gen):
-    return gen._rng.bit_generator.state
+    return _plain(gen._rng.bit_generator.state)
 
 
 _MODEL4 = MeshLatencyModel(Mesh.square(4))
@@ -261,28 +278,6 @@ class TestEmissionContract:
         assert {row[2] for row in rows} == set(range(4))
         assert _state(gen) == _state(twin)
 
-    @pytest.mark.skipif(
-        permkernels.backend_info()["cc_compiler"] is None,
-        reason="the vector engine is the compiled cycle kernel; no C compiler here",
-    )
-    def test_fused_batch_rows_match_each_generator(self, mapped_setup):
-        inst, _ = mapped_setup
-        seeds = [3, 4, 5, 6]
-        engine = VectorEngine(inst.mesh, [_mapped(inst, s) for s in seeds])
-        assert engine._traffic_batch() is not None, "the batch must fuse"
-        spans = {b: [] for b in range(len(seeds))}
-        emit = engine._emitter(lambda b, start, end: spans[b].append((start, end)))
-        for t in range(CONTRACT_CYCLES):
-            emit(t)
-        for b, seed in enumerate(seeds):
-            twin = _mapped(inst, seed)
-            table = PacketTable()
-            for t in range(CONTRACT_CYCLES):
-                twin.emit(t, table)
-            fused = [row for lo, hi in spans[b] for row in _row_tuples(engine.pt, lo, hi)]
-            assert fused == _row_tuples(table)
-            assert _state(engine.traffics[b]) == _state(twin)
-
     def test_pids_follow_creation_order(self, mapped_setup):
         # FaultManager._recover kills the blocked packet with the lowest
         # pid as the oldest, so pids must rise with created_at.
@@ -319,3 +314,156 @@ class TestEmissionContract:
         cls = type(PATTERNS[name]())
         with pytest.raises(ValueError, match="length"):
             cls(n_tiles=16, injection_rate=0.1, length=0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's emission contract: the vector engine's cycle kernel emits
+# MappedWorkloadTraffic itself (emit_mapped in csrc/noc_cycle.c).  Its rows
+# must equal Python ``emit``'s rows, instance by instance, and leave every
+# generator's bit generator and pending replies as ``emit`` leaves them.
+# ---------------------------------------------------------------------------
+
+needs_kernel = pytest.mark.skipif(
+    permkernels.backend_info()["cc_compiler"] is None,
+    reason="the vector engine is the compiled cycle kernel; no C compiler here",
+)
+
+BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937")
+
+
+def _instance(threads, model=_MODEL4):
+    """An instance whose two apps have ``threads`` real threads between
+    them (OBMInstance pads the rest of the tiles with silent threads)."""
+    first = threads // 2
+    apps = (
+        Application("a", np.linspace(20.0, 60.0, first), np.full(first, 6.0)),
+        Application("b", np.full(threads - first, 45.0), np.linspace(2.0, 12.0, threads - first)),
+    )
+    return OBMInstance(model, Workload(apps))
+
+
+def _generator(inst, seed, bit_generator="PCG64", replies=True, cycles_per_unit=1000.0):
+    rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+    perm = np.roll(np.arange(inst.n), seed % inst.n)
+    return MappedWorkloadTraffic(
+        inst, Mapping(perm), cycles_per_unit=cycles_per_unit,
+        generate_replies=replies, seed=rng,
+    )
+
+
+def _kernel_rows(engine):
+    """Each instance's rows of the kernel's packet columns, in pid order."""
+    k = engine._kernel
+    n = k.state.nrows
+    cols = [getattr(k, name)[:n]
+            for name in ("p_src", "p_dst", "p_cls", "p_len", "p_created", "p_app")]
+    inst = k.p_inst[:n]
+    return [list(zip(*(c[inst == b].tolist() for c in cols))) for b in range(engine.B)]
+
+
+def _assert_kernel_matches_emit(make, batch, warmup=150, measure=350, **engine_kw):
+    """Run ``batch`` generators from ``make(b)`` through the engine and
+    twins through ``emit`` for the same cycles; compare everything."""
+    gens = [make(b) for b in range(batch)]
+    engine = VectorEngine(gens[0].instance.mesh, gens, **engine_kw)
+    assert engine._mapped, "the kernel must emit this batch"
+    results = engine.run(warmup=warmup, measure=measure)
+    kernel_rows = _kernel_rows(engine)
+    for b, gen in enumerate(gens):
+        twin = make(b)
+        table = PacketTable()
+        offered = 0
+        for t in range(warmup + measure):
+            before = len(table)
+            twin.emit(t, table)
+            offered += (len(table) - before) * (t >= warmup)
+        assert kernel_rows[b] == _row_tuples(table), f"instance {b}"
+        assert _state(gen) == _state(twin), f"instance {b}"
+        assert gen._pending == twin._pending, f"instance {b}"
+        assert results[b].packets_offered == offered
+    return engine
+
+
+@needs_kernel
+class TestKernelEmission:
+    @pytest.mark.parametrize("replies", [True, False], ids=["replies", "requests"])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_rows_and_states_match_emit(self, bit_generator, replies):
+        # Ragged batch: 16, 11 and 5 real threads on 16 tiles.  The run
+        # crosses the warmup/measure boundary with replies pending.
+        insts = [_instance(n) for n in (16, 11, 5)]
+        _assert_kernel_matches_emit(
+            lambda b: _generator(insts[b], 40 + b, bit_generator, replies), 3
+        )
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    def test_batch_sizes(self, batch):
+        insts = [_instance(n) for n in (16, 9, 3)]
+        _assert_kernel_matches_emit(
+            lambda b: _generator(insts[b % 3], 7 * b + 1), batch, warmup=60, measure=140
+        )
+
+    def test_tiny_capacity_grows_and_resumes(self):
+        inst = _instance(16)
+        engine = _assert_kernel_matches_emit(
+            lambda b: _generator(inst, 5 + b, cycles_per_unit=400.0), 2, table_capacity=1
+        )
+        s = engine._kernel.state
+        assert s.cap > 1, "the packet columns must have grown"
+        assert s.rcap > 2 * s.t_replies, "the reply pool must have grown"
+
+    def test_shared_generator_draws_in_instance_order(self):
+        # Two instances on one Generator: its lock is taken once, and the
+        # draws interleave per cycle, instance by instance, as emit does.
+        inst = _instance(16)
+        shared = np.random.default_rng(3)
+        gens = [
+            MappedWorkloadTraffic(inst, Mapping(np.arange(16)), generate_replies=True,
+                                  seed=shared)
+            for _ in range(2)
+        ]
+        engine = VectorEngine(inst.mesh, gens)
+        assert engine._mapped and len(engine._kernel._locks) == 1
+        engine.run(warmup=20, measure=80)
+        twin_rng = np.random.default_rng(3)
+        twins = [
+            MappedWorkloadTraffic(inst, Mapping(np.arange(16)), generate_replies=True,
+                                  seed=twin_rng)
+            for _ in range(2)
+        ]
+        tables = [PacketTable(), PacketTable()]
+        for t in range(100):
+            for twin, table in zip(twins, tables):
+                twin.emit(t, table)
+        assert _kernel_rows(engine) == [_row_tuples(table) for table in tables]
+        assert _plain(shared.bit_generator.state) == _plain(twin_rng.bit_generator.state)
+
+    def test_other_generators_emit_in_python(self, mapped_setup):
+        inst, _ = mapped_setup
+        gens = [_mapped(inst, 1), UniformRandomTraffic(n_tiles=16, injection_rate=0.1, seed=2)]
+        engine = VectorEngine(inst.mesh, gens)
+        assert not engine._mapped
+        engine.run(warmup=50, measure=150)
+        twins = [_mapped(inst, 1), UniformRandomTraffic(n_tiles=16, injection_rate=0.1, seed=2)]
+        tables = [PacketTable(), PacketTable()]
+        for t in range(200):
+            for twin, table in zip(twins, tables):
+                twin.emit(t, table)
+        assert _kernel_rows(engine) == [_row_tuples(table) for table in tables]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cache=st.lists(st.floats(0.0, 400.0), min_size=16, max_size=16),
+        mem=st.lists(st.floats(0.0, 100.0), min_size=16, max_size=16),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        replies=st.booleans(),
+    )
+    def test_property_over_rates_and_seeds(self, cache, mem, seeds, replies):
+        inst = OBMInstance(_MODEL4, Workload((Application("x", cache, mem),)))
+        _assert_kernel_matches_emit(
+            lambda b: MappedWorkloadTraffic(
+                inst, Mapping(np.roll(np.arange(16), b)), generate_replies=replies,
+                seed=seeds[b],
+            ),
+            len(seeds), warmup=40, measure=80,
+        )

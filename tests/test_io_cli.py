@@ -101,6 +101,16 @@ class TestCLI:
         assert code == 0
         assert "max=" in capsys.readouterr().out
 
+    def test_evaluate_reads_what_map_writes(self, capsys, tmp_path):
+        # The README's pair: `map --output mapping.json`, then `evaluate`.
+        path = tmp_path / "mapping.json"
+        argv = ["--workload", "C1", "--mesh", "4"]
+        assert main(["map", *argv, "--algorithm", "sss", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *argv, str(path)]) == 0
+        max_apl = load_json(path)["evaluation"]["max_apl"]
+        assert f"max={max_apl:.3f}" in capsys.readouterr().out
+
     def test_bound_command(self, capsys):
         code = main(
             ["bound", "--workload", "C2", "--mesh", "4",
