@@ -39,7 +39,6 @@ from repro.core.results import MappingResult
 from repro.core.sam import SAMResult, solve_sam
 from repro.core.sss import (
     SSSConfig,
-    multi_start_sss,
     select_only_mapping,
     sort_select_swap,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "max_apl_lower_bound",
     "min_max_ratio",
     "monte_carlo",
-    "multi_start_sss",
     "obm_from_set_partition",
     "random_average",
     "random_mapping",

@@ -40,7 +40,6 @@ from repro.utils.rng import as_rng
 __all__ = [
     "SSSConfig",
     "sort_select_swap",
-    "multi_start_sss",
     "select_only_mapping",
 ]
 
@@ -301,14 +300,11 @@ def sort_select_swap(
     instance: OBMInstance,
     config: SSSConfig | None = None,
     seed=None,
-    tc_order: np.ndarray | None = None,
 ) -> MappingResult:
     """Run sort-select-swap on ``instance`` and return the mapping + metrics.
 
     ``seed`` only matters for non-default stochastic select policies; the
-    paper's configuration is fully deterministic.  ``tc_order`` optionally
-    supplies the TC-sorted tile list (as from the internal sort) so
-    multi-start callers do not re-sort per restart.
+    paper's configuration is fully deterministic.
 
     Per-stage wall-clock is timed, when a trace is active, by the
     ``sss.sort`` / ``sss.select`` / ``sss.swap`` / ``sss.polish`` spans
@@ -316,9 +312,8 @@ def sort_select_swap(
     """
     config = config or SSSConfig()
     rng = as_rng(seed)
-    if tc_order is None:
-        with reqtrace.span("sss.sort"):
-            tc_order = _tc_sorted_tiles(instance)
+    with reqtrace.span("sss.sort"):
+        tc_order = _tc_sorted_tiles(instance)
     windows_tried = windows_accepted = 0
     t0 = time.perf_counter()
 
@@ -375,50 +370,6 @@ def sort_select_swap(
             "swap_eval": swap_eval,
             "swap_windows": {"tried": windows_tried, "accepted": windows_accepted},
         },
-    )
-
-
-def multi_start_sss(
-    instance: OBMInstance,
-    n_starts: int = 8,
-    config: SSSConfig | None = None,
-    seed=None,
-) -> MappingResult:
-    """Best-of-``n_starts`` SSS with randomised section picks (extension).
-
-    The paper's SSS is deterministic; replacing the middle-of-section pick
-    with a random in-section pick makes each start explore a different
-    coarse assignment, and keeping the best max-APL recovers (and
-    occasionally beats) the deterministic result at ``n_starts``x the
-    runtime.  Start 0 always runs the paper's deterministic configuration
-    so the result can never be worse than plain SSS.  The starts share
-    one TC sort, and the best pick scans them in start order with a
-    strict ``<``.
-    """
-    if n_starts < 1:
-        raise ValueError("n_starts must be positive")
-    base = config or SSSConfig()
-    rng = as_rng(seed)
-    t0 = time.perf_counter()
-    random_config = replace(base, select="random")
-    starts = [(base, None)] + [
-        (random_config, int(rng.integers(2**63))) for _ in range(n_starts - 1)
-    ]
-    tc_order = _tc_sorted_tiles(instance)
-    candidates = [
-        sort_select_swap(instance, cfg, seed=s, tc_order=tc_order) for cfg, s in starts
-    ]
-    best = candidates[0]
-    for candidate in candidates[1:]:
-        if candidate.max_apl < best.max_apl:
-            best = candidate
-    elapsed = time.perf_counter() - t0
-    return MappingResult(
-        algorithm="SSS/multi-start",
-        mapping=best.mapping,
-        evaluation=best.evaluation,
-        runtime_seconds=elapsed,
-        extra={"n_starts": n_starts, "config": base},
     )
 
 

@@ -43,7 +43,7 @@
 typedef struct {
     /* geometry and router parameters */
     int64_t B, T, V, C, NT;
-    int64_t depth, pipe, lat, ring, per, oldest;
+    int64_t depth, pipe, lat, ring, per;
     /* immutable tables: first VC of each traffic class, output port by
        [local tile * T + local dst], upstream credit slot of each input
        channel (-1 for none), and the downstream input-channel base of
@@ -259,11 +259,8 @@ static int64_t route_and_switch(noc_state *s, int64_t g)
         int64_t op = s->outp[c];
         if (s->credits[base + op * V + s->outv[c]] <= 0)
             continue;
-        /* Oldest-first: earliest creation, ties to the lower channel.
-           Round-robin: (key - pointer) mod 64, as the object engine. */
-        int64_t key = s->oldest
-            ? s->p_created[s->s_pid[f]]
-            : (k - s->sa_ptr[g * N_PORTS + op]) & 63;
+        /* Round-robin: (key - pointer) mod 64, as the object engine. */
+        int64_t key = (k - s->sa_ptr[g * N_PORTS + op]) & 63;
         if (best[op] < 0 || key < best_key[op]) {
             best[op] = k;
             best_key[op] = key;
@@ -274,8 +271,7 @@ static int64_t route_and_switch(noc_state *s, int64_t g)
         int64_t k = best[op];
         if (k < 0)
             continue;
-        if (!s->oldest)
-            s->sa_ptr[g * N_PORTS + op] = k + 1 == C ? 0 : k + 1;
+        s->sa_ptr[g * N_PORTS + op] = k + 1 == C ? 0 : k + 1;
         commit(s, g, base + k, op);
         moved++;
     }

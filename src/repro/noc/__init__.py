@@ -25,14 +25,7 @@ from repro.noc.network import Network, NetworkConfig, NetworkInterface
 from repro.noc.packet import Flit, Packet, TrafficClass
 from repro.noc.power import ActivityCounts, PowerBreakdown, PowerModel, PowerParams
 from repro.noc.router import Router, RouterConfig, VirtualChannel
-from repro.noc.routing import (
-    ROUTE_FUNCTIONS,
-    Port,
-    route_path,
-    west_first_route,
-    xy_route,
-    yx_route,
-)
+from repro.noc.routing import Port, route_path, xy_route
 from repro.noc.simulator import NoCSimulator, SimulationResult
 from repro.noc.stats import FaultStats, LatencyStats, LatencySummary
 from repro.noc.traffic import (
@@ -69,7 +62,6 @@ __all__ = [
     "NoCSimulator",
     "Packet",
     "Port",
-    "ROUTE_FUNCTIONS",
     "PowerBreakdown",
     "PowerModel",
     "PowerParams",
@@ -86,7 +78,5 @@ __all__ = [
     "route_path",
     "run_batch",
     "simulate_batch",
-    "west_first_route",
     "xy_route",
-    "yx_route",
 ]

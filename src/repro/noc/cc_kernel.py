@@ -34,7 +34,7 @@ from repro.core.cc_solvers import _F64, _I64, _U8, _ptr
 __all__ = ["CycleKernel", "library"]
 
 # Field order mirrors ``noc_state`` in noc_cycle.c exactly.
-_GEOMETRY = ("B", "T", "V", "C", "NT", "depth", "pipe", "lat", "ring", "per", "oldest")
+_GEOMETRY = ("B", "T", "V", "C", "NT", "depth", "pipe", "lat", "ring", "per")
 _TABLES = ("vclo", "route", "upcv", "arr_base")
 _BYTE_ARRAYS = ("st", "otaken")
 #: the per-pid columns, grown together
@@ -130,7 +130,6 @@ class CycleKernel:
             ("B", engine.B), ("T", engine.T), ("V", engine.V), ("C", engine.C),
             ("NT", NT), ("depth", engine.DEPTH), ("pipe", engine.PIPE),
             ("lat", engine.LAT), ("ring", engine.RING), ("per", engine._per),
-            ("oldest", int(engine._oldest)),
         ):
             setattr(s, name, value)
         self._otaken = engine.otaken.view(np.uint8)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.core.latency import Mesh
 from repro.noc.packet import Flit, Packet
 from repro.noc.router import _VC_ACTIVE, Router, RouterConfig
-from repro.noc.routing import _OPPOSITE, Port, next_tile
+from repro.noc.routing import _OPPOSITE, Port, next_tile, xy_route
 
 __all__ = ["NetworkConfig", "NetworkInterface", "Network"]
 
@@ -56,18 +56,10 @@ class NetworkConfig:
 
     router: RouterConfig = field(default_factory=RouterConfig)
     link_latency: int = 1  #: cycles per link traversal
-    routing: str = "xy"  #: xy | yx | west_first (all minimal, deadlock-free)
 
     def __post_init__(self) -> None:
-        from repro.noc.routing import ROUTE_FUNCTIONS
-
         if self.link_latency < 1:
             raise ValueError("link latency must be at least one cycle")
-        if self.routing not in ROUTE_FUNCTIONS:
-            raise ValueError(
-                f"unknown routing {self.routing!r}; expected one of "
-                f"{sorted(ROUTE_FUNCTIONS)}"
-            )
 
 
 class NetworkInterface:
@@ -184,15 +176,12 @@ class Network:
         invariants=None,
         tracer=None,
     ) -> None:
-        from repro.noc.routing import ROUTE_FUNCTIONS
-
         self.mesh = mesh
         self.config = config or NetworkConfig()
         #: Attached packet-lifecycle tracer (None = tracing off).  The hot
         #: paths below are built in two variants so a tracer-less network
         #: executes exactly the uninstrumented code.
         self._tracer = tracer
-        route_fn = ROUTE_FUNCTIONS[self.config.routing]
         # Fault state first: the route closure consults it when (and only
         # when) a fault schedule is attached.
         self._faults = self._make_fault_manager(faults)
@@ -215,7 +204,7 @@ class Network:
                 key = (tile, dst)
                 port = route_cache.get(key)
                 if port is None:
-                    port = route_cache[key] = route_fn(mesh, tile, dst)
+                    port = route_cache[key] = xy_route(mesh, tile, dst)
                 return port
 
         else:
@@ -231,7 +220,7 @@ class Network:
                 key = (tile, dst)
                 port = route_cache.get(key)
                 if port is None:
-                    port = route_fn(mesh, tile, dst)
+                    port = xy_route(mesh, tile, dst)
                     if port != Port.LOCAL and (tile, port) in down:
                         alt = detour_port(
                             mesh, tile, dst, lambda t, p: (t, p) not in down, port

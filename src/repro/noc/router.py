@@ -57,7 +57,6 @@ class RouterConfig:
     buffer_depth: int = 5  #: flits per VC
     pipeline_depth: int = 3  #: cycles from buffer write to switch eligibility
     vc_classes: int = 1  #: protocol-class partitions of each port's VCs
-    arbitration: str = "round_robin"  #: round_robin | oldest_first
 
     def __post_init__(self) -> None:
         if self.vcs_per_port < 1:
@@ -72,11 +71,6 @@ class RouterConfig:
             raise ValueError(
                 f"{self.vcs_per_port} VCs cannot be split into "
                 f"{self.vc_classes} equal class partitions"
-            )
-        if self.arbitration not in ("round_robin", "oldest_first"):
-            raise ValueError(
-                f"unknown arbitration {self.arbitration!r}; "
-                "expected 'round_robin' or 'oldest_first'"
             )
 
     def vc_range(self, traffic_class: int) -> tuple[int, int]:
@@ -176,7 +170,6 @@ class Router:
         self._buffer_depth = config.buffer_depth
         self._pipeline_depth = config.pipeline_depth
         self._sa_modulo = len(Port) * config.vcs_per_port
-        self._oldest_first = config.arbitration == "oldest_first"
         # Statistics
         self.flits_routed = 0
         self.buffer_writes = 0
@@ -293,21 +286,13 @@ class Router:
         for out_port, channels in candidates.items():
             if len(channels) == 1:
                 winner = channels[0]
-                if not self._oldest_first:
-                    self._sa_pointer[out_port] = (winner.key + 1) % self._sa_modulo
-            elif self._oldest_first:
-                # Age-based: the packet waiting longest (earliest creation)
-                # wins; ties fall back to the stable VC order.
-                winner = min(
-                    channels, key=lambda ch: (ch.buffer[0].packet.created_at, ch.key)
-                )
             else:
                 # Round-robin among competing input VCs for this output port.
                 # Candidates are gathered in channel-array order, i.e.
                 # already sorted by key.
                 pointer = self._sa_pointer[out_port]
                 winner = min(channels, key=lambda ch: (ch.key - pointer) % 64)
-                self._sa_pointer[out_port] = (winner.key + 1) % self._sa_modulo
+            self._sa_pointer[out_port] = (winner.key + 1) % self._sa_modulo
 
             flit = winner.buffer.popleft()
             self._occupancy -= 1

@@ -8,7 +8,7 @@ the same arrays: instance ``b``'s tile ``t`` is global tile ``b * T + t``
 of one big disconnected mesh.
 
 The immutable topology tables (the flat T x T route table and the
-(T, 5) neighbour table) depend only on ``(rows, cols, routing)``, so
+(T, 5) neighbour table) depend only on ``(rows, cols)``, so
 every engine of one shape shares one read-only copy from
 :func:`repro.noc.routing.topology_tables`.  The first engine of a shape
 in a process pays the build (about 11 ms on 8x8, 180 ms on 16x16);
@@ -130,15 +130,14 @@ class VectorEngine:
         self.PIPE = rc.pipeline_depth
         self.LAT = self.config.link_latency
         self._per = V // rc.vc_classes
-        self._oldest = rc.arbitration == "oldest_first"
         self.VCLO = np.array([rc.vc_range(c)[0] for c in range(4)], dtype=np.int64)
         # Ring geometry (power of two so positions reduce with a mask).
         self.RING = cc_kernel.pow2_at_least(self.DEPTH)
 
         # ---- immutable topology tables -------------------------------
-        # Shared read-only per (rows, cols, routing); the first engine of
-        # a shape in a process pays the T x T build (see topology_tables).
-        self.ROUTE, nei = topology_tables(mesh.rows, mesh.cols, self.config.routing)
+        # Shared read-only per (rows, cols); the first engine of a shape
+        # in a process pays the T x T build (see topology_tables).
+        self.ROUTE, nei = topology_tables(mesh.rows, mesh.cols)
 
         ch = np.arange(NCH, dtype=np.int64)
         gtile = ch // C  # global tile of each channel

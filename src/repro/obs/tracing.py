@@ -103,7 +103,7 @@ class PacketTracer:
             "rows": int(getattr(mesh, "rows", 0)),
             "cols": int(getattr(mesh, "cols", 0)),
             "link_latency": int(network.config.link_latency),
-            "routing": network.config.routing,
+            "routing": "xy",
             "pipeline_depth": int(network.config.router.pipeline_depth),
         }
 

@@ -6,9 +6,9 @@ B times the cost of one (perfbench's ``map_simulate`` and
 ``sim_campaign`` workloads measure it), and its batched results are
 bit-identical to single runs — so coalescing concurrent requests is pure
 throughput, with zero effect on response bytes.  With a C compiler the
-batch's cycle loop runs in the compiled kernel, whose ``ctypes`` call
-releases the GIL, so it no longer holds up solves on the other worker
-thread (packet emission still runs in Python).
+batch's cycle loop and its mapped traffic's packet emission both run in
+the compiled kernel, whose ``ctypes`` call releases the GIL, so a batch
+does not hold up solves on the other worker thread.
 
 :class:`SimulationBatcher` keeps one queue per *batch group* — requests
 that may legally share a ``run_batch`` call: same mesh shape and same

@@ -13,7 +13,6 @@ from repro.workloads.synthetic import (
     RateMatrix,
     RateTargets,
     generate_rate_matrix,
-    moment_match,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "RateTargets",
     "generate_rate_matrix",
     "measured_table3_row",
-    "moment_match",
     "parsec_config",
     "parsec_trace_matrices",
 ]

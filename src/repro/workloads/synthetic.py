@@ -24,11 +24,6 @@ such samples:
 Per-thread rates ``c_j`` / ``m_j`` — what the mapping algorithms consume —
 are the time averages of each thread's window series (``= thread scale``
 by construction).
-
-The module also provides :func:`moment_match`, a generic two-parameter
-monotone transform ``y = a * x**b`` for calibrating arbitrary non-negative
-sample sets to a mean/std target (used e.g. to couple memory traffic to
-cache traffic).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.utils.rng import as_rng
 
@@ -45,7 +39,6 @@ __all__ = [
     "RateTargets",
     "BurstProfile",
     "RateMatrix",
-    "moment_match",
     "generate_rate_matrix",
 ]
 
@@ -133,50 +126,6 @@ class RateMatrix:
     @property
     def n_windows(self) -> int:
         return self.samples.shape[1]
-
-
-def moment_match(samples: np.ndarray, targets: RateTargets) -> np.ndarray:
-    """Transform non-negative ``samples`` to hit the target mean and std.
-
-    Applies ``y = a * x**b``: ``b`` controls the coefficient of variation
-    (CV of ``x**b`` is strictly increasing in ``b`` for non-degenerate
-    ``x >= 0``), ``a`` then fixes the mean.  Returns the transformed copy.
-
-    Falls back to pure mean scaling when the samples are (nearly)
-    degenerate and the target CV is unreachable.
-    """
-    x = np.asarray(samples, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("samples must be non-negative")
-    mean = x.mean()
-    if mean == 0:
-        raise ValueError("cannot moment-match all-zero samples")
-    if x.std() == 0 or targets.std == 0:
-        return x * (targets.mean / mean)
-
-    def cv_of(b: float) -> float:
-        y = np.power(x, b, where=x > 0, out=np.zeros_like(x))
-        m = y.mean()
-        return y.std() / m if m > 0 else 0.0
-
-    target_cv = targets.cv
-
-    lo, hi = 1e-3, 1.0
-    # Expand the bracket upward until the CV overshoots the target (the
-    # heavy-tail amplification of x**b grows without bound for samples with
-    # at least two distinct positive values).
-    while cv_of(hi) < target_cv and hi < 64:
-        hi *= 2.0
-    if cv_of(hi) < target_cv:
-        raise ValueError(
-            f"target CV {target_cv:.3f} unreachable from these samples "
-            f"(max achievable ~{cv_of(hi):.3f}); increase burstiness or windows"
-        )
-    if cv_of(lo) > target_cv:
-        lo = 1e-6
-    b = float(brentq(lambda bb: cv_of(bb) - target_cv, lo, hi, xtol=1e-10))
-    y = np.power(x, b, where=x > 0, out=np.zeros_like(x))
-    return y * (targets.mean / y.mean())
 
 
 def _solve_spike_levels(p: float, q: float) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from repro.core import permkernels
 from repro.core.baselines import monte_carlo, simulated_annealing
 from repro.core.exact import ExactSolverLimits, branch_and_bound
 from repro.core.genetic import GAConfig, genetic_algorithm
-from repro.core.sss import multi_start_sss, sort_select_swap
+from repro.core.sss import sort_select_swap
 from repro.experiments.base import standard_instance, standard_model
 from repro.utils.rng import stable_seed
 
@@ -126,12 +126,6 @@ def test_sa_matches_golden(name, key, kwargs, backend):
 
 
 @pytest.mark.parametrize("name", ["C1", "C4", "C8"])
-def test_multi_start_matches_golden(name, backend):
-    result = multi_start_sss(standard_instance(name), n_starts=4, seed=0)
-    _assert_matches(result, GOLDEN[name]["multi_start"])
-
-
-@pytest.mark.parametrize("name", ["C1", "C4", "C8"])
 def test_branch_and_bound_matches_golden(name, backend):
     instance = standard_instance(name, model=standard_model(4))
     result = branch_and_bound(instance, limits=ExactSolverLimits(max_nodes=50_000))
@@ -145,7 +139,3 @@ def test_reference_backend_matches_golden():
     """The untouched per-window path still reproduces its own goldens."""
     with permkernels.force_backend("reference"):
         _assert_matches(sort_select_swap(standard_instance("C3")), GOLDEN["C3"]["sss"])
-        _assert_matches(
-            multi_start_sss(standard_instance("C1"), n_starts=4, seed=0),
-            GOLDEN["C1"]["multi_start"],
-        )

@@ -11,7 +11,6 @@ from repro.core.problem import OBMInstance
 from repro.core.sss import (
     SSSConfig,
     _SwapState,
-    multi_start_sss,
     select_only_mapping,
     sort_select_swap,
 )
@@ -171,27 +170,6 @@ class TestConfigVariants:
         one = sort_select_swap(c1_instance, SSSConfig(swap_passes=1, final_polish=False))
         two = sort_select_swap(c1_instance, SSSConfig(swap_passes=2, final_polish=False))
         assert two.max_apl <= one.max_apl + 1e-9
-
-
-class TestMultiStart:
-    def test_never_worse_than_deterministic(self, c1_instance):
-        det = sort_select_swap(c1_instance)
-        multi = multi_start_sss(c1_instance, n_starts=4, seed=0)
-        assert multi.max_apl <= det.max_apl + 1e-12
-
-    def test_single_start_equals_deterministic(self, small_instance):
-        det = sort_select_swap(small_instance)
-        multi = multi_start_sss(small_instance, n_starts=1, seed=0)
-        assert np.array_equal(multi.mapping.perm, det.mapping.perm)
-
-    def test_seeded_deterministic(self, small_instance):
-        a = multi_start_sss(small_instance, n_starts=3, seed=9)
-        b = multi_start_sss(small_instance, n_starts=3, seed=9)
-        assert np.array_equal(a.mapping.perm, b.mapping.perm)
-
-    def test_invalid_starts(self, small_instance):
-        with pytest.raises(ValueError):
-            multi_start_sss(small_instance, n_starts=0)
 
 
 class TestSwapState:

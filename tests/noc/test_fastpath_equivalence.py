@@ -30,13 +30,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden_fastpath.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 _VARIANT_CONFIGS = {
-    "yx_oldest_4x4": lambda: NetworkConfig(
-        router=RouterConfig(arbitration="oldest_first"), routing="yx"
-    ),
     "vcclasses_4x4": lambda: NetworkConfig(
         router=RouterConfig(vcs_per_port=4, vc_classes=4)
     ),
-    "deep_link_4x4": lambda: NetworkConfig(link_latency=2, routing="west_first"),
 }
 
 

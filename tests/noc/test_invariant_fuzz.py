@@ -1,6 +1,6 @@
 """Differential fuzzing: random configs + full invariant checking.
 
-Each fuzz case draws a random mesh/router/routing/traffic configuration,
+Each fuzz case draws a random mesh/router/traffic configuration,
 runs it with every invariant enabled at ``check_interval=1`` (so any
 bookkeeping drift is caught on the exact cycle it appears), and then
 cross-checks the engine's aggregate counters against a
@@ -47,7 +47,6 @@ def _random_case(rng: np.random.Generator, *, faults: bool):
             pipeline_depth=int(rng.integers(1, 4)),
         ),
         link_latency=int(rng.integers(1, 3)),
-        routing=str(rng.choice(["xy", "yx", "west_first"])),
     )
     rate = float(rng.uniform(0.01, 0.08))
     length = int(rng.choice([1, 5]))

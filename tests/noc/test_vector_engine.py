@@ -3,8 +3,8 @@
 The vector engine must be *bit-identical* to the fast path: same delivered
 latency histogram, per-app APLs, activity counts, power and delivery
 totals, for the same seeds.  These tests pin that across all C1-C8 paper
-configurations, router/network variants (arbitration, VC classes, link
-depth, routing function), saturation, and batched execution (a batch
+configurations, router/network variants (VC classes, link depth),
+saturation, and batched execution (a batch
 entry must equal its own single run), plus a hypothesis property over
 small meshes and network configurations.  The engine is the compiled
 cycle kernel: tests that build it directly skip where no C compiler
@@ -90,11 +90,8 @@ def test_vector_matches_fastpath_on_paper_configs(name):
 
 
 _VARIANTS = {
-    "yx_oldest": lambda: NetworkConfig(
-        router=RouterConfig(arbitration="oldest_first"), routing="yx"
-    ),
     "vc_classes": lambda: NetworkConfig(router=RouterConfig(vcs_per_port=4, vc_classes=4)),
-    "deep_link_west_first": lambda: NetworkConfig(link_latency=2, routing="west_first"),
+    "deep_link": lambda: NetworkConfig(link_latency=2),
 }
 
 
@@ -116,18 +113,18 @@ def test_vector_matches_fastpath_on_network_variants(variant):
 
 @needs_kernel
 def test_engines_of_one_shape_share_the_route_table(monkeypatch):
-    """The T x T route table is built once per (mesh shape, routing), not
-    once per engine; engines of that shape share the read-only arrays."""
+    """The T x T route table is built once per mesh shape, not once per
+    engine; engines of that shape share the read-only arrays."""
     mesh = Mesh(3, 5)
     T = mesh.n_tiles
     calls = []
-    xy = routing.ROUTE_FUNCTIONS["xy"]
+    xy = routing.xy_route
 
     def counting_xy(mesh, current, dst):
         calls.append((current, dst))
         return xy(mesh, current, dst)
 
-    monkeypatch.setitem(routing.ROUTE_FUNCTIONS, "xy", counting_xy)
+    monkeypatch.setattr(routing, "xy_route", counting_xy)
     routing.topology_tables.cache_clear()
     try:
         first, second = (
@@ -196,9 +193,7 @@ def _mapped_instance(rows: int, cols: int):
 @given(
     rows=st.integers(2, 4),
     cols=st.integers(2, 4),
-    routing=st.sampled_from(["xy", "yx", "west_first"]),
     vcs=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (4, 2), (4, 4)]),
-    arbitration=st.sampled_from(["round_robin", "oldest_first"]),
     link_latency=st.integers(1, 2),
     mapped=st.booleans(),
     rate=st.floats(0.01, 0.5),
@@ -209,8 +204,7 @@ def _mapped_instance(rows: int, cols: int):
 )
 @needs_kernel
 def test_batch_members_match_their_fastpath_runs(
-    rows, cols, routing, vcs, arbitration, link_latency, mapped, rate, length,
-    batch, measure, seed,
+    rows, cols, vcs, link_latency, mapped, rate, length, batch, measure, seed,
 ):
     """Kernel against fast path, the one engine pair left, on random small
     meshes and network configurations, up to saturation.  Uniform traffic
@@ -220,11 +214,8 @@ def test_batch_members_match_their_fastpath_runs(
     mesh = Mesh(rows, cols)
     vcs_per_port, vc_classes = vcs
     cfg = NetworkConfig(
-        router=RouterConfig(
-            vcs_per_port=vcs_per_port, vc_classes=vc_classes, arbitration=arbitration
-        ),
+        router=RouterConfig(vcs_per_port=vcs_per_port, vc_classes=vc_classes),
         link_latency=link_latency,
-        routing=routing,
     )
 
     def make(b):

@@ -11,7 +11,6 @@ from repro.workloads.synthetic import (
     RateTargets,
     _solve_spike_levels,
     generate_rate_matrix,
-    moment_match,
 )
 
 
@@ -127,33 +126,6 @@ class TestRateMatrix:
             RateMatrix(np.zeros((2, 2)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             RateMatrix(np.zeros(4), np.zeros(4, dtype=int))
-
-
-class TestMomentMatch:
-    def test_hits_targets(self):
-        rng = np.random.default_rng(0)
-        x = rng.lognormal(0, 1, 5000)
-        y = moment_match(x, RateTargets(mean=3.0, std=9.0))
-        assert y.mean() == pytest.approx(3.0, rel=1e-6)
-        assert y.std() == pytest.approx(9.0, rel=1e-3)
-
-    def test_preserves_order(self):
-        rng = np.random.default_rng(1)
-        x = rng.lognormal(0, 1, 100)
-        y = moment_match(x, RateTargets(mean=2.0, std=8.0))
-        assert np.array_equal(np.argsort(x), np.argsort(y))
-
-    def test_degenerate_falls_back_to_scaling(self):
-        y = moment_match(np.full(10, 4.0), RateTargets(mean=2.0, std=1.0))
-        assert np.allclose(y, 2.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            moment_match(np.zeros(5), RateTargets(1.0, 1.0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            moment_match(np.array([-1.0, 1.0]), RateTargets(1.0, 1.0))
 
 
 class TestBurstProfile:
